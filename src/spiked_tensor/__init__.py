@@ -17,7 +17,6 @@ from .montecarlo import (
     recovery_experiment,
 )
 from .rates import (
-    OverlapTailOracle,
     RateFunction,
     binary_entropy,
     collision_entropy,
@@ -25,7 +24,6 @@ from .rates import (
     exact_overlap_tail,
     local_subgaussian_sigma2,
     multi_entropy,
-    overlap_tail_oracle,
     rate_function_for,
     rate_rademacher,
     rate_sparse_rademacher,
@@ -66,7 +64,6 @@ from .thresholds import (
     spiked_norm_lower_Ld,
     threshold_report,
     upper_bound_cardinality,
-    upper_bound_entropy,
     upper_bound_spherical,
 )
 

@@ -11,7 +11,8 @@ Subcommands emit CSV (default) or JSON tables:
 
 Every command is deterministic given its flags and seed; output ordering is
 fixed, so runs with different ``--threads`` are byte-identical.  Exit codes
-report execution health only (0 = completed), never statistical outcomes.
+report execution health only (0 = completed, 2 = rejected input, printed as
+one ``spiked-tensor: error: ...`` line), never statistical outcomes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .output import OutputSpec, write_table
 from .parallel import parallel_map, resolve_threads
 from .rates import exact_overlap_tail, rate_function_for, EXACT_TAIL_MAX_N
 from .rng import RngSeed
+from .solvers import BracketError
 from .tensors import SpikePrior, sample_spiked, sample_wigner
 
 
@@ -361,6 +363,9 @@ def main(argv=None) -> int:
         return dispatch[args.command](parser, args)
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code or 0)
+    except (ValueError, BracketError) as exc:  # input the library rejects or cannot solve
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -73,6 +73,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown test {self.test!r}; expected one of {TESTS}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not math.isfinite(self.snr):
+            raise ValueError(f"snr must be finite, got {self.snr}")
+        if self.epsilon is not None and not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.test in ("mle", "map"):
             check_support_enumerable(self.prior, self.n)
 

@@ -244,25 +244,3 @@ def _spherical_tail(n: int, t: float) -> float:
     value, _ = integrate.quad(density, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=500)
     return float(min(max(value, 0.0), 1.0))
 
-
-@dataclass(frozen=True)
-class OverlapTailOracle:
-    """Callable exact tail for a fixed (prior, n); tags the method used."""
-
-    prior: SpikePrior
-    n: int
-    method: str
-
-    def __call__(self, t: float) -> float:
-        return exact_overlap_tail(self.prior, self.n, t)
-
-
-def overlap_tail_oracle(prior: SpikePrior, n: int) -> OverlapTailOracle:
-    method = {
-        "spherical": "incomplete_beta",
-        "rademacher": "binomial",
-        "sparse_rademacher": "hypergeometric_compound",
-    }[prior.kind]
-    if prior.is_discrete and n > EXACT_TAIL_MAX_N:
-        raise ValueError(f"n={n} exceeds the exact-combinatorics cap {EXACT_TAIL_MAX_N}")
-    return OverlapTailOracle(prior, n, method)

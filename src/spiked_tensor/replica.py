@@ -88,15 +88,6 @@ def q_of_mu_rademacher(mu: float, quad: GaussQuadrature | None = None) -> float:
     return float(quad.expect(np.tanh(arg)))
 
 
-def tanh_moments(mu: float, quad: GaussQuadrature | None = None) -> tuple[float, float]:
-    """(E tanh, E tanh^2) at the same coupling, for the identity check."""
-    if mu == 0.0:
-        return 0.0, 0.0
-    quad = quad or default_quadrature()
-    th = np.tanh(mu + math.sqrt(mu) * quad.nodes)
-    return float(quad.expect(th)), float(quad.expect(th * th))
-
-
 def _q_batch(mus: np.ndarray, quad: GaussQuadrature) -> np.ndarray:
     arg = mus[:, None] + np.sqrt(mus)[:, None] * quad.nodes[None, :]
     return np.tanh(arg) @ quad.weights
@@ -136,6 +127,25 @@ def _mu_grid(d: int, snr: float) -> np.ndarray:
     return np.unique(np.concatenate([logs, linear]))
 
 
+def _root_cells(vals: np.ndarray) -> np.ndarray:
+    """Grid indices i, ascending, with vals[i] == 0 or a sign change on [i, i+1]."""
+    left = vals[:-1]
+    return np.flatnonzero((left == 0.0) | (left * vals[1:] < 0))
+
+
+def _phi_scan(
+    d: int, snr: float, quad: GaussQuadrature
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(mu) = d q(mu)^(d-1) - 2 mu / snr^2 on the mu grid, and its root cells.
+
+    phi < 0 at the grid's last point (d q^(d-1) <= d < 20 d), so the cells
+    hold every grid zero and sign change: nonzero solutions exist iff any.
+    """
+    mus = _mu_grid(d, snr)
+    phi = d * _q_batch(mus, quad) ** (d - 1) - 2.0 * mus / snr**2
+    return mus, phi, _root_cells(phi)
+
+
 def rademacher_fixed_points(
     d: int, snr: float, quad: GaussQuadrature | None = None
 ) -> list[ReplicaSolution]:
@@ -150,17 +160,16 @@ def rademacher_fixed_points(
     if snr <= 0:
         raise ValueError(f"snr must be > 0, got {snr}")
     quad = quad or default_quadrature()
-    mus = _mu_grid(d, snr)
-    phi = d * _q_batch(mus, quad) ** (d - 1) - 2.0 * mus / snr**2
+    mus, phi, cells = _phi_scan(d, snr, quad)
 
     def phi_scalar(mu: float) -> float:
         return d * q_of_mu_rademacher(mu, quad) ** (d - 1) - 2.0 * mu / snr**2
 
     roots: list[float] = []
-    for i in range(len(mus) - 1):
+    for i in cells:
         if phi[i] == 0.0:
             roots.append(float(mus[i]))
-        elif phi[i] * phi[i + 1] < 0:
+        else:
             res = bisect_root(
                 phi_scalar, float(mus[i]), float(mus[i + 1]), xtol=1e-13 * max(1.0, mus[i + 1])
             )
@@ -170,10 +179,8 @@ def rademacher_fixed_points(
     labels = _branch_labels(len(roots))
     for mu, label in zip(sorted(roots), labels):
         q = q_of_mu_rademacher(mu, quad)
-        residual = max(
-            abs(mu - 0.5 * snr**2 * d * q ** (d - 1)),
-            0.0,  # q = q(mu) holds by construction
-        )
+        # q = q(mu) holds by construction, so only the mu equation has a residual
+        residual = abs(mu - 0.5 * snr**2 * d * q ** (d - 1))
         out.append(
             ReplicaSolution(
                 d, snr, label, q, mu, rademacher_free_energy(d, snr, q, mu, quad), residual
@@ -190,20 +197,18 @@ def _branch_labels(count: int) -> list[str]:
     return ["low"] * (count - 1) + ["high"]
 
 
-def _nonzero_exists(d: int, snr: float, quad: GaussQuadrature) -> bool:
-    mus = _mu_grid(d, snr)
-    phi = d * _q_batch(mus, quad) ** (d - 1) - 2.0 * mus / snr**2
-    return bool(np.any(phi[:-1] * phi[1:] < 0) or np.any(phi == 0.0))
-
-
 def rademacher_replica_thresholds(
     d: int, quad: GaussQuadrature | None = None
 ) -> tuple[float, float]:
-    """(lambda1, lambda2): appearance of nonzero solutions, free-energy crossing."""
+    """(lambda1, lambda2): appearance of nonzero solutions, free-energy crossing.
+
+    lambda1 bisects the existence of nonzero solutions in snr, which is
+    monotone: just below every lambda1 of d = 2..200 no grid root exists.
+    """
     quad = quad or default_quadrature()
 
     def exists(snr: float) -> bool:
-        return _nonzero_exists(d, snr, quad)
+        return _phi_scan(d, snr, quad)[2].size > 0
 
     lo, hi = 0.05, 1.0
     while not exists(hi):
@@ -219,11 +224,6 @@ def rademacher_replica_thresholds(
         else:
             lo = mid
     lambda1 = 0.5 * (lo + hi)
-    # the existence bisection assumes monotonicity in snr; fall back to a scan
-    if exists(max(lambda1 - 10 * THRESHOLD_TOL, 1e-6)):
-        grid = np.linspace(1e-3, lambda1 + 1.0, 2000)
-        flags = [exists(float(s)) for s in grid]
-        lambda1 = float(grid[flags.index(True)]) if True in flags else lambda1
 
     def gap(snr: float) -> float | None:
         sols = rademacher_fixed_points(d, snr, quad)
@@ -290,10 +290,10 @@ def spherical_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     qs = np.linspace(1e-9, 1.0 - 1e-12, 4000)
     vals = 0.5 * snr**2 * d * qs ** (d - 2) * (1.0 - qs) - 1.0
     roots: list[float] = []
-    for i in range(len(qs) - 1):
+    for i in _root_cells(vals):
         if vals[i] == 0.0:
             roots.append(float(qs[i]))
-        elif vals[i] * vals[i + 1] < 0:
+        else:
             res = bisect_root(psi, float(qs[i]), float(qs[i + 1]), xtol=1e-15)
             roots.append(res.root)
 

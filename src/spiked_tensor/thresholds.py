@@ -10,7 +10,8 @@ For the spherical prior the same number solves a tangency system in closed
 form, which provides an independent solver route.
 
 Upper bounds: for discrete priors, exhaustive-search MLE gives 2*sqrt(c)
-with c the log-cardinality density (2*sqrt(s) for the MAP/entropy variant);
+with c the log-cardinality density (both priors are uniform on their
+support, so the MAP/entropy variant 2*sqrt(s) is the same number);
 for the spherical prior, the spiked injective norm exceeds the unspiked
 limit mu_d once snr crosses the unique root of L_d(snr) = mu_d.
 """
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .rates import RateFunction, collision_entropy, rate_function_for
-from .solvers import BracketError, bisect_root, geometric_grid, golden_min
+from .solvers import bisect_root, geometric_grid, golden_min
 from .tensors import SpikePrior
 
 GRID_POINTS = 10_000
@@ -90,7 +91,10 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
     # 1 - t there, and no finer than a few ulps so the section cannot stall
     tol = max(min(1e-10, 1e-3 * (1.0 - b)), 4.0 * math.ulp(b))
     _t, refined = golden_min(objective, a, b, tol=tol)
-    best = min(refined, float(ratio[i]))
+    # the objective tends to 2F as t -> 1 (F the collision entropy), so the
+    # infimum is at most 2F; near t = 1 the grid's (1+t^d)/t^d ~ 2 + d(1-t)
+    # overshoots that limit once d(1-t) is no longer negligible
+    best = min(refined, float(ratio[i]), 2.0 * rate.collision_entropy)
     t_star = _t if refined <= ratio[i] else float(ts[i])
     value = math.sqrt(2.0 * best)
     capped = False
@@ -136,26 +140,29 @@ def spherical_tangency(d: int) -> TangencyResult:
     return TangencyResult(math.sqrt(-math.expm1(-s)), math.exp(0.5 * log_lam_sq), res.residual)
 
 
+def _mu_characteristic(d: int, x: float) -> float:
+    """Characteristic equation of mu_d at x = mu sqrt(d/2); zero at mu = mu_d.
+
+    z(x) = (x - sqrt(x^2 - 4(d-1))) / ((d-1) sqrt(2d)) on x >= 2 sqrt(d-1).
+    """
+    z = (x - math.sqrt(max(x * x - 4.0 * (d - 1), 0.0))) / ((d - 1) * math.sqrt(2.0 * d))
+    z2 = z * z
+    return (2.0 - d) / d - math.log(d * z2 / 2.0) + 0.5 * (d - 1) * z2 - 2.0 / (d * d * z2)
+
+
 def injective_norm_mu(d: int) -> float:
     """Limiting injective norm mu_d of an unspiked tensor (d >= 3).
 
-    Root of the characteristic equation in x >= 2 sqrt(d-1), with
-    z(x) = (x - sqrt(x^2 - 4(d-1))) / ((d-1) sqrt(2d)); mu_d = x sqrt(2/d).
+    Root of _mu_characteristic in x >= 2 sqrt(d-1); mu_d = x sqrt(2/d).  The
+    upper end sqrt(d (2 log d + 2 log log d + 4)) lies above the root: mu_d^2
+    exceeds 2 log d + 2 log log d + 2 by less than 2 (1.11 at d = 3, then
+    decreasing; checked for d = 3..5000 and 600 log-spaced orders to 10^150).
     """
     if d < 3:
         raise ValueError(f"mu_d is computed for d >= 3, got {d}")
-
-    def g_of_x(x: float) -> float:
-        z = (x - math.sqrt(max(x * x - 4.0 * (d - 1), 0.0))) / ((d - 1) * math.sqrt(2.0 * d))
-        z2 = z * z
-        return (2.0 - d) / d - math.log(d * z2 / 2.0) + 0.5 * (d - 1) * z2 - 2.0 / (d * d * z2)
-
     lo = 2.0 * math.sqrt(d - 1.0) + 1e-12
     hi = math.sqrt(d * (2.0 * math.log(d) + 2.0 * math.log(math.log(d)) + 4.0))
-    try:
-        res = bisect_root(g_of_x, lo, hi, xtol=1e-10, max_iter=300)
-    except BracketError:
-        res = bisect_root(g_of_x, lo, 2.0 * hi, xtol=1e-10, max_iter=300)
+    res = bisect_root(lambda x: _mu_characteristic(d, x), lo, hi, xtol=1e-10, max_iter=300)
     return res.root * math.sqrt(2.0 / d)
 
 
@@ -215,14 +222,6 @@ def upper_bound_cardinality(prior: SpikePrior, d: int) -> float:
     """MLE union-bound threshold 2 sqrt(c), c the log-support density."""
     if not prior.is_discrete:
         raise ValueError("cardinality bound requires a discrete prior")
-    return 2.0 * math.sqrt(prior.support_size_log_density())
-
-
-def upper_bound_entropy(prior: SpikePrior, d: int) -> float:
-    """MAP threshold 2 sqrt(s); equals the cardinality bound for uniform priors."""
-    if not prior.is_discrete:
-        raise ValueError("entropy bound requires a discrete prior")
-    # both supported priors are uniform on their support, so s = c exactly
     return 2.0 * math.sqrt(prior.support_size_log_density())
 
 
@@ -310,7 +309,7 @@ def threshold_report(
                 asym_lower = asymptotics("sparse_rho_lower", prior.rho)
     else:
         mu = injective_norm_mu(d)
-        diagnostics["mu_residual"] = _mu_residual(d, mu)
+        diagnostics["mu_residual"] = abs(_mu_characteristic(d, mu * math.sqrt(d / 2.0)))
         if prior.kind == "spherical":
             tang = spherical_tangency(d)
             diagnostics["tangency_t_star"] = tang.t_star
@@ -348,15 +347,6 @@ def threshold_report(
         asymptotic_lower=asym_lower,
         asymptotic_upper=asym_upper,
         diagnostics=diagnostics,
-    )
-
-
-def _mu_residual(d: int, mu: float) -> float:
-    x = mu * math.sqrt(d / 2.0)
-    z = (x - math.sqrt(max(x * x - 4.0 * (d - 1), 0.0))) / ((d - 1) * math.sqrt(2.0 * d))
-    z2 = z * z
-    return abs(
-        (2.0 - d) / d - math.log(d * z2 / 2.0) + 0.5 * (d - 1) * z2 - 2.0 / (d * d * z2)
     )
 
 

@@ -222,6 +222,40 @@ def test_sparse_requires_rho(capsys):
     capsys.readouterr()
 
 
+def test_thresholds_rademacher_top_of_d_range(capsys):
+    # the largest order the CLI accepts; the lower bound sits at its t -> 1 limit
+    code, out = run_cli(["thresholds", "--prior", "rademacher", "--d", "1000000"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert float(rows[0]["lambda_lower"]) <= float(rows[0]["lambda_upper"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "tails", "--prior", "rademacher", "--n", "10", "--trials", "5",
+         "--tgrid", "1.5"],
+        ["ratefn", "--prior", "rademacher", "--tmax", "1.5"],
+        ["thresholds", "--prior", "spherical", "--d", "40", "--replica"],
+        ["simulate", "detect", "--prior", "rademacher", "--n", "8", "--trials", "4",
+         "--lambda", "nan"],
+        ["simulate", "detect", "--prior", "rademacher", "--n", "8", "--trials", "4",
+         "--lambda", "1", "--epsilon", "inf"],
+    ],
+    ids=["tails_tgrid", "ratefn_tmax", "spherical_replica_d40", "detect_nan_snr",
+         "detect_inf_epsilon"],
+)
+def test_library_errors_exit_2_with_one_line(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("spiked-tensor: error: ")
+
+
 def test_thread_determinism_quick(tmp_path, capsys):
     outputs = []
     for threads in ("1", "2", "8"):

@@ -16,7 +16,6 @@ from spiked_tensor import (
     exact_overlap_tail,
     local_subgaussian_sigma2,
     multi_entropy,
-    overlap_tail_oracle,
     rate_function_for,
     rate_rademacher,
     rate_sparse_rademacher,
@@ -263,15 +262,12 @@ def test_binomial_tail_helper():
 
 
 def test_oracle_wrapper():
-    oracle = overlap_tail_oracle(SpikePrior.sparse(0.5), 12)
-    assert oracle.method == "hypergeometric_compound"
+    prior = SpikePrior.sparse(0.5)
     ts = np.linspace(0, 1, 21)
-    vals = [oracle(float(t)) for t in ts]
+    vals = [exact_overlap_tail(prior, 12, float(t)) for t in ts]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
-        overlap_tail_oracle(SpikePrior.rademacher(), 500)
+        exact_overlap_tail(SpikePrior.rademacher(), 500, 0.3)
     with pytest.raises(ValueError):
-        exact_overlap_tail(SpikePrior.sparse(0.5), 300, 0.3)
-    assert overlap_tail_oracle(SpikePrior.spherical(), 5000).method == "incomplete_beta"
-    assert overlap_tail_oracle(SpikePrior.rademacher(), 64).method == "binomial"
+        exact_overlap_tail(prior, 300, 0.3)

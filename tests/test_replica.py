@@ -18,7 +18,7 @@ from spiked_tensor import (
     spherical_replica_threshold,
     upper_bound_spherical,
 )
-from spiked_tensor.replica import default_quadrature, tanh_moments
+from spiked_tensor.replica import default_quadrature
 from spiked_tensor.thresholds import asymptotics, upper_bound_cardinality
 
 TWO_SQRT_LOG2 = 2.0 * math.sqrt(math.log(2.0))
@@ -36,9 +36,12 @@ def test_quadrature_moments():
 
 
 def test_nishimori_identity():
+    # E tanh = E tanh^2 at the same coupling (mu + sqrt(mu) z)
+    quad = default_quadrature()
     for mu in (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0):
-        m1, m2 = tanh_moments(mu)
-        assert abs(m1 - m2) < 1e-8
+        th = np.tanh(mu + math.sqrt(mu) * quad.nodes)
+        m2 = float(quad.expect(th * th))
+        assert abs(q_of_mu_rademacher(mu) - m2) < 1e-8
 
 
 def test_q_of_mu_limits():
