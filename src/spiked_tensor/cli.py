@@ -60,6 +60,11 @@ def _prior_from_args(parser: argparse.ArgumentParser, args) -> SpikePrior:
     return SpikePrior.sparse(args.rho)
 
 
+def _nan_if_none(value):
+    """Table cell for an optional value: NaN where the value does not apply."""
+    return math.nan if value is None else value
+
+
 def _output_spec(args) -> OutputSpec:
     return OutputSpec(format=args.format, path=args.out, precision=args.precision)
 
@@ -141,10 +146,10 @@ def cmd_thresholds(parser, args) -> int:
             "d": rep.d,
             "lambda_lower": rep.lambda_lower,
             "lambda_upper": rep.lambda_upper,
-            "mu_d": rep.mu_d if rep.mu_d is not None else math.nan,
-            "replica": rep.replica_prediction if rep.replica_prediction is not None else math.nan,
-            "asymptotic_lower": rep.asymptotic_lower if rep.asymptotic_lower is not None else math.nan,
-            "asymptotic_upper": rep.asymptotic_upper if rep.asymptotic_upper is not None else math.nan,
+            "mu_d": _nan_if_none(rep.mu_d),
+            "replica": _nan_if_none(rep.replica_prediction),
+            "asymptotic_lower": _nan_if_none(rep.asymptotic_lower),
+            "asymptotic_upper": _nan_if_none(rep.asymptotic_upper),
         }
         rows.append(row)
     write_table(columns, rows, _output_spec(args), {"command": "thresholds", "prior": prior.label()})
@@ -287,8 +292,8 @@ def cmd_simulate(parser, args) -> int:
                 "empirical_tail": r.empirical_tail,
                 "empirical_rate": r.empirical_rate,
                 "rate_value": r.rate_value,
-                "exact_tail": r.exact_tail if r.exact_tail is not None else math.nan,
-                "exact_rate": r.exact_rate if r.exact_rate is not None else math.nan,
+                "exact_tail": _nan_if_none(r.exact_tail),
+                "exact_rate": _nan_if_none(r.exact_rate),
             }
             for r in rows_out
         ]

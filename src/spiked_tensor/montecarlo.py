@@ -7,6 +7,11 @@ Trial k derives its own RNG stream (offset 2+k; paired designs use 2+2k and
 3+2k for the two arms), and aggregation is an ordered fold over per-trial
 records, so results are bit-identical across runs and thread counts.
 
+Exhaustive search (mle, map) needs support_size(n) <= 2^24 and visits half
+the support in blocks of max(1, 2^22 // n^(d-1)) candidates, so besides the
+tensor it holds at most 2^22 scalars (32 MB) of candidates and as many of
+partial products (one row of n^(d-1) products where that is larger).
+
 The injective-norm maximizer is a heuristic: restarted power iteration on
 the gradient direction, with an adaptive positive shift.  A plain power step
 can decrease the objective on random tensors; whenever that happens the
@@ -38,9 +43,9 @@ from .tensors import (
     sample_wigner,
 )
 
-MAX_ENUMERATION = 2**24
-RADEMACHER_MAX_N = 24
-_CHUNK = 1 << 14
+MAX_ENUMERATION = 2**24  # support points; the half visited is 2^23 candidates
+_FORM_BUDGET = 1 << 22  # scalars in one block's partial products of <T, v^{(x)d}>
+_TAIL_CHUNK = 10_000  # spike pairs per overlap-tail chunk; chunk c draws from stream 2+c
 
 TESTS = ("mle", "map", "injective_norm")
 
@@ -54,6 +59,10 @@ class PowerIterationSettings:
     restarts: int = 20
     max_iters: int = 500
     tol: float = 1e-10
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise ValueError(f"restarts must be >= 0, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -86,18 +95,14 @@ class ExperimentConfig:
 
 
 def check_support_enumerable(prior: SpikePrior, n: int) -> None:
+    """Exhaustive search runs only where support_size(n) <= MAX_ENUMERATION."""
     if prior.kind == "spherical":
         raise SupportTooLargeError("spherical prior has no enumerable support")
-    if prior.kind == "rademacher":
-        if n > RADEMACHER_MAX_N:
-            raise SupportTooLargeError(
-                f"rademacher enumeration capped at n <= {RADEMACHER_MAX_N}, got n={n}"
-            )
-        return
-    size = prior.support_size(n)
-    if size > MAX_ENUMERATION:
+    # 2^k alone passes the cap from k = 25 on; a huge n never forms its size
+    if prior.nonzeros(n) >= MAX_ENUMERATION.bit_length() or prior.support_size(n) > MAX_ENUMERATION:
         raise SupportTooLargeError(
-            f"sparse support size {size} exceeds the enumeration cap 2^24={MAX_ENUMERATION}"
+            f"{prior.label()} support at n={n} exceeds the enumeration cap "
+            f"of 2^24={MAX_ENUMERATION} points"
         )
 
 
@@ -138,33 +143,30 @@ def _batch_form_values(entries: np.ndarray, candidates: np.ndarray) -> np.ndarra
     return np.einsum("mj,mj->m", values.reshape(m, n), candidates)
 
 
-def _half_sign_patterns(width: int) -> np.ndarray:
-    """All sign rows of the given width with the first sign fixed to +1."""
-    count = 1 << (width - 1) if width > 0 else 1
-    bits = (np.arange(count)[:, None] >> np.arange(max(width - 1, 0))[None, :]) & 1
-    return np.concatenate([np.ones((count, 1)), 2.0 * bits - 1.0], axis=1)
+def _candidate_chunks(n: int, k: int, rows: int):
+    """Yield the half-support candidates with k nonzeros, <= rows per block.
 
-
-def _support_chunks(prior: SpikePrior, n: int):
-    """Yield candidate half-support chunks (opposite signs handled by the caller)."""
-    if prior.kind == "rademacher":
-        signs = _half_sign_patterns(n) / math.sqrt(n)
-        for start in range(0, signs.shape[0], _CHUNK):
-            yield signs[start : start + _CHUNK]
-        return
-    k = prior.nonzeros(n)
-    signs = _half_sign_patterns(k) / math.sqrt(k)
-    block, rows = [], 0
-    for support in itertools.combinations(range(n), k):
-        vecs = np.zeros((signs.shape[0], n))
-        vecs[:, list(support)] = signs
-        block.append(vecs)
-        rows += vecs.shape[0]
-        if rows >= _CHUNK:
-            yield np.concatenate(block)
-            block, rows = [], 0
-    if block:
-        yield np.concatenate(block)
+    Supports come in ``itertools.combinations(range(n), k)`` order; in each,
+    sign code c = 0 .. 2^(k-1)-1 gives the first nonzero +1/sqrt(k) and
+    nonzero j+2 +-1/sqrt(k) as bit j of c is 1 or 0.  Each block is built
+    from its own range of candidate indices.  Rademacher is k = n.
+    """
+    codes = 1 << (k - 1)
+    total = math.comb(n, k) * codes
+    scale = 1.0 / math.sqrt(k)
+    supports = itertools.combinations(range(n), k)
+    held = []  # the supports of the current block, pulled in order
+    for start in range(0, total, rows):
+        which, code = np.divmod(np.arange(start, min(start + rows, total)), codes)
+        held = held[-1:] if code[0] else []  # a support the boundary split goes on
+        held += itertools.islice(supports, int(which[-1] - which[0]) + 1 - len(held))
+        columns, slot = np.array(held), which - which[0]
+        signs = 2 * code + 1  # bit 0 is the fixed leading +1; bit j+1 is bit j of c
+        row = np.arange(code.size)
+        block = np.zeros((code.size, n))
+        for j in range(k):  # one column at a time keeps temporaries at O(rows)
+            block[row, columns[slot, j]] = np.where(signs >> j & 1, scale, -scale)
+        yield block
 
 
 def mle_statistic(
@@ -179,13 +181,14 @@ def mle_statistic(
     check_support_enumerable(prior, n)
     if tensor.n != n or tensor.d != d:
         raise ValueError("tensor shape disagrees with (n, d)")
+    rows = max(1, _FORM_BUDGET // n ** (d - 1))
     best, best_vec = -math.inf, None
-    for candidates in _support_chunks(prior, n):
+    for candidates in _candidate_chunks(n, prior.nonzeros(n), rows):
         values = _batch_form_values(tensor.entries, candidates)
         if d % 2 == 0:
             i = int(np.argmax(values))
             if values[i] > best:
-                best, best_vec = float(values[i]), candidates[i]
+                best, best_vec = float(values[i]), candidates[i].copy()
         else:
             magnitudes = np.abs(values)
             i = int(np.argmax(magnitudes))
@@ -273,6 +276,8 @@ def injective_norm_estimate(
     starts = [rng.standard_normal(tensor.n) for _ in range(settings.restarts)]
     if spike_start is not None:
         starts.insert(0, np.asarray(spike_start.coords, dtype=float))
+    if not starts:
+        raise ValueError("injective norm estimate needs a start: restarts = 0 and no spike start")
     best = None
     for start in starts:
         value, vector, converged = _power_iteration_ascent(
@@ -433,15 +438,18 @@ def overlap_tail_experiment(
     t_grid,
     seed: RngSeed,
     threads: int = 1,
-    chunk: int = 10_000,
 ) -> list[TailRow]:
     """Empirical Pr[<x,x'> >= t] from sampled spike pairs, next to the rate
     function and (where exact combinatorics is available) the exact tail."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rate = rate_function_for(prior)
-    n_chunks = (trials + chunk - 1) // chunk
+    n_chunks = (trials + _TAIL_CHUNK - 1) // _TAIL_CHUNK
 
     def run_chunk(c: int) -> np.ndarray:
-        count = min(chunk, trials - c * chunk)
+        count = min(_TAIL_CHUNK, trials - c * _TAIL_CHUNK)
         rng = seed.offset(2 + c).generator(0)
         rows = sample_spike_batch(prior, n, 2 * count, rng)
         return np.einsum("ij,ij->i", rows[0::2], rows[1::2])
@@ -484,6 +492,8 @@ def bbp_reference_experiment(
 ) -> BbpSummary:
     """d=2 eigenvalue-transition check: top eigenvalue -> snr + 1/snr and
     squared spike alignment -> 1 - 1/snr^2 above snr = 1 (2 and 0 below)."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     prior = SpikePrior.spherical()
 
     def run_trial(k: int):

@@ -210,6 +210,8 @@ def exact_overlap_tail(prior: SpikePrior, n: int, t: float) -> float:
     (discrete priors, n <= 200) or 1e-12-accurate quadrature (spherical)."""
     if not 0.0 <= t <= 1.0 + 1e-12:
         raise ValueError(f"t must lie in [0, 1], got {t}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if prior.kind == "spherical":
         return _spherical_tail(n, t)
     if n > EXACT_TAIL_MAX_N:

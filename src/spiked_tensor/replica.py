@@ -34,7 +34,6 @@ import numpy as np
 from .solvers import BracketError, bisect_root
 
 MU_SCAN_POINTS = 2000
-FIXED_POINT_RESIDUAL = 1e-9
 THRESHOLD_TOL = 1e-6
 
 
@@ -46,9 +45,10 @@ class GaussQuadrature:
     weights: np.ndarray
 
     @staticmethod
-    def build(panels: int = 3, per_panel: int = 67, halfwidth: float = 10.0) -> "GaussQuadrature":
-        x, w = np.polynomial.legendre.leggauss(per_panel)
-        edges = np.linspace(-halfwidth, halfwidth, panels + 1)
+    def build() -> "GaussQuadrature":
+        """3 panels of 67-point Gauss-Legendre on [-10, 10]."""
+        x, w = np.polynomial.legendre.leggauss(67)
+        edges = np.linspace(-10.0, 10.0, 4)
         nodes, weights = [], []
         for a, b in zip(edges[:-1], edges[1:]):
             nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
@@ -77,18 +77,19 @@ def default_quadrature() -> GaussQuadrature:
     return GaussQuadrature.build()
 
 
-def q_of_mu_rademacher(mu: float, quad: GaussQuadrature | None = None) -> float:
+def q_of_mu_rademacher(mu: float) -> float:
     """E_z tanh(mu + sqrt(mu) z); equals E_z tanh^2 on the Nishimori line."""
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     if mu == 0.0:
         return 0.0
-    quad = quad or default_quadrature()
+    quad = default_quadrature()
     arg = mu + math.sqrt(mu) * quad.nodes
     return float(quad.expect(np.tanh(arg)))
 
 
-def _q_batch(mus: np.ndarray, quad: GaussQuadrature) -> np.ndarray:
+def _q_batch(mus: np.ndarray) -> np.ndarray:
+    quad = default_quadrature()
     arg = mus[:, None] + np.sqrt(mus)[:, None] * quad.nodes[None, :]
     return np.tanh(arg) @ quad.weights
 
@@ -104,13 +105,11 @@ class ReplicaSolution:
     residual: float
 
 
-def rademacher_free_energy(
-    d: int, snr: float, q: float, mu: float, quad: GaussQuadrature | None = None
-) -> float:
-    quad = quad or default_quadrature()
+def rademacher_free_energy(d: int, snr: float, q: float, mu: float) -> float:
     if mu <= 0.0:
         expectation = math.log(2.0)
     else:
+        quad = default_quadrature()
         expectation = float(
             quad.expect(np.log(2.0 * np.cosh(mu + math.sqrt(mu) * quad.nodes)))
         )
@@ -133,22 +132,18 @@ def _root_cells(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero((left == 0.0) | (left * vals[1:] < 0))
 
 
-def _phi_scan(
-    d: int, snr: float, quad: GaussQuadrature
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _phi_scan(d: int, snr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """phi(mu) = d q(mu)^(d-1) - 2 mu / snr^2 on the mu grid, and its root cells.
 
     phi < 0 at the grid's last point (d q^(d-1) <= d < 20 d), so the cells
     hold every grid zero and sign change: nonzero solutions exist iff any.
     """
     mus = _mu_grid(d, snr)
-    phi = d * _q_batch(mus, quad) ** (d - 1) - 2.0 * mus / snr**2
+    phi = d * _q_batch(mus) ** (d - 1) - 2.0 * mus / snr**2
     return mus, phi, _root_cells(phi)
 
 
-def rademacher_fixed_points(
-    d: int, snr: float, quad: GaussQuadrature | None = None
-) -> list[ReplicaSolution]:
+def rademacher_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     """All solutions at (d, snr): the zero branch plus any nonzero roots.
 
     Nonzero roots are the sign changes of d q(mu)^(d-1) - 2 mu / snr^2 on a
@@ -159,11 +154,10 @@ def rademacher_fixed_points(
         raise ValueError(f"d must be >= 2, got {d}")
     if snr <= 0:
         raise ValueError(f"snr must be > 0, got {snr}")
-    quad = quad or default_quadrature()
-    mus, phi, cells = _phi_scan(d, snr, quad)
+    mus, phi, cells = _phi_scan(d, snr)
 
     def phi_scalar(mu: float) -> float:
-        return d * q_of_mu_rademacher(mu, quad) ** (d - 1) - 2.0 * mu / snr**2
+        return d * q_of_mu_rademacher(mu) ** (d - 1) - 2.0 * mu / snr**2
 
     roots: list[float] = []
     for i in cells:
@@ -175,15 +169,15 @@ def rademacher_fixed_points(
             )
             roots.append(res.root)
 
-    out = [ReplicaSolution(d, snr, "zero", 0.0, 0.0, rademacher_free_energy(d, snr, 0.0, 0.0, quad), 0.0)]
+    out = [ReplicaSolution(d, snr, "zero", 0.0, 0.0, rademacher_free_energy(d, snr, 0.0, 0.0), 0.0)]
     labels = _branch_labels(len(roots))
     for mu, label in zip(sorted(roots), labels):
-        q = q_of_mu_rademacher(mu, quad)
+        q = q_of_mu_rademacher(mu)
         # q = q(mu) holds by construction, so only the mu equation has a residual
         residual = abs(mu - 0.5 * snr**2 * d * q ** (d - 1))
         out.append(
             ReplicaSolution(
-                d, snr, label, q, mu, rademacher_free_energy(d, snr, q, mu, quad), residual
+                d, snr, label, q, mu, rademacher_free_energy(d, snr, q, mu), residual
             )
         )
     return out
@@ -197,18 +191,14 @@ def _branch_labels(count: int) -> list[str]:
     return ["low"] * (count - 1) + ["high"]
 
 
-def rademacher_replica_thresholds(
-    d: int, quad: GaussQuadrature | None = None
-) -> tuple[float, float]:
+def rademacher_replica_thresholds(d: int) -> tuple[float, float]:
     """(lambda1, lambda2): appearance of nonzero solutions, free-energy crossing.
 
     lambda1 bisects the existence of nonzero solutions in snr, which is
     monotone: just below every lambda1 of d = 2..200 no grid root exists.
     """
-    quad = quad or default_quadrature()
-
     def exists(snr: float) -> bool:
-        return _phi_scan(d, snr, quad)[2].size > 0
+        return _phi_scan(d, snr)[2].size > 0
 
     lo, hi = 0.05, 1.0
     while not exists(hi):
@@ -226,7 +216,7 @@ def rademacher_replica_thresholds(
     lambda1 = 0.5 * (lo + hi)
 
     def gap(snr: float) -> float | None:
-        sols = rademacher_fixed_points(d, snr, quad)
+        sols = rademacher_fixed_points(d, snr)
         nonzero = [s for s in sols if s.branch != "zero"]
         if not nonzero:
             return None

@@ -38,9 +38,6 @@ class RngSeed:
         if not 0 <= int(self.stream) < 2**64:
             raise ValueError(f"stream must be a 64-bit unsigned integer, got {self.stream}")
 
-    def with_stream(self, stream: int) -> "RngSeed":
-        return RngSeed(self.seed, stream)
-
     def offset(self, k: int) -> "RngSeed":
         """Seed for trial/arm ``k`` relative to this stream."""
         return RngSeed(self.seed, self.stream + k)

@@ -28,13 +28,13 @@ import numpy as np
 
 from .rng import NOISE_SUBSTREAM, SPIKE_SUBSTREAM, RngSeed
 
-DEFAULT_MEMORY_CAP = 10**8  # scalars; n^d above this refuses to allocate
+MEMORY_CAP = 10**8  # scalars; n^d above this refuses to allocate
 
 PRIOR_KINDS = ("spherical", "rademacher", "sparse_rademacher")
 
 
 class MemoryCapError(ValueError):
-    """Requested dense tensor exceeds the configured scalar budget."""
+    """Requested dense tensor exceeds the scalar budget MEMORY_CAP."""
 
 
 class DimensionMismatchError(ValueError):
@@ -86,12 +86,10 @@ class SpikePrior:
             return math.comb(n, k) * 2**k
         raise ValueError("spherical prior has no finite support")
 
-    def support_size_log_density(self, n: int | None = None) -> float | None:
-        """(1/n) log |support|: the exact finite-n value, or the n->inf limit."""
+    def support_size_log_density(self) -> float | None:
+        """The n -> inf limit of (1/n) log |support| (None for the sphere)."""
         if self.kind == "spherical":
             return None
-        if n is not None:
-            return math.log(self.support_size(n)) / n
         if self.kind == "rademacher":
             return math.log(2.0)
         rho = float(self.rho)
@@ -138,13 +136,13 @@ def _sorted_index_gather(n: int, d: int) -> np.ndarray:
     return np.ravel_multi_index(tuple(idx), (n,) * d)
 
 
-def check_memory_cap(n: int, d: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> None:
+def check_memory_cap(n: int, d: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if n**d > memory_cap:
-        raise MemoryCapError(f"n^d = {n}^{d} = {n**d} exceeds the memory cap {memory_cap}")
+    if n**d > MEMORY_CAP:
+        raise MemoryCapError(f"n^d = {n}^{d} = {n**d} exceeds the memory cap {MEMORY_CAP}")
 
 
 @dataclass(frozen=True)
@@ -175,12 +173,12 @@ class SymmetricTensor:
     __rmul__ = __mul__
 
 
-def symmetrize(array: np.ndarray, memory_cap: int = DEFAULT_MEMORY_CAP) -> SymmetricTensor:
+def symmetrize(array: np.ndarray) -> SymmetricTensor:
     """Average over all d! index permutations, then make reads exactly symmetric."""
     array = np.asarray(array, dtype=float)
     d = array.ndim
     n = array.shape[0]
-    check_memory_cap(n, d, memory_cap)
+    check_memory_cap(n, d)
     if array.shape != (n,) * d:
         raise DimensionMismatchError(f"array is not cubical: shape {array.shape}")
     mean = sum(np.transpose(array, perm) for perm in itertools.permutations(range(d)))
@@ -199,22 +197,16 @@ def rank_one(x: UnitVector, d: int) -> SymmetricTensor:
     return SymmetricTensor(n, d, exact)
 
 
-def sample_wigner(
-    n: int, d: int, seed: RngSeed, memory_cap: int = DEFAULT_MEMORY_CAP
-) -> SymmetricTensor:
+def sample_wigner(n: int, d: int, seed: RngSeed) -> SymmetricTensor:
     """Symmetrization of an iid N(0, 2/n) precursor; deterministic in the seed."""
-    check_memory_cap(n, d, memory_cap)
+    check_memory_cap(n, d)
     rng = seed.generator(NOISE_SUBSTREAM)
     precursor = rng.normal(0.0, math.sqrt(2.0 / n), size=(n,) * d)
-    return symmetrize(precursor, memory_cap)
+    return symmetrize(precursor)
 
 
 def sample_spike(prior: SpikePrior, n: int, seed: RngSeed) -> UnitVector:
     rng = seed.generator(SPIKE_SUBSTREAM)
-    return _draw_spike(prior, n, rng)
-
-
-def _draw_spike(prior: SpikePrior, n: int, rng: np.random.Generator) -> UnitVector:
     if prior.kind == "spherical":
         g = rng.standard_normal(n)
         return UnitVector(g / np.linalg.norm(g))
@@ -246,19 +238,14 @@ def sample_spike_batch(
 
 
 def sample_spiked(
-    prior: SpikePrior,
-    n: int,
-    d: int,
-    snr: float,
-    seed: RngSeed,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
+    prior: SpikePrior, n: int, d: int, snr: float, seed: RngSeed
 ) -> tuple[UnitVector, SymmetricTensor]:
     """Spike x and sample snr * x^{(x)d} + W; spike and noise use split streams."""
     if snr < 0:
         raise ValueError(f"snr must be >= 0, got {snr}")
-    check_memory_cap(n, d, memory_cap)
+    check_memory_cap(n, d)
     x = sample_spike(prior, n, seed)
-    noise = sample_wigner(n, d, seed, memory_cap)
+    noise = sample_wigner(n, d, seed)
     if snr == 0.0:
         return x, noise
     return x, snr * rank_one(x, d) + noise

@@ -241,9 +241,19 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "--lambda", "nan"],
         ["simulate", "detect", "--prior", "rademacher", "--n", "8", "--trials", "4",
          "--lambda", "1", "--epsilon", "inf"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1",
+         "--restarts", "0"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1",
+         "--restarts", "-1"],
+        ["ratefn", "--prior", "rademacher", "--n", "-1", "--grid", "3"],
+        ["ratefn", "--prior", "rademacher", "--n", "0"],
+        ["simulate", "tails", "--prior", "rademacher", "--n", "0"],
+        ["simulate", "tails", "--prior", "rademacher", "--n", "10", "--trials", "0"],
+        ["simulate", "bbp", "--n", "20", "--lambda", "2", "--trials", "0"],
     ],
     ids=["tails_tgrid", "ratefn_tmax", "spherical_replica_d40", "detect_nan_snr",
-         "detect_inf_epsilon"],
+         "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
+         "ratefn_n_negative", "ratefn_n_0", "tails_n_0", "tails_trials_0", "bbp_trials_0"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from spiked_tensor import (
     sample_spiked,
     sample_wigner,
 )
-from spiked_tensor.montecarlo import matrix_top_eigenpair
+from spiked_tensor.montecarlo import _candidate_chunks, matrix_top_eigenpair
 from spiked_tensor.tensors import UnitVector
 
 
@@ -103,10 +104,55 @@ def test_map_statistic_sparse_shift():
 def test_support_caps():
     with pytest.raises(SupportTooLargeError):
         mle_statistic(sample_wigner(4, 3, RngSeed(0)), SpikePrior.spherical(), 4, 3)
+    # support_size(n) <= 2^24 is the one rule: Rademacher n = 24 sits on the cap
+    ExperimentConfig(SpikePrior.rademacher(), 24, 3, 1.0, 5, RngSeed(0))
     with pytest.raises(SupportTooLargeError):
         ExperimentConfig(SpikePrior.rademacher(), 25, 3, 1.0, 5, RngSeed(0))
     with pytest.raises(SupportTooLargeError):
+        ExperimentConfig(SpikePrior.rademacher(), 10**12, 3, 1.0, 5, RngSeed(0))
+    with pytest.raises(SupportTooLargeError):
         ExperimentConfig(SpikePrior.sparse(0.5), 40, 3, 1.0, 5, RngSeed(0))
+
+
+def _reference_candidates(n: int, k: int) -> np.ndarray:
+    """Half-support candidates listed naively: supports in combinations order,
+    then sign codes in counting order with the first nonzero fixed to +1."""
+    rows = []
+    for support in itertools.combinations(range(n), k):
+        for code in range(2 ** (k - 1)):
+            v = np.zeros(n)
+            v[list(support)] = [1.0] + [1.0 if code >> j & 1 else -1.0 for j in range(k - 1)]
+            rows.append(v / math.sqrt(k))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "n, k, rows",
+    [
+        (6, 6, 5),  # Rademacher: one support, its sign codes over several blocks
+        (7, 2, 5),  # sparse: several supports in each block
+        (8, 5, 7),  # sparse: each support's 16 sign codes span blocks
+        (5, 1, 3),  # one nonzero: a single sign per support
+    ],
+)
+def test_candidate_chunks_order_and_completeness(n, k, rows):
+    blocks = list(_candidate_chunks(n, k, rows))
+    assert all(b.shape[0] == rows for b in blocks[:-1]) and 1 <= blocks[-1].shape[0] <= rows
+    assert np.array_equal(np.concatenate(blocks), _reference_candidates(n, k))
+
+
+@pytest.mark.parametrize("n, d", [(20, 3), (10, 6)])
+def test_mle_statistic_memory_bounded(n, d):
+    # the 2^(n-1) candidates are visited in blocks of <= 2^22 / n^(d-1) rows
+    T = rank_one(sample_spike(SpikePrior.rademacher(), n, RngSeed(n)), d)
+    tracemalloc.start()
+    try:
+        value, _ = mle_statistic(T, SpikePrior.rademacher(), n, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +199,17 @@ def test_ascent_enforced_on_random_tensors():
     for seed in range(6):
         W = sample_wigner(10, 4, RngSeed(300 + seed))
         injective_norm_estimate(W, PowerIterationSettings(restarts=3), seed=RngSeed(seed))
+
+
+def test_power_iteration_needs_a_start():
+    with pytest.raises(ValueError):
+        PowerIterationSettings(restarts=-1)
+    x = sample_spike(SpikePrior.spherical(), 6, RngSeed(8))
+    T = 2.0 * rank_one(x, 3)
+    with pytest.raises(ValueError):
+        injective_norm_estimate(T, PowerIterationSettings(restarts=0), seed=RngSeed(8))
+    est = injective_norm_estimate(T, PowerIterationSettings(restarts=0), spike_start=x)
+    assert est.value == pytest.approx(2.0, abs=1e-10)
 
 
 def test_matrix_power_iteration_path():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,9 +182,16 @@ def test_seed_determinism():
 
 def test_memory_cap_enforced():
     with pytest.raises(MemoryCapError):
-        sample_wigner(1000, 3, RngSeed(0))  # 10^9 scalars > default cap
-    with pytest.raises(MemoryCapError):
-        symmetrize(np.zeros((2, 2)), memory_cap=3)
+        sample_wigner(1000, 3, RngSeed(0))  # 10^9 scalars > cap
+    # 101^4 > 10^8: a zero-stride view reaches the cap without allocating it
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryCapError):
+            symmetrize(np.broadcast_to(0.0, (101,) * 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_symmetrize_is_projection():
