@@ -30,7 +30,7 @@ from .parallel import parallel_map, resolve_threads
 from .rates import exact_overlap_tail, rate_function_for, EXACT_TAIL_MAX_N
 from .rng import RngSeed
 from .solvers import BracketError
-from .tensors import SpikePrior, sample_spiked, sample_wigner
+from .tensors import MEMORY_CAP, SpikePrior, sample_spiked, sample_wigner
 
 
 def _parse_d_range(text: str) -> list[int]:
@@ -158,8 +158,8 @@ def cmd_thresholds(parser, args) -> int:
 
 def cmd_ratefn(parser, args) -> int:
     prior = _prior_from_args(parser, args)
-    if args.grid < 2:
-        parser.error("--grid must be >= 2")
+    if not 2 <= args.grid <= MEMORY_CAP:
+        raise ValueError(f"--grid must be in 2..{MEMORY_CAP}, got {args.grid}")
     rate = rate_function_for(prior)
     tmax = args.tmax
     if tmax is None:
@@ -304,9 +304,12 @@ def cmd_simulate(parser, args) -> int:
         return 0
 
     if args.subkind == "norms":
+        if args.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {args.trials}")
+
         def one(k: int):
             trial_seed = seed.offset(2 + k)
-            if args.snr > 0:
+            if args.snr != 0:  # sample_spiked rejects a negative or non-finite snr
                 x, tensor = sample_spiked(prior, args.n, d, args.snr, trial_seed)
                 est = montecarlo.injective_norm_estimate(tensor, settings, trial_seed, spike_start=x)
             else:

@@ -33,10 +33,10 @@ from .parallel import parallel_map
 from .rates import exact_overlap_tail, rate_function_for, EXACT_TAIL_MAX_N
 from .rng import RngSeed
 from .tensors import (
+    MEMORY_CAP,
     SpikePrior,
     SymmetricTensor,
     UnitVector,
-    rank_one_inner,
     contract,
     sample_spike_batch,
     sample_spiked,
@@ -63,6 +63,10 @@ class PowerIterationSettings:
     def __post_init__(self):
         if self.restarts < 0:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -227,23 +231,27 @@ class NormEstimate:
 def _power_iteration_ascent(
     tensor: SymmetricTensor, start: np.ndarray, max_iters: int, tol: float
 ) -> tuple[float, np.ndarray, bool]:
+    # One contraction per point gives both f(x) = <g, x> and the next step's
+    # direction g.  For odd d, contract(T, -x) = contract(T, x) bit for bit
+    # (negation is exact), so a point flipped to -x keeps its g.
     d = tensor.d
     x = start / np.linalg.norm(start)
-    fx = rank_one_inner(tensor, UnitVector(x))
+    g = contract(tensor, UnitVector(x))
+    fx = float(g @ x)
     if d % 2 == 1 and fx < 0:
         x, fx = -x, -fx
     shift = 0.0
     scale = max(1.0, abs(fx))
     converged = False
     for _ in range(max_iters):
-        g = contract(tensor, UnitVector(x))
         for _ in range(80):
             step = g + shift * x
             norm = np.linalg.norm(step)
             if norm == 0.0:
                 return fx, x, True  # stationary point
             y = step / norm
-            fy = rank_one_inner(tensor, UnitVector(y))
+            gy = contract(tensor, UnitVector(y))
+            fy = float(gy @ y)
             if d % 2 == 1 and fy < 0:
                 y, fy = -y, -fy
             if fy >= fx - 1e-12 * scale:
@@ -252,7 +260,7 @@ def _power_iteration_ascent(
         if fy < fx - 1e-9 * scale:
             raise RuntimeError(f"power iteration failed to ascend: {fx} -> {fy}")
         move = float(np.linalg.norm(y - x))
-        x, fx = y, fy
+        x, fx, g = y, fy, gy
         scale = max(scale, abs(fx))
         if move < tol:
             converged = True
@@ -443,8 +451,8 @@ def overlap_tail_experiment(
     function and (where exact combinatorics is available) the exact tail."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MEMORY_CAP:  # the overlaps are held as one array
+        raise ValueError(f"trials must be in 1..{MEMORY_CAP}, got {trials}")
     rate = rate_function_for(prior)
     n_chunks = (trials + _TAIL_CHUNK - 1) // _TAIL_CHUNK
 

@@ -152,8 +152,8 @@ def rademacher_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if snr <= 0:
-        raise ValueError(f"snr must be > 0, got {snr}")
+    if not 0 < snr < math.inf:
+        raise ValueError(f"snr must be finite and > 0, got {snr}")
     mus, phi, cells = _phi_scan(d, snr)
 
     def phi_scalar(mu: float) -> float:
@@ -270,8 +270,8 @@ def spherical_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     """Zero branch plus roots of (snr^2/2) d q^(d-1)(1-q) = q on (0,1)."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if snr <= 0:
-        raise ValueError(f"snr must be > 0, got {snr}")
+    if not 0 < snr < math.inf:
+        raise ValueError(f"snr must be finite and > 0, got {snr}")
 
     def psi(q: float) -> float:
         # divided through by q; valid for locating roots in (0,1)

@@ -241,8 +241,8 @@ def sample_spiked(
     prior: SpikePrior, n: int, d: int, snr: float, seed: RngSeed
 ) -> tuple[UnitVector, SymmetricTensor]:
     """Spike x and sample snr * x^{(x)d} + W; spike and noise use split streams."""
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    if not 0 <= snr < math.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr}")
     check_memory_cap(n, d)
     x = sample_spike(prior, n, seed)
     noise = sample_wigner(n, d, seed)
@@ -253,12 +253,7 @@ def sample_spiked(
 
 def rank_one_inner(tensor: SymmetricTensor, x: UnitVector) -> float:
     """<T, x^{(x)d}>: full contraction against the rank-one frame of x."""
-    if tensor.n != x.n:
-        raise DimensionMismatchError(f"tensor n={tensor.n} vs vector n={x.n}")
-    value = tensor.entries
-    for _ in range(tensor.d):
-        value = value @ x.coords
-    return float(value)
+    return float(contract(tensor, x) @ x.coords)
 
 
 def contract(tensor: SymmetricTensor, x: UnitVector) -> np.ndarray:

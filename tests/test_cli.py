@@ -250,10 +250,36 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["simulate", "tails", "--prior", "rademacher", "--n", "0"],
         ["simulate", "tails", "--prior", "rademacher", "--n", "10", "--trials", "0"],
         ["simulate", "bbp", "--n", "20", "--lambda", "2", "--trials", "0"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1",
+         "--max-iters", "0"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1", "--tol", "-1"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1", "--tol", "nan"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1", "--tol", "inf"],
+        ["simulate", "bbp", "--n", "20", "--lambda", "2", "--trials", "1", "--max-iters", "0"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "0"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1",
+         "--lambda", "nan"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1",
+         "--lambda", "-1"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1",
+         "--lambda", "inf"],
+        ["simulate", "bbp", "--n", "20", "--lambda", "nan", "--trials", "1"],
+        ["simulate", "bbp", "--n", "20", "--lambda", "inf", "--trials", "1"],
+        ["replica", "--prior", "spherical", "--d", "3", "--lambda", "nan"],
+        ["replica", "--prior", "spherical", "--d", "3", "--lambda", "inf"],
+        ["replica", "--prior", "rademacher", "--d", "3", "--lambda", "nan"],
+        ["replica", "--prior", "rademacher", "--d", "3", "--lambda", "inf"],
+        ["ratefn", "--prior", "rademacher", "--grid", str(10**12)],
+        ["simulate", "tails", "--prior", "rademacher", "--n", "10", "--trials", str(10**12)],
     ],
     ids=["tails_tgrid", "ratefn_tmax", "spherical_replica_d40", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
-         "ratefn_n_negative", "ratefn_n_0", "tails_n_0", "tails_trials_0", "bbp_trials_0"],
+         "ratefn_n_negative", "ratefn_n_0", "tails_n_0", "tails_trials_0", "bbp_trials_0",
+         "norms_max_iters_0", "norms_tol_negative", "norms_tol_nan", "norms_tol_inf",
+         "bbp_max_iters_0", "norms_trials_0", "norms_nan_snr", "norms_negative_snr",
+         "norms_inf_snr", "bbp_nan_snr", "bbp_inf_snr", "spherical_replica_nan_snr",
+         "spherical_replica_inf_snr", "rademacher_replica_nan_snr",
+         "rademacher_replica_inf_snr", "ratefn_grid_huge", "tails_trials_huge"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)

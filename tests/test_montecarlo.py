@@ -20,6 +20,7 @@ from spiked_tensor import (
     mle_statistic,
     overlap_tail_experiment,
     rank_one,
+    rank_one_inner,
     recovery_experiment,
     sample_spike,
     sample_spiked,
@@ -210,6 +211,16 @@ def test_power_iteration_needs_a_start():
         injective_norm_estimate(T, PowerIterationSettings(restarts=0), seed=RngSeed(8))
     est = injective_norm_estimate(T, PowerIterationSettings(restarts=0), spike_start=x)
     assert est.value == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("d, n", [(2, 12), (3, 9), (4, 6), (5, 5), (6, 4)])
+def test_norm_estimate_value_is_its_vectors_objective(d, n):
+    # the ascent reads f(y) off the contraction it keeps as the next direction
+    x, T = sample_spiked(SpikePrior.spherical(), n, d, 2.0, RngSeed(40 + d))
+    settings = PowerIterationSettings(restarts=4)
+    for spike_start in (None, x):
+        est = injective_norm_estimate(T, settings, seed=RngSeed(d), spike_start=spike_start)
+        assert est.value == rank_one_inner(T, UnitVector(est.vector))
 
 
 def test_matrix_power_iteration_path():
