@@ -256,12 +256,11 @@ def cmd_simulate(parser, args) -> int:
     threads = resolve_threads(args.threads)
     seed = RngSeed(args.seed)
     spec = _output_spec(args)
+    # checked for every subkind, though bbp (an exact eigensolve) uses none of them
     settings = PowerIterationSettings(args.restarts, args.max_iters, args.tol)
 
     if args.subkind == "bbp":
-        summary = montecarlo.bbp_reference_experiment(
-            args.n, args.snr, args.trials, seed, settings, threads
-        )
+        summary = montecarlo.bbp_reference_experiment(args.n, args.snr, args.trials, seed, threads)
         row = {
             "n": summary.n,
             "lambda": summary.snr,
@@ -304,8 +303,7 @@ def cmd_simulate(parser, args) -> int:
         return 0
 
     if args.subkind == "norms":
-        if args.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {args.trials}")
+        montecarlo.check_trials(args.trials)
 
         def one(k: int):
             trial_seed = seed.offset(2 + k)

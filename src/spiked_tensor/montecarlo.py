@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg
 
 from .parallel import parallel_map
 from .rates import exact_overlap_tail, rate_function_for, EXACT_TAIL_MAX_N
@@ -84,8 +85,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.test not in TESTS:
             raise ValueError(f"unknown test {self.test!r}; expected one of {TESTS}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_trials(self.trials)
         if not math.isfinite(self.snr):
             raise ValueError(f"snr must be finite, got {self.snr}")
         if self.epsilon is not None and not math.isfinite(self.epsilon):
@@ -96,6 +96,13 @@ class ExperimentConfig:
     @property
     def threshold_margin(self) -> float:
         return self.epsilon if self.epsilon is not None else 0.2 * self.snr
+
+
+def check_trials(trials: int) -> None:
+    """Trial indices are listed up front and per-trial results held, so the
+    trial count is bounded by MEMORY_CAP like any other array."""
+    if not 1 <= trials <= MEMORY_CAP:
+        raise ValueError(f"trials must be in 1..{MEMORY_CAP}, got {trials}")
 
 
 def check_support_enumerable(prior: SpikePrior, n: int) -> None:
@@ -296,28 +303,13 @@ def injective_norm_estimate(
     return best
 
 
-def matrix_top_eigenpair(
-    tensor: SymmetricTensor, settings: PowerIterationSettings, seed: RngSeed
-) -> tuple[float, np.ndarray, bool]:
-    """d=2 path: power iteration on T + cI, c = 1 + max row sum, so the
-    dominant eigenvalue is positive; returns the Rayleigh quotient of T."""
+def matrix_top_eigenpair(tensor: SymmetricTensor) -> tuple[float, np.ndarray]:
+    """d=2 path: the top eigenvalue and a unit eigenvector, from LAPACK."""
     if tensor.d != 2:
         raise ValueError("matrix_top_eigenpair requires d = 2")
-    matrix = tensor.entries
-    c = 1.0 + float(np.max(np.sum(np.abs(matrix), axis=1)))
-    shifted = matrix + c * np.eye(tensor.n)
-    x = seed.generator(2).standard_normal(tensor.n)
-    x /= np.linalg.norm(x)
-    converged = False
-    for _ in range(settings.max_iters):
-        y = shifted @ x
-        y /= np.linalg.norm(y)
-        if np.linalg.norm(y - x) < settings.tol:
-            x = y
-            converged = True
-            break
-        x = y
-    return float(x @ (matrix @ x)), x, converged
+    n = tensor.n
+    values, vectors = linalg.eigh(tensor.entries, subset_by_index=[n - 1, n - 1])
+    return float(values[0]), vectors[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +443,13 @@ def overlap_tail_experiment(
     function and (where exact combinatorics is available) the exact tail."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= trials <= MEMORY_CAP:  # the overlaps are held as one array
-        raise ValueError(f"trials must be in 1..{MEMORY_CAP}, got {trials}")
+    check_trials(trials)
+    block = 2 * min(trials, _TAIL_CHUNK) * n
+    if block > MEMORY_CAP:
+        raise ValueError(
+            f"a chunk of spike pairs at n={n} holds {block} scalars, "
+            f"above the memory cap {MEMORY_CAP}"
+        )
     rate = rate_function_for(prior)
     n_chunks = (trials + _TAIL_CHUNK - 1) // _TAIL_CHUNK
 
@@ -495,19 +492,16 @@ def bbp_reference_experiment(
     snr: float,
     trials: int,
     seed: RngSeed,
-    settings: PowerIterationSettings = PowerIterationSettings(),
     threads: int = 1,
 ) -> BbpSummary:
     """d=2 eigenvalue-transition check: top eigenvalue -> snr + 1/snr and
     squared spike alignment -> 1 - 1/snr^2 above snr = 1 (2 and 0 below)."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_trials(trials)
     prior = SpikePrior.spherical()
 
     def run_trial(k: int):
-        trial_seed = seed.offset(2 + k)
-        x, spiked = sample_spiked(prior, n, 2, snr, trial_seed)
-        eig, vec, _ = matrix_top_eigenpair(spiked, settings, trial_seed)
+        x, spiked = sample_spiked(prior, n, 2, snr, seed.offset(2 + k))
+        eig, vec = matrix_top_eigenpair(spiked)
         return eig, float(np.dot(vec, x.coords)) ** 2
 
     outcomes = parallel_map(run_trial, range(trials), threads)

@@ -138,16 +138,16 @@ def collision_entropy(prior: SpikePrior) -> float:
 
 
 def local_subgaussian_sigma2(prior: SpikePrior) -> float:
-    """Small-deviation constant sigma^2; only consumed by the d=2 cap.
+    """Small-deviation constant sigma^2 = 1 / f''(0); only consumed by the d=2 cap.
 
-    Spherical and Rademacher are 1 (Beta subgaussianity; Hoeffding).  The
-    sparse value comes from the rate-function curvature at 0, probed inside
-    the quadratic regime, which shrinks like O(rho).
+    It is 1 for every prior.  f is the Legendre transform of the limiting
+    cumulant Lambda(s) = lim (1/n) log E exp(s n <x,x'>), so f''(0) =
+    1 / Lambda''(0) = 1 / lim n E<x,x'>^2.  For all three priors the
+    coordinates have E x_i x_j = 0 (i != j; sign or rotation symmetry) and,
+    being exchangeable with sum of squares 1, E x_i^2 = 1/n; so for
+    independent x, x', E<x,x'>^2 = sum_i (E x_i^2)^2 = 1/n exactly.
     """
-    if prior.kind in ("spherical", "rademacher"):
-        return 1.0
-    h = min(1e-3, prior.rho / 10.0)
-    return h * h / (2.0 * rate_sparse_rademacher(h, prior.rho))
+    return 1.0
 
 
 @dataclass(frozen=True)

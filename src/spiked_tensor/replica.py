@@ -35,6 +35,9 @@ from .solvers import BracketError, bisect_root
 
 MU_SCAN_POINTS = 2000
 THRESHOLD_TOL = 1e-6
+# fixed points are solved for snr in this range, where no step over- or
+# underflows for d = 2..10^6; far past it the mu grid and the root scans do
+SNR_RANGE = (1e-6, 1e6)
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,9 @@ def rademacher_free_energy(d: int, snr: float, q: float, mu: float) -> float:
         expectation = math.log(2.0)
     else:
         quad = default_quadrature()
-        expectation = float(
-            quad.expect(np.log(2.0 * np.cosh(mu + math.sqrt(mu) * quad.nodes)))
-        )
+        # log(2 cosh x) = |x| + log1p(e^(-2|x|)) does not overflow at large |x|
+        x = np.abs(mu + math.sqrt(mu) * quad.nodes)
+        expectation = float(quad.expect(x + np.log1p(np.exp(-2.0 * x))))
     return (1.0 / snr) * (
         -(snr**2 / 4.0) * (q**d + 1.0) + 0.5 * mu * (q + 1.0) - expectation
     )
@@ -143,6 +146,12 @@ def _phi_scan(d: int, snr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mus, phi, _root_cells(phi)
 
 
+def _check_snr(snr: float) -> None:
+    lo, hi = SNR_RANGE
+    if not lo <= snr <= hi:
+        raise ValueError(f"snr (--lambda) must lie in [{lo:g}, {hi:g}], got {snr!r}")
+
+
 def rademacher_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     """All solutions at (d, snr): the zero branch plus any nonzero roots.
 
@@ -152,8 +161,7 @@ def rademacher_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if not 0 < snr < math.inf:
-        raise ValueError(f"snr must be finite and > 0, got {snr}")
+    _check_snr(snr)
     mus, phi, cells = _phi_scan(d, snr)
 
     def phi_scalar(mu: float) -> float:
@@ -270,8 +278,7 @@ def spherical_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     """Zero branch plus roots of (snr^2/2) d q^(d-1)(1-q) = q on (0,1)."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if not 0 < snr < math.inf:
-        raise ValueError(f"snr must be finite and > 0, got {snr}")
+    _check_snr(snr)
 
     def psi(q: float) -> float:
         # divided through by q; valid for locating roots in (0,1)

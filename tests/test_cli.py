@@ -271,6 +271,16 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["replica", "--prior", "rademacher", "--d", "3", "--lambda", "inf"],
         ["ratefn", "--prior", "rademacher", "--grid", str(10**12)],
         ["simulate", "tails", "--prior", "rademacher", "--n", "10", "--trials", str(10**12)],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", str(10**12)],
+        ["simulate", "detect", "--prior", "rademacher", "--n", "8", "--trials", str(10**12)],
+        ["simulate", "recover", "--prior", "rademacher", "--n", "8", "--trials", str(10**12)],
+        ["simulate", "bbp", "--n", "20", "--lambda", "2", "--trials", str(10**12)],
+        ["simulate", "tails", "--prior", "spherical", "--n", str(10**9), "--trials", "1"],
+        ["replica", "--prior", "spherical", "--d", "3", "--lambda", "1e200"],
+        ["replica", "--prior", "rademacher", "--d", "3", "--lambda", "1e200"],
+        ["replica", "--prior", "rademacher", "--d", "2", "--lambda", "1e-300"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "3", "--d", "12", "--trials", "1"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "2", "--d", "26", "--trials", "1"],
     ],
     ids=["tails_tgrid", "ratefn_tmax", "spherical_replica_d40", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
@@ -279,7 +289,10 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "bbp_max_iters_0", "norms_trials_0", "norms_nan_snr", "norms_negative_snr",
          "norms_inf_snr", "bbp_nan_snr", "bbp_inf_snr", "spherical_replica_nan_snr",
          "spherical_replica_inf_snr", "rademacher_replica_nan_snr",
-         "rademacher_replica_inf_snr", "ratefn_grid_huge", "tails_trials_huge"],
+         "rademacher_replica_inf_snr", "ratefn_grid_huge", "tails_trials_huge",
+         "norms_trials_huge", "detect_trials_huge", "recover_trials_huge", "bbp_trials_huge",
+         "tails_n_huge", "spherical_replica_huge_snr", "rademacher_replica_huge_snr",
+         "rademacher_replica_tiny_snr", "norms_d12_symmetrize", "norms_d26_symmetrize"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)
@@ -290,6 +303,24 @@ def test_library_errors_exit_2_with_one_line(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("spiked-tensor: error: ")
+
+
+@pytest.mark.parametrize("prior, lam", [("spherical", "1e200"), ("rademacher", "1e200"),
+                                        ("rademacher", "1e-300"), ("rademacher", "nan")])
+def test_replica_snr_errors_name_the_flag(prior, lam, capsys):
+    assert main(["replica", "--prior", prior, "--d", "2", "--lambda", lam]) == 2
+    assert "--lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho, d", [("1e-12", "2"), ("1e-300", "3")])
+def test_thresholds_sparse_tiny_rho(rho, d, capsys):
+    # the sigma^2 probe divided by a rate that cancelled to 0 here
+    code, out = run_cli(["thresholds", "--prior", "sparse", "--rho", rho, "--d", d], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    lower, upper = float(rows[0]["lambda_lower"]), float(rows[0]["lambda_upper"])
+    assert math.isfinite(lower) and math.isfinite(upper)
+    assert 0.0 < lower <= upper
 
 
 def test_thread_determinism_quick(tmp_path, capsys):

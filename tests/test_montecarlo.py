@@ -26,7 +26,7 @@ from spiked_tensor import (
     sample_spiked,
     sample_wigner,
 )
-from spiked_tensor.montecarlo import _candidate_chunks, matrix_top_eigenpair
+from spiked_tensor.montecarlo import _candidate_chunks
 from spiked_tensor.tensors import UnitVector
 
 
@@ -223,12 +223,14 @@ def test_norm_estimate_value_is_its_vectors_objective(d, n):
         assert est.value == rank_one_inner(T, UnitVector(est.vector))
 
 
-def test_matrix_power_iteration_path():
-    W = sample_wigner(40, 2, RngSeed(7))
-    eig, vec, converged = matrix_top_eigenpair(W, PowerIterationSettings(), RngSeed(7))
-    evals, evecs = np.linalg.eigh(W.entries)
-    assert eig == pytest.approx(float(evals[-1]), abs=1e-6)
-    assert abs(float(vec @ evecs[:, -1])) == pytest.approx(1.0, abs=1e-5)
+@pytest.mark.parametrize("snr", [0.8, 1.5])
+def test_bbp_trial_eigenvalues_are_exact(snr):
+    # near the transition the spectral gap is small; the eigensolve must not care
+    seed = RngSeed(5)
+    summary = bbp_reference_experiment(400, snr, 3, seed)
+    for k, eig in enumerate(summary.eigenvalues):
+        _, sample = sample_spiked(SpikePrior.spherical(), 400, 2, snr, seed.offset(2 + k))
+        assert abs(eig - float(np.linalg.eigvalsh(sample.entries)[-1])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

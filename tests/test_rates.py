@@ -143,9 +143,9 @@ def test_collision_entropy_consistent_with_rate_limit():
 def test_local_subgaussian_constants():
     assert local_subgaussian_sigma2(SpikePrior.spherical()) == 1.0
     assert local_subgaussian_sigma2(SpikePrior.rademacher()) == 1.0
-    # curvature of the sparse rate at 0 is 1 for every rho
-    for rho in (1e-4, 0.1, 0.5, 1.0):
-        assert abs(local_subgaussian_sigma2(SpikePrior.sparse(rho)) - 1.0) < 0.01
+    # n E<x,x'>^2 = 1 for every rho, so the curvature of the sparse rate at 0 is 1
+    for rho in (1e-300, 1e-12, 1e-4, 0.3, 1.0):
+        assert local_subgaussian_sigma2(SpikePrior.sparse(rho)) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,24 @@ def test_rademacher_thresholds_frozen_and_ordered():
 def test_rademacher_large_d_limit():
     _, l2 = rademacher_replica_thresholds(50)
     assert abs(l2 / TWO_SQRT_LOG2 - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("d", [353, 400])
+def test_rademacher_lambda2_at_large_d_stays_in_the_bounds(d):
+    # log(2 cosh x) overflowed from d = 353 on and dragged lambda2 below the bound
+    _, l2 = rademacher_replica_thresholds(d)
+    lower = lower_bound_lambda(rate_function_for(SpikePrior.rademacher()), d).value
+    assert lower <= l2 <= TWO_SQRT_LOG2 + 1e-6
+
+
+def test_rademacher_free_energy_finite_at_large_snr():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sols = rademacher_fixed_points(3, 40.0)
+    high = sols[-1]
+    assert high.branch == "high"
+    # q = 1 and mu = 3 snr^2 / 2, so f = (1/snr)(-snr^2/2 + mu - mu) = -snr/2
+    assert high.free_energy == pytest.approx(-20.0, rel=1e-12)
 
 
 def test_spherical_d2_closed_form_overlap():

@@ -20,7 +20,7 @@ from spiked_tensor import (
     sample_wigner,
     symmetrize,
 )
-from spiked_tensor.tensors import round_half_up
+from spiked_tensor.tensors import check_memory_cap, round_half_up
 
 
 def test_single_entry_variance_is_two():
@@ -192,6 +192,15 @@ def test_memory_cap_enforced():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_symmetrize_work_budget():
+    # n^d passes the memory cap, but d! transposes would run for minutes
+    for n, d in ((3, 12), (2, 26), (1, 12), (1, 10**6)):
+        with pytest.raises(ValueError, match="symmetrizing"):
+            sample_wigner(n, d, RngSeed(0))
+    check_memory_cap(8, 6)  # the largest order sampled by the benchmark and tests
+    check_memory_cap(10, 6)
 
 
 def test_symmetrize_is_projection():

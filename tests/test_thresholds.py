@@ -138,6 +138,17 @@ def test_spiked_norm_lower_bound_brute_force():
     assert abs(res.value - float(np.nanmax(vals))) < 1e-8
 
 
+@pytest.mark.parametrize("d", [3, 10, 1000, 10**6])
+def test_spiked_norm_golden_section_beats_log_scan(d):
+    # the maximizer nears m = 1 as d grows (1 - m* ~ 1e-7 at d = 10^6)
+    mu = injective_norm_mu(d)
+    m = 1.0 - np.logspace(-16, -1e-6, 10**5)
+    big = (d - 1.0) * (1.0 - m * m) / (m * m)
+    for snr in (0.0, 0.5 * mu, mu):
+        scan = m**d * (snr + math.sqrt(2.0 * d / (d - 1.0)) * np.sqrt(big * (1.0 + big)))
+        assert spiked_norm_lower_Ld(d, snr).value >= float(scan.max())
+
+
 def test_spiked_norm_increasing_in_snr():
     vals = [spiked_norm_lower_Ld(4, s).value for s in (0.0, 0.5, 1.0, 2.0, 4.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
