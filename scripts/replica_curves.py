@@ -9,59 +9,27 @@ appearance point and the free-energy crossing.
 """
 
 import pathlib
+import sys
 
 import numpy as np
 
-from spiked_tensor import (
-    SpikePrior,
-    rademacher_fixed_points,
-    rademacher_replica_thresholds,
-    spherical_appearance_snr,
-    spherical_fixed_points,
-    spherical_replica_threshold,
-)
-from spiked_tensor.output import OutputSpec, write_table
+from spiked_tensor.cli import main
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
-def branch_table(prior: str, d: int, snrs) -> None:
-    solver = rademacher_fixed_points if prior == "rademacher" else spherical_fixed_points
-    rows = []
-    for snr in snrs:
-        for s in solver(d, float(snr)):
-            rows.append(
-                {
-                    "lambda": float(snr), "branch": s.branch, "q": s.q,
-                    "mu": s.mu, "free_energy": s.free_energy, "residual": s.residual,
-                }
-            )
-    path = OUT / f"replica_{prior}_d{d}.csv"
-    write_table(
-        ["lambda", "branch", "q", "mu", "free_energy", "residual"],
-        rows, OutputSpec(format="csv", path=str(path)),
-    )
-    print(f"wrote {path}")
-
-
-def threshold_table(prior: str, ds) -> None:
-    rows = []
-    for d in ds:
-        if prior == "rademacher":
-            l1, l2 = rademacher_replica_thresholds(d)
-        else:
-            l1 = spherical_appearance_snr(d)
-            l2 = spherical_replica_threshold(d) if d >= 3 else 1.0
-        rows.append({"d": d, "lambda1": l1, "lambda2": l2})
-        print(f"{prior} d={d}: lambda1={l1:.6f} lambda2={l2:.6f}")
-    path = OUT / f"replica_thresholds_{prior}.csv"
-    write_table(["d", "lambda1", "lambda2"], rows, OutputSpec(format="csv", path=str(path)))
+def run(name: str, argv: list[str]) -> None:
+    path = OUT / f"{name}.csv"
+    code = main(["replica", *argv, "--out", str(path)])
+    if code != 0:
+        sys.exit(code)
     print(f"wrote {path}")
 
 
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
+    snrs = ",".join(repr(float(snr)) for snr in np.linspace(0.5, 2.5, 81))
     for prior in ("rademacher", "spherical"):
         for d in (2, 3):
-            branch_table(prior, d, np.linspace(0.5, 2.5, 81))
-        threshold_table(prior, range(3, 21))
+            run(f"replica_{prior}_d{d}", ["--prior", prior, "--d", str(d), "--lambda", snrs])
+        run(f"replica_thresholds_{prior}", ["--prior", prior, "--d", "3..20", "--thresholds"])

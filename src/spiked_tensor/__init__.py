@@ -52,7 +52,6 @@ from .tensors import (
     sample_spike,
     sample_spiked,
     sample_wigner,
-    symmetrize,
 )
 from .thresholds import (
     ThresholdReport,

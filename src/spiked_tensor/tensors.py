@@ -1,25 +1,24 @@
 """Sampling and elementary algebra for spiked symmetric Gaussian tensors.
 
-The noise model: an asymmetric precursor with iid N(0, 2/n) entries is
-averaged over all permutations of its d indices.  Under this normalization
+The noise model is the permutation average of an asymmetric precursor with
+iid N(0, 2/n) entries, drawn directly from its law: an entry whose sorted
+index has an orbit of c distinct index orders is N(0, 2/(n c)), and entries
+in different orbits are independent.  Under this normalization
 ``<W, x^{(x)d}> ~ N(0, 2/n)`` for every unit vector x, and a distinct-index
-entry has variance 2/(n d!).  For d=2 the construction reproduces the usual
-Gaussian Wigner matrix (off-diagonal N(0,1/n), diagonal N(0,2/n)).
+entry has variance 2/(n d!).  For d=2 this is the usual Gaussian Wigner
+matrix (off-diagonal N(0,1/n), diagonal N(0,2/n)).
 
 Spiked samples are ``T = snr * x^{(x)d} + W`` with the spike x drawn from one
 of three priors: uniform on the sphere, iid +-1/sqrt(n), or sparse with
 exactly round(rho*n) nonzero entries equal to +-1/sqrt(round(rho*n)).
 
-Storage is a dense n^d array, symmetrized eagerly.  After the permutation
-average, entries are re-read through a sorted-index gather so that permuted
-reads are bit-for-bit identical (a plain float average of transposed copies
-differs in the last ulp across index orders because the summation order
-differs).
+Storage is a dense n^d array.  Every entry is read through a sorted-index
+gather from its orbit's representative, so permuted reads are bit-for-bit
+identical.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -28,14 +27,14 @@ import numpy as np
 
 from .rng import NOISE_SUBSTREAM, SPIKE_SUBSTREAM, RngSeed
 
-MEMORY_CAP = 10**8  # scalars; n^d above this refuses to allocate
-SYMMETRIZE_BUDGET = 10**9  # element copies in symmetrize's permutation average (a few s)
+MEMORY_CAP = 10**8  # scalars; d * n^d (the gather's index arrays) above this refuses to allocate
+NDIM_LIMIT = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # numpy's maximum ndim
 
 PRIOR_KINDS = ("spherical", "rademacher", "sparse_rademacher")
 
 
 class MemoryCapError(ValueError):
-    """Requested dense tensor exceeds the scalar budget MEMORY_CAP."""
+    """Requested dense tensor's index arrays exceed the scalar budget MEMORY_CAP."""
 
 
 class DimensionMismatchError(ValueError):
@@ -138,19 +137,19 @@ def _sorted_index_gather(n: int, d: int) -> np.ndarray:
 
 
 def check_memory_cap(n: int, d: int) -> None:
+    """Reject orders whose d index arrays of n^d entries exceed MEMORY_CAP."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if n**d > MEMORY_CAP:
-        raise MemoryCapError(f"n^d = {n}^{d} = {n**d} exceeds the memory cap {MEMORY_CAP}")
-    # d! transposes, each n^d copies plus a fixed cost worth about 10^3 of
-    # them (2.3 us); compared in logs, since at n = 1 any d passes the cap
-    if math.lgamma(d + 1) + math.log(n**d + 1000) > math.log(SYMMETRIZE_BUDGET):
-        raise ValueError(
-            f"symmetrizing n={n}, d={d} takes d! (n^d + 1000) element copies, "
-            f"above the budget {SYMMETRIZE_BUDGET}"
+    # n >= 2 has n^k > MEMORY_CAP at k = MEMORY_CAP.bit_length(): capping the
+    # exponent there keeps the test exact without forming n^d
+    if d * n ** min(d, MEMORY_CAP.bit_length()) > MEMORY_CAP:
+        raise MemoryCapError(
+            f"n={n}, d={d}: d*n^d index entries exceed the memory cap {MEMORY_CAP}"
         )
+    if d >= NDIM_LIMIT:  # np.indices stacks the d index arrays into d + 1 dimensions
+        raise ValueError(f"d={d} must be below numpy's limit of {NDIM_LIMIT} array dimensions")
 
 
 @dataclass(frozen=True)
@@ -181,20 +180,6 @@ class SymmetricTensor:
     __rmul__ = __mul__
 
 
-def symmetrize(array: np.ndarray) -> SymmetricTensor:
-    """Average over all d! index permutations, then make reads exactly symmetric."""
-    array = np.asarray(array, dtype=float)
-    d = array.ndim
-    n = array.shape[0]
-    check_memory_cap(n, d)
-    if array.shape != (n,) * d:
-        raise DimensionMismatchError(f"array is not cubical: shape {array.shape}")
-    mean = sum(np.transpose(array, perm) for perm in itertools.permutations(range(d)))
-    mean = mean / math.factorial(d)
-    exact = mean.reshape(-1)[_sorted_index_gather(n, d)].reshape((n,) * d)
-    return SymmetricTensor(n, d, exact)
-
-
 def rank_one(x: UnitVector, d: int) -> SymmetricTensor:
     """x^{(x)d} with bit-exact symmetry (built from the sorted-index gather)."""
     outer = x.coords
@@ -206,11 +191,15 @@ def rank_one(x: UnitVector, d: int) -> SymmetricTensor:
 
 
 def sample_wigner(n: int, d: int, seed: RngSeed) -> SymmetricTensor:
-    """Symmetrization of an iid N(0, 2/n) precursor; deterministic in the seed."""
+    """Symmetric noise: one N(0, 2/(n c)) draw per orbit of c entries; deterministic in the seed."""
     check_memory_cap(n, d)
+    gather = _sorted_index_gather(n, d)
+    orbit = np.bincount(gather)  # c at each sorted index, 0 elsewhere
+    reps = np.flatnonzero(orbit)
     rng = seed.generator(NOISE_SUBSTREAM)
-    precursor = rng.normal(0.0, math.sqrt(2.0 / n), size=(n,) * d)
-    return symmetrize(precursor)
+    draws = np.zeros(orbit.size)
+    draws[reps] = rng.standard_normal(reps.size) * np.sqrt(2.0 / (n * orbit[reps]))
+    return SymmetricTensor(n, d, draws[gather].reshape((n,) * d))
 
 
 def sample_spike(prior: SpikePrior, n: int, seed: RngSeed) -> UnitVector:

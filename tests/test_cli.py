@@ -279,8 +279,9 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["replica", "--prior", "spherical", "--d", "3", "--lambda", "1e200"],
         ["replica", "--prior", "rademacher", "--d", "3", "--lambda", "1e200"],
         ["replica", "--prior", "rademacher", "--d", "2", "--lambda", "1e-300"],
-        ["simulate", "norms", "--prior", "spherical", "--n", "3", "--d", "12", "--trials", "1"],
         ["simulate", "norms", "--prior", "spherical", "--n", "2", "--d", "26", "--trials", "1"],
+        ["simulate", "norms", "--prior", "spherical", "--n", str(10**9), "--d", str(10**6),
+         "--trials", "1"],
     ],
     ids=["tails_tgrid", "ratefn_tmax", "spherical_replica_d40", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
@@ -292,7 +293,7 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "rademacher_replica_inf_snr", "ratefn_grid_huge", "tails_trials_huge",
          "norms_trials_huge", "detect_trials_huge", "recover_trials_huge", "bbp_trials_huge",
          "tails_n_huge", "spherical_replica_huge_snr", "rademacher_replica_huge_snr",
-         "rademacher_replica_tiny_snr", "norms_d12_symmetrize", "norms_d26_symmetrize"],
+         "rademacher_replica_tiny_snr", "norms_d26_symmetrize", "norms_huge_n_and_d"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)
@@ -303,6 +304,23 @@ def test_library_errors_exit_2_with_one_line(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("spiked-tensor: error: ")
+
+
+def test_huge_order_names_the_memory_cap(capsys):
+    # d * n^d is compared with the cap without forming n^d
+    argv = ["simulate", "norms", "--prior", "spherical", "--n", str(10**9), "--d", str(10**6),
+            "--trials", "1"]
+    assert main(argv) == 2
+    assert "memory cap" in capsys.readouterr().err
+
+
+def test_norms_at_order_12(capsys):
+    # n = 3, d = 12 passes the memory cap, and drawing the noise costs no d! loop
+    code, out = run_cli(["simulate", "norms", "--prior", "spherical", "--n", "3", "--d", "12",
+                         "--trials", "1", "--restarts", "1", "--max-iters", "5"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 1
 
 
 @pytest.mark.parametrize("prior, lam", [("spherical", "1e200"), ("rademacher", "1e200"),

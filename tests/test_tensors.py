@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,6 @@ from spiked_tensor import (
     sample_spike,
     sample_spiked,
     sample_wigner,
-    symmetrize,
 )
 from spiked_tensor.tensors import check_memory_cap, round_half_up
 
@@ -29,6 +29,42 @@ def test_single_entry_variance_is_two():
         [sample_wigner(1, 3, RngSeed(9, 2 + k)).entries[0, 0, 0] for k in range(100_000)]
     )
     assert abs(vals.var() - 2.0) < 0.05
+
+
+class _BasisSeed:
+    """Stands in for an RngSeed whose normal draw is the j-th unit vector."""
+
+    def __init__(self, j):
+        self.j = j
+
+    def generator(self, substream):
+        return self
+
+    def standard_normal(self, size):
+        e = np.zeros(size)
+        e[self.j] = 1.0
+        return e
+
+
+def _permutation_average(n, d):
+    """The average over the d! index permutations, as an n^d x n^d matrix."""
+    flat = np.arange(n**d).reshape((n,) * d)
+    avg = np.zeros((n**d, n**d))
+    for perm in itertools.permutations(range(d)):
+        avg[np.arange(n**d), np.transpose(flat, perm).ravel()] += 1.0
+    return avg / math.factorial(d)
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (4, 3), (3, 4), (2, 5), (5, 2)])
+def test_noise_law_is_the_permutation_average(n, d):
+    # W is linear in its standard normal draws, W = A z, so cov W = A A^T.  The
+    # reference is the permutation average M of an iid N(0, 2/n) precursor,
+    # cov (2/n) M M^T.  Its diagonal is each entry's variance 2/(n c); its
+    # off-diagonal ties the entries of one orbit and zeroes the rest.
+    draws = math.comb(n + d - 1, d)  # one per sorted index
+    A = np.stack([sample_wigner(n, d, _BasisSeed(j)).entries.ravel() for j in range(draws)], 1)
+    M = _permutation_average(n, d)
+    assert np.max(np.abs(A @ A.T - 2.0 / n * M @ M.T)) <= 1e-15
 
 
 def test_permutation_invariance_bit_exact():
@@ -182,12 +218,12 @@ def test_seed_determinism():
 
 def test_memory_cap_enforced():
     with pytest.raises(MemoryCapError):
-        sample_wigner(1000, 3, RngSeed(0))  # 10^9 scalars > cap
-    # 101^4 > 10^8: a zero-stride view reaches the cap without allocating it
+        sample_wigner(1000, 3, RngSeed(0))  # 3 * 10^9 index entries > cap
+    # 4 * 101^4 > 10^8: rejected before any n^d array is allocated
     tracemalloc.start()
     try:
         with pytest.raises(MemoryCapError):
-            symmetrize(np.broadcast_to(0.0, (101,) * 4))
+            sample_wigner(101, 4, RngSeed(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -195,24 +231,21 @@ def test_memory_cap_enforced():
 
 
 def test_symmetrize_work_budget():
-    # n^d passes the memory cap, but d! transposes would run for minutes
-    for n, d in ((3, 12), (2, 26), (1, 12), (1, 10**6)):
-        with pytest.raises(ValueError, match="symmetrizing"):
+    # sampling costs the gather's d index arrays of n^d entries: orders within
+    # the memory cap sample at once, orders past it or past numpy's array
+    # dimensions raise at once (n^d is never formed)
+    for n, d in ((3, 12), (1, 12)):
+        start = time.perf_counter()
+        sample_wigner(n, d, RngSeed(0))
+        assert time.perf_counter() - start < 1.0
+    for n, d, match in ((2, 26, "memory cap"), (10**9, 10**6, "memory cap"),
+                        (1, 100, "array dimensions")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=match):
             sample_wigner(n, d, RngSeed(0))
+        assert time.perf_counter() - start < 1.0
     check_memory_cap(8, 6)  # the largest order sampled by the benchmark and tests
     check_memory_cap(10, 6)
-
-
-def test_symmetrize_is_projection():
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(5, 5, 5))
-    S = symmetrize(A)
-    S2 = symmetrize(S.entries)
-    assert np.allclose(S.entries, S2.entries, atol=1e-15)
-    # inner products against symmetric frames are preserved
-    x = sample_spike(SpikePrior.spherical(), 5, RngSeed(9))
-    direct = float(np.einsum("ijk,i,j,k->", A, x.coords, x.coords, x.coords))
-    assert abs(rank_one_inner(S, x) - direct) < 1e-12
 
 
 def test_prior_validation():
