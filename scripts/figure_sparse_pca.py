@@ -30,7 +30,6 @@ def sweep(rhos) -> list[dict]:
                 "asymptote": (
                     asymptotics("sparse_rho_lower", float(rho)) if rho < 1.0 else math.nan
                 ),
-                "sigma2": rep.diagnostics["sigma2"],
                 "capped_by_sigma": rep.diagnostics["lower_capped_by_sigma"],
             }
         )
@@ -44,7 +43,7 @@ if __name__ == "__main__":
     rows = sweep(rhos)
     path = OUT / "sparse_pca_d2.csv"
     write_table(
-        ["rho", "lambda_lower", "lambda_upper", "asymptote", "sigma2", "capped_by_sigma"],
+        ["rho", "lambda_lower", "lambda_upper", "asymptote", "capped_by_sigma"],
         rows,
         OutputSpec(format="csv", path=str(path)),
     )

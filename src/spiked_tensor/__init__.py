@@ -22,8 +22,6 @@ from .rates import (
     collision_entropy,
     entropy_term_G,
     exact_overlap_tail,
-    local_subgaussian_sigma2,
-    multi_entropy,
     rate_function_for,
     rate_rademacher,
     rate_sparse_rademacher,
@@ -56,7 +54,6 @@ from .tensors import (
 from .thresholds import (
     ThresholdReport,
     asymptotics,
-    collision_entropy_cap,
     injective_norm_mu,
     lower_bound_lambda,
     spherical_tangency,

@@ -195,7 +195,7 @@ def cmd_replica(parser, args) -> int:
                 l1, l2 = replica.rademacher_replica_thresholds(d)
             else:
                 l1 = replica.spherical_appearance_snr(d)
-                l2 = replica.spherical_replica_threshold(d) if d >= 3 else 1.0
+                l2 = replica.spherical_replica_threshold(d)
             return {"d": d, "lambda1": l1, "lambda2": l2}
 
         rows = parallel_map(one, ds, threads)

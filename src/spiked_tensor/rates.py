@@ -14,8 +14,9 @@ hypergeometric at finite n, which is what the exact oracle sums over.
 All logarithms are natural.  0 * log 0 = 0 at entropy boundaries.
 
 The exact oracles are independent of the rate functions: discrete priors use
-integer combinatorics (fractions.Fraction, exact), the spherical prior uses
-adaptive quadrature of the Beta(n/2, n/2) density.
+integer combinatorics (fractions.Fraction, exact); for the spherical prior
+(1 + <x,x'>)/2 is Beta((n-1)/2, (n-1)/2), whose tail is a regularized
+incomplete beta function.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .solvers import golden_min_vec
 from .tensors import SpikePrior
@@ -43,28 +44,24 @@ def binary_entropy(p: float) -> float:
     return float(special.entr(p) + special.entr(1.0 - p))
 
 
-def multi_entropy(probs) -> float:
-    """-sum p_i log p_i over a multiset of nonnegative weights."""
-    arr = np.asarray(probs, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError(f"negative entry in {probs}")
-    return float(np.sum(special.entr(arr)))
-
-
 def rate_spherical(t: float) -> float:
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must lie in [0, 1); the rate diverges at 1 (got {t})")
-    return float(-0.5 * np.log1p(-t * t))
+    return float(_rate_spherical_vec(t))
+
+
+def _rate_spherical_vec(ts) -> np.ndarray:
+    return -0.5 * np.log1p(-np.square(np.asarray(ts, dtype=float)))
 
 
 def rate_rademacher(t: float) -> float:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    # log 2 - H((1+t)/2), written to stay exact near t = 0 and t = 1
-    return float(0.5 * special.xlog1py(1.0 + t, t) + 0.5 * special.xlog1py(1.0 - t, -t))
+    return float(_rate_rademacher_vec(t))
 
 
 def _rate_rademacher_vec(t: np.ndarray) -> np.ndarray:
+    # log 2 - H((1+t)/2), written to stay exact near t = 0 and t = 1
     t = np.clip(t, 0.0, 1.0)
     return 0.5 * special.xlog1py(1.0 + t, t) + 0.5 * special.xlog1py(1.0 - t, -t)
 
@@ -122,50 +119,40 @@ def _rate_sparse_batch(ts: np.ndarray, rho: float) -> np.ndarray:
     b = lo + span * np.minimum(sbest + 1.0 / _ZETA_GRID, 1.0)
     _, refined = golden_min_vec(objective, a, b, _ZETA_GOLDEN_ITERS)
     out = np.minimum(best, refined)
-    # interval collapses at t = 1: value is H(rho) + rho log 2 exactly
-    limit = binary_entropy(rho) + rho * math.log(2.0)
-    out = np.where(ts >= 1.0, limit, out)
+    # interval collapses at t = 1: the value is the collision entropy exactly
+    out = np.where(ts >= 1.0, collision_entropy(SpikePrior.sparse(rho)), out)
     return np.maximum(out, 0.0)
 
 
 def collision_entropy(prior: SpikePrior) -> float:
-    """F = lim_{t->1} f(t): +inf (spherical), log 2, or H(rho) + rho log 2."""
+    """F = lim_{t->1} f(t): +inf (spherical), log 2, or H(rho) + rho log 2.
+
+    Both discrete priors are uniform on their support, so F is also the
+    log-cardinality density lim (1/n) log |support|.  H(rho) is written with
+    log1p, which keeps F accurate to the last bits as rho -> 0.
+    """
     if prior.kind == "spherical":
         return math.inf
     if prior.kind == "rademacher":
         return math.log(2.0)
-    return binary_entropy(prior.rho) + prior.rho * math.log(2.0)
-
-
-def local_subgaussian_sigma2(prior: SpikePrior) -> float:
-    """Small-deviation constant sigma^2 = 1 / f''(0); only consumed by the d=2 cap.
-
-    It is 1 for every prior.  f is the Legendre transform of the limiting
-    cumulant Lambda(s) = lim (1/n) log E exp(s n <x,x'>), so f''(0) =
-    1 / Lambda''(0) = 1 / lim n E<x,x'>^2.  For all three priors the
-    coordinates have E x_i x_j = 0 (i != j; sign or rotation symmetry) and,
-    being exchangeable with sum of squares 1, E x_i^2 = 1/n; so for
-    independent x, x', E<x,x'>^2 = sum_i (E x_i^2)^2 = 1/n exactly.
-    """
-    return 1.0
+    rho = float(prior.rho)
+    h = -rho * math.log(rho) - (1 - rho) * math.log1p(-rho) if rho < 1.0 else 0.0
+    return h + rho * math.log(2.0)
 
 
 @dataclass(frozen=True)
 class RateFunction:
-    """Evaluable rate function plus its t->1 limit and subgaussian constant."""
+    """Evaluable rate function plus its t->1 limit."""
 
     prior: SpikePrior
     eval: Callable[[float], float]
     eval_batch: Callable[[np.ndarray], np.ndarray]
     collision_entropy: float
-    local_subgaussian_sigma2: float
 
 
 def rate_function_for(prior: SpikePrior) -> RateFunction:
     if prior.kind == "spherical":
-        def batch(ts):
-            return -0.5 * np.log1p(-np.square(np.asarray(ts, dtype=float)))
-        fn, fb = rate_spherical, batch
+        fn, fb = rate_spherical, _rate_spherical_vec
     elif prior.kind == "rademacher":
         fn, fb = rate_rademacher, _rate_rademacher_vec
     else:
@@ -177,7 +164,6 @@ def rate_function_for(prior: SpikePrior) -> RateFunction:
         eval=fn,
         eval_batch=fb,
         collision_entropy=collision_entropy(prior),
-        local_subgaussian_sigma2=local_subgaussian_sigma2(prior),
     )
 
 
@@ -207,7 +193,8 @@ def _sign_count_at_least(threshold: float, m: int) -> int:
 
 def exact_overlap_tail(prior: SpikePrior, n: int, t: float) -> float:
     """Pr[<x,x'> >= t] for two independent spikes, by exact combinatorics
-    (discrete priors, n <= 200) or 1e-12-accurate quadrature (spherical)."""
+    (discrete priors, n <= 200) or the Beta((n-1)/2, (n-1)/2) law of
+    (1 + <x,x'>)/2 (spherical)."""
     if not 0.0 <= t <= 1.0 + 1e-12:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if n < 1:
@@ -233,16 +220,10 @@ def exact_overlap_tail(prior: SpikePrior, n: int, t: float) -> float:
 
 
 def _spherical_tail(n: int, t: float) -> float:
-    """I_{(1-t)/2}(n/2, n/2) by adaptive integration of the Beta density."""
-    a = n / 2.0
-    upper = (1.0 - t) / 2.0
-    if upper <= 0.0:
-        return 0.0
-    log_norm = special.gammaln(2 * a) - 2 * special.gammaln(a)
-
-    def density(u: float) -> float:
-        return math.exp(log_norm + (a - 1.0) * (math.log(u) + math.log1p(-u)))
-
-    value, _ = integrate.quad(density, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=500)
-    return float(min(max(value, 0.0), 1.0))
-
+    """I_{(1-t)/2}((n-1)/2, (n-1)/2): for x, x' uniform on S^(n-1),
+    (1 + <x,x'>)/2 is Beta((n-1)/2, (n-1)/2).  On S^0 = {+-1} the overlap is
+    +-1 with probability 1/2 each."""
+    if n == 1:
+        return 0.5
+    a = (n - 1) / 2.0
+    return float(special.betainc(a, a, max((1.0 - t) / 2.0, 0.0)))

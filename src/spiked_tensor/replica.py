@@ -202,9 +202,15 @@ def _branch_labels(count: int) -> list[str]:
 def rademacher_replica_thresholds(d: int) -> tuple[float, float]:
     """(lambda1, lambda2): appearance of nonzero solutions, free-energy crossing.
 
-    lambda1 bisects the existence of nonzero solutions in snr, which is
-    monotone: just below every lambda1 of d = 2..200 no grid root exists.
+    At d = 2 both are exactly 1: linearizing q(mu) = mu + O(mu^2) in
+    mu = snr^2 q shows the nonzero branch departs from zero at snr = 1, and
+    it is the stable one from there on.  For d >= 3 lambda1 bisects the
+    existence of nonzero solutions in snr, which is monotone: just below
+    every lambda1 of d = 3..200 no grid root exists.
     """
+    if d == 2:
+        return 1.0, 1.0
+
     def exists(snr: float) -> bool:
         return _phi_scan(d, snr)[2].size > 0
 
@@ -312,9 +318,15 @@ def spherical_appearance_snr(d: int) -> float:
 
 
 def spherical_replica_threshold(d: int) -> float:
-    """Predicted spherical detection threshold: free-energy crossing point."""
-    if d < 3:
-        raise ValueError(f"d must be >= 3, got {d}")
+    """Predicted spherical detection threshold: free-energy crossing point.
+
+    At d = 2 it is exactly 1, where the nonzero solution q = 1 - 1/snr^2
+    departs continuously from zero.
+    """
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if d == 2:
+        return 1.0
     lambda1 = spherical_appearance_snr(d)
 
     def gap(snr: float) -> float | None:

@@ -86,16 +86,6 @@ class SpikePrior:
             return math.comb(n, k) * 2**k
         raise ValueError("spherical prior has no finite support")
 
-    def support_size_log_density(self) -> float | None:
-        """The n -> inf limit of (1/n) log |support| (None for the sphere)."""
-        if self.kind == "spherical":
-            return None
-        if self.kind == "rademacher":
-            return math.log(2.0)
-        rho = float(self.rho)
-        h = -rho * math.log(rho) - (1 - rho) * math.log1p(-rho) if rho < 1.0 else 0.0
-        return h + rho * math.log(2.0)
-
     def nonzeros(self, n: int) -> int:
         """Support size of a sparse sample: round-half-up(rho*n), must be >= 1."""
         if self.kind != "sparse_rademacher":
@@ -203,18 +193,8 @@ def sample_wigner(n: int, d: int, seed: RngSeed) -> SymmetricTensor:
 
 
 def sample_spike(prior: SpikePrior, n: int, seed: RngSeed) -> UnitVector:
-    rng = seed.generator(SPIKE_SUBSTREAM)
-    if prior.kind == "spherical":
-        g = rng.standard_normal(n)
-        return UnitVector(g / np.linalg.norm(g))
-    if prior.kind == "rademacher":
-        signs = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        return UnitVector(signs / math.sqrt(n))
-    k = prior.nonzeros(n)
-    support = rng.permutation(n)[:k]
-    coords = np.zeros(n)
-    coords[support] = (2.0 * rng.integers(0, 2, size=k) - 1.0) / math.sqrt(k)
-    return UnitVector(coords)
+    """Row 0 of a one-row sample_spike_batch on the seed's spike stream."""
+    return UnitVector(sample_spike_batch(prior, n, 1, seed.generator(SPIKE_SUBSTREAM))[0])
 
 
 def sample_spike_batch(

@@ -5,13 +5,14 @@ largest snr with ``snr^2/2 * t^d/(1+t^d) <= f(t)`` on (0,1), i.e.
 
     snr* = sqrt(2 * inf_t (1+t^d)/t^d * f(t)),
 
-with the additional cap ``snr* <= 1/sigma`` at d=2 (local subgaussianity).
-For the spherical prior the same number solves a tangency system in closed
-form, which provides an independent solver route.
+with the additional cap ``snr* <= 1`` at d=2 (local subgaussianity; see
+lower_bound_lambda).  For the spherical prior the same number solves a
+tangency system in closed form, which provides an independent solver route.
 
 Upper bounds: for discrete priors, exhaustive-search MLE gives 2*sqrt(c)
-with c the log-cardinality density (both priors are uniform on their
-support, so the MAP/entropy variant 2*sqrt(s) is the same number);
+with c the log-cardinality density.  Both priors are uniform on their
+support, so c equals the collision entropy F = lim_{t->1} f(t), and the
+MAP/entropy variant 2*sqrt(s) is the same number;
 for the spherical prior, the spiked injective norm exceeds the unspiked
 limit mu_d once snr crosses the unique root of L_d(snr) = mu_d.
 """
@@ -30,7 +31,7 @@ from .tensors import SpikePrior
 
 GRID_POINTS = 10_000
 # below ~1e-6 the sparse rate evaluates as a difference of O(1) entropies and
-# is cancellation noise; the t->0 boundary is covered exactly by the 1/sigma cap
+# is cancellation noise; the t->0 boundary is covered exactly by the d=2 cap
 SPARSE_T_FLOOR = 1e-6
 
 
@@ -61,6 +62,15 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
     last grid point 1 - t = 1e-14, which happens from d ~ 10^13 on
     (spherical_tangency covers those orders), or t^d underflows on the
     whole grid (d >~ 10^17, any prior).
+
+    At d = 2 the value is capped at 1/sigma = 1, the spectral threshold,
+    where sigma^2 = 1/f''(0) is the small-deviation constant of the rate.
+    It is 1 for every prior.  f is the Legendre transform of the limiting
+    cumulant Lambda(s) = lim (1/n) log E exp(s n <x,x'>), so f''(0) =
+    1 / Lambda''(0) = 1 / lim n E<x,x'>^2.  For all three priors the
+    coordinates have E x_i x_j = 0 (i != j; sign or rotation symmetry) and,
+    being exchangeable with sum of squares 1, E x_i^2 = 1/n; so for
+    independent x, x', E<x,x'>^2 = sum_i (E x_i^2)^2 = 1/n exactly.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
@@ -97,11 +107,9 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
     best = min(refined, float(ratio[i]), 2.0 * rate.collision_entropy)
     t_star = _t if refined <= ratio[i] else float(ts[i])
     value = math.sqrt(2.0 * best)
-    capped = False
-    if d == 2:
-        cap = 1.0 / math.sqrt(rate.local_subgaussian_sigma2)
-        if cap < value:
-            value, capped = cap, True
+    capped = d == 2 and value > 1.0
+    if capped:
+        value = 1.0
     return LowerBoundResult(value, t_star, capped, abs(refined - float(ratio[i])))
 
 
@@ -204,10 +212,10 @@ def upper_bound_spherical(d: int, mu: float | None = None) -> float:
 
 
 def upper_bound_cardinality(prior: SpikePrior, d: int) -> float:
-    """MLE union-bound threshold 2 sqrt(c), c the log-support density."""
+    """MLE union-bound threshold 2 sqrt(c), c = F the log-support density."""
     if not prior.is_discrete:
         raise ValueError("cardinality bound requires a discrete prior")
-    return 2.0 * math.sqrt(prior.support_size_log_density())
+    return 2.0 * math.sqrt(collision_entropy(prior))
 
 
 ASYMPTOTIC_KINDS = ("mu_sq", "lower_sph_sq", "upper_sph_sq", "sparse_rho_lower")
@@ -275,7 +283,6 @@ def threshold_report(
         "lower_t_star": lower.t_star,
         "lower_capped_by_sigma": lower.capped_by_sigma,
         "lower_grid_refinement_gap": lower.grid_refinement_gap,
-        "sigma2": rate.local_subgaussian_sigma2,
         "collision_entropy": rate.collision_entropy,
     }
     replica_prediction = None
@@ -311,7 +318,7 @@ def threshold_report(
             lam_lo = lower.value
             lam_hi = upper_bound_cardinality(prior, d)
             if prior.kind == "rademacher":
-                asym_lower = asym_upper = 2.0 * math.sqrt(math.log(2.0))
+                asym_lower = asym_upper = lam_hi
             elif prior.rho < 1.0:
                 asym_lower = asymptotics("sparse_rho_lower", prior.rho)
         if include_replica and prior.kind in ("spherical", "rademacher"):
@@ -333,9 +340,3 @@ def threshold_report(
         asymptotic_upper=asym_upper,
         diagnostics=diagnostics,
     )
-
-
-def collision_entropy_cap(prior: SpikePrior) -> float:
-    """t->1 limit of the criterion: snr* <= 2 sqrt(F) for discrete priors."""
-    f = collision_entropy(prior)
-    return math.inf if math.isinf(f) else 2.0 * math.sqrt(f)

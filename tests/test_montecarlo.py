@@ -334,13 +334,13 @@ def test_recovery_null_overlap_scale():
 
 
 def test_overlap_tail_experiment_matches_exact():
-    prior = SpikePrior.rademacher()
-    rows = overlap_tail_experiment(prior, 64, 1_000_000, [0.25], RngSeed(23))
-    row = rows[0]
-    exact = exact_overlap_tail(prior, 64, 0.25)
-    se = math.sqrt(exact * (1 - exact) / 1_000_000)
-    assert abs(row.empirical_tail - exact) <= 3 * se
-    assert row.exact_tail == pytest.approx(exact)
+    for prior, n in ((SpikePrior.rademacher(), 64), (SpikePrior.spherical(), 20)):
+        rows = overlap_tail_experiment(prior, n, 1_000_000, [0.25], RngSeed(23))
+        row = rows[0]
+        exact = exact_overlap_tail(prior, n, 0.25)
+        se = math.sqrt(exact * (1 - exact) / 1_000_000)
+        assert abs(row.empirical_tail - exact) <= 3 * se
+        assert row.exact_tail == pytest.approx(exact)
 
 
 def test_overlap_tail_symmetry_floor():

@@ -14,12 +14,11 @@ from spiked_tensor import (
     collision_entropy,
     entropy_term_G,
     exact_overlap_tail,
-    local_subgaussian_sigma2,
-    multi_entropy,
     rate_function_for,
     rate_rademacher,
     rate_sparse_rademacher,
     rate_spherical,
+    upper_bound_cardinality,
 )
 from spiked_tensor.rates import binomial_tail_half, hypergeometric_pmf
 from spiked_tensor.tensors import round_half_up
@@ -40,18 +39,6 @@ def test_binary_entropy_values():
         binary_entropy(-0.1)
     with pytest.raises(ValueError):
         binary_entropy(1.1)
-
-
-def test_multi_entropy_values():
-    assert multi_entropy([1.0, 0.0, 0.0, 0.0]) == 0.0
-    assert abs(multi_entropy([0.25] * 4) - math.log(4.0)) < 1e-15
-    # product-measure multiset at rho=0.3 factorizes to 2 H(0.3)
-    rho = 0.3
-    probs = [rho**2, rho - rho**2, rho - rho**2, (1 - rho) ** 2]
-    assert abs(multi_entropy(probs) - 2 * binary_entropy(rho)) < 1e-12
-    assert abs(multi_entropy(probs) - 1.2217286041097870) < 1e-12
-    with pytest.raises(ValueError):
-        multi_entropy([0.5, -0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +112,7 @@ def test_batch_matches_scalar():
         rate = rate_function_for(prior)
         batch = rate.eval_batch(grid)
         scalars = np.array([rate.eval(float(t)) for t in grid])
-        assert np.max(np.abs(batch - scalars)) < 1e-12
+        assert np.array_equal(batch, scalars)
 
 
 def test_collision_entropy_values():
@@ -140,12 +127,14 @@ def test_collision_entropy_consistent_with_rate_limit():
         assert abs(rate.eval(1 - 1e-9) - rate.collision_entropy) < 1e-6
 
 
-def test_local_subgaussian_constants():
-    assert local_subgaussian_sigma2(SpikePrior.spherical()) == 1.0
-    assert local_subgaussian_sigma2(SpikePrior.rademacher()) == 1.0
-    # n E<x,x'>^2 = 1 for every rho, so the curvature of the sparse rate at 0 is 1
-    for rho in (1e-300, 1e-12, 1e-4, 0.3, 1.0):
-        assert local_subgaussian_sigma2(SpikePrior.sparse(rho)) == 1.0
+def test_collision_entropy_accurate_at_tiny_rho():
+    # 50-digit mpmath evaluation of -rho log rho - (1-rho) log(1-rho) + rho log 2
+    # at rho = 1e-12; cancellation in 1 - rho costs the binary-entropy form ~1e-6
+    prior = SpikePrior.sparse(1e-12)
+    f = collision_entropy(prior)
+    assert f == pytest.approx(2.9324168296487993518e-11, rel=1e-14, abs=0.0)
+    for p in (prior, SpikePrior.sparse(0.3), SpikePrior.sparse(1.0), SpikePrior.rademacher()):
+        assert upper_bound_cardinality(p, 3) == 2 * math.sqrt(collision_entropy(p))
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +235,28 @@ def test_sparse_tail_sandwich():
 
 
 def test_spherical_tail_against_betainc():
-    # independent oracle: scipy's regularized incomplete beta
+    # on S^(n-1), (1 + <x,x'>)/2 is Beta((n-1)/2, (n-1)/2)
     prior = SpikePrior.spherical()
     for n in (3, 10, 64, 250):
         for t in (0.0, 0.25, 0.6, 0.95):
             mine = exact_overlap_tail(prior, n, t)
-            ref = float(special.betainc(n / 2, n / 2, (1 - t) / 2))
+            ref = float(special.betainc((n - 1) / 2, (n - 1) / 2, (1 - t) / 2))
             assert mine == pytest.approx(ref, rel=1e-9, abs=1e-300)
+
+
+def test_spherical_tail_closed_forms():
+    prior = SpikePrior.spherical()
+    for t in np.linspace(0.0, 1.0, 11):
+        # S^0 = {+-1}: the overlap is +-1 with probability 1/2 each
+        assert exact_overlap_tail(prior, 1, float(t)) == 0.5
+        # on the circle the angle between x and x' is uniform on [0, pi]
+        assert exact_overlap_tail(prior, 2, float(t)) == pytest.approx(
+            math.acos(t) / math.pi, rel=1e-12, abs=1e-15
+        )
+        # on S^2 the overlap is uniform on [-1, 1] (Archimedes)
+        assert exact_overlap_tail(prior, 3, float(t)) == pytest.approx(
+            (1 - t) / 2, rel=1e-12, abs=1e-15
+        )
 
 
 def test_binomial_tail_helper():

@@ -20,7 +20,8 @@ from spiked_tensor import (
     sample_spiked,
     sample_wigner,
 )
-from spiked_tensor.tensors import check_memory_cap, round_half_up
+from spiked_tensor.rng import SPIKE_SUBSTREAM
+from spiked_tensor.tensors import check_memory_cap, round_half_up, sample_spike_batch
 
 
 def test_single_entry_variance_is_two():
@@ -119,6 +120,13 @@ def test_sparse_support_rounding_half_up():
 def test_sparse_empty_support_rejected():
     with pytest.raises(ValueError, match="empty support"):
         sample_spike(SpikePrior.sparse(0.01), 10, RngSeed(0))
+
+
+def test_spike_is_row_zero_of_the_batch_draw():
+    for prior in (SpikePrior.spherical(), SpikePrior.rademacher(), SpikePrior.sparse(0.3)):
+        for n, seed in ((2, RngSeed(0)), (7, RngSeed(3)), (40, RngSeed(9, 2))):
+            row = sample_spike_batch(prior, n, 1, seed.generator(SPIKE_SUBSTREAM))[0]
+            assert np.array_equal(sample_spike(prior, n, seed).coords, row)
 
 
 def test_spherical_spike_symmetry():

@@ -6,7 +6,6 @@ import pytest
 from spiked_tensor import (
     SpikePrior,
     asymptotics,
-    collision_entropy_cap,
     injective_norm_mu,
     lower_bound_lambda,
     rate_function_for,
@@ -28,7 +27,7 @@ def test_rademacher_lower_bound_large_d_limit():
 
 def test_rademacher_lower_bound_monotone_and_capped():
     rate = rate_function_for(SpikePrior.rademacher())
-    cap = collision_entropy_cap(SpikePrior.rademacher())
+    cap = upper_bound_cardinality(SpikePrior.rademacher(), 3)
     prev = 0.0
     for d in range(3, 51):
         lb = lower_bound_lambda(rate, d).value
@@ -61,11 +60,11 @@ def test_sparse_lower_bound_sandwich():
 
 
 def test_collision_entropy_cap_discrete():
+    # the criterion tends to 2F as t -> 1, so the lower bound is at most 2 sqrt(F)
     for prior in (SpikePrior.rademacher(), SpikePrior.sparse(0.3)):
         rate = rate_function_for(prior)
-        cap = collision_entropy_cap(prior)
         for d in (3, 10, 50, 10**6, 10**9, 10**12):
-            assert lower_bound_lambda(rate, d).value <= cap + 1e-9
+            assert lower_bound_lambda(rate, d).value <= upper_bound_cardinality(prior, d) + 1e-9
 
 
 def test_tangency_residual_and_large_d_location():
