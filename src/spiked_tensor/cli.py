@@ -26,11 +26,13 @@ import numpy as np
 from . import montecarlo, replica, thresholds
 from .montecarlo import ExperimentConfig, PowerIterationSettings
 from .output import OutputSpec, write_table
-from .parallel import parallel_map, resolve_threads
+from .parallel import MAX_THREADS, check_threads, parallel_map
 from .rates import exact_overlap_tail, rate_function_for, EXACT_TAIL_MAX_N
 from .rng import RngSeed
 from .solvers import BracketError
-from .tensors import MEMORY_CAP, SpikePrior, sample_spiked, sample_wigner
+from .tensors import SpikePrior, sample_spiked, sample_wigner
+
+MAX_GRID = 10**5  # ratefn rows; each is held until the table is written
 
 
 def _parse_d_range(text: str) -> list[int]:
@@ -42,6 +44,13 @@ def _parse_d_range(text: str) -> list[int]:
     if not values or values[0] < 2 or values[-1] > 10**6:
         raise ValueError(f"d range {text!r} outside 2..10^6")
     return values
+
+
+def _parse_order(text: str) -> int:
+    """simulate's --d: one order, not a range."""
+    if not text.isdigit() or not 2 <= int(text) <= 10**6:
+        raise ValueError(f"--d takes one order in 2..10^6, got {text!r}")
+    return int(text)
 
 
 def _parse_lambda_list(text: str) -> list[float]:
@@ -78,7 +87,7 @@ def _add_common(p: argparse.ArgumentParser, *, prior_required: bool = True) -> N
     )
     p.add_argument("--rho", type=float, default=None, help="sparsity for --prior sparse")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=f"worker threads, 1..{MAX_THREADS}")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--precision", type=int, default=9)
@@ -99,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratefn", help="(t, f(t)) table for a prior")
     _add_common(p)
-    p.add_argument("--grid", type=int, default=100, help="number of t points (>= 2)")
+    p.add_argument("--grid", type=int, default=100, help="number of t points, 2..10^5")
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--n", type=int, default=None, help="add exact finite-n tail columns")
 
@@ -113,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("subkind", choices=["detect", "recover", "tails", "norms", "bbp"])
     _add_common(p, prior_required=False)  # bbp needs no prior; others check at dispatch
     p.add_argument("--n", type=int, default=14)
-    p.add_argument("--d", type=str, default="3")
+    p.add_argument("--d", default="3", help="one order")
     p.add_argument("--lambda", dest="snr", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--test", choices=list(montecarlo.TESTS), default="mle")
@@ -129,11 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_thresholds(parser, args) -> int:
     prior = _prior_from_args(parser, args)
     ds = _parse_d_range(args.d)
-    threads = resolve_threads(args.threads)
     reports = parallel_map(
         lambda d: thresholds.threshold_report(prior, d, include_replica=args.replica),
         ds,
-        threads,
+        args.threads,
     )
     columns = ["d", "lambda_lower", "lambda_upper", "mu_d"]
     if args.replica:
@@ -158,8 +166,8 @@ def cmd_thresholds(parser, args) -> int:
 
 def cmd_ratefn(parser, args) -> int:
     prior = _prior_from_args(parser, args)
-    if not 2 <= args.grid <= MEMORY_CAP:
-        raise ValueError(f"--grid must be in 2..{MEMORY_CAP}, got {args.grid}")
+    if not 2 <= args.grid <= MAX_GRID:
+        raise ValueError(f"--grid must be in 2..{MAX_GRID}, got {args.grid}")
     rate = rate_function_for(prior)
     tmax = args.tmax
     if tmax is None:
@@ -187,7 +195,6 @@ def cmd_replica(parser, args) -> int:
     if prior.kind == "sparse_rademacher":
         parser.error("replica solvers cover the spherical and rademacher priors only")
     ds = _parse_d_range(args.d)
-    threads = resolve_threads(args.threads)
     spec = _output_spec(args)
     if args.thresholds:
         def one(d: int):
@@ -198,7 +205,7 @@ def cmd_replica(parser, args) -> int:
                 l2 = replica.spherical_replica_threshold(d)
             return {"d": d, "lambda1": l1, "lambda2": l2}
 
-        rows = parallel_map(one, ds, threads)
+        rows = parallel_map(one, ds, args.threads)
         write_table(
             ["d", "lambda1", "lambda2"], rows, spec,
             {"command": "replica_thresholds", "prior": prior.label()},
@@ -253,14 +260,15 @@ def _write_records(path: str, result, precision: int) -> None:
 
 
 def cmd_simulate(parser, args) -> int:
-    threads = resolve_threads(args.threads)
     seed = RngSeed(args.seed)
     spec = _output_spec(args)
     # checked for every subkind, though bbp (an exact eigensolve) uses none of them
     settings = PowerIterationSettings(args.restarts, args.max_iters, args.tol)
 
     if args.subkind == "bbp":
-        summary = montecarlo.bbp_reference_experiment(args.n, args.snr, args.trials, seed, threads)
+        summary = montecarlo.bbp_reference_experiment(
+            args.n, args.snr, args.trials, seed, args.threads
+        )
         row = {
             "n": summary.n,
             "lambda": summary.snr,
@@ -274,7 +282,7 @@ def cmd_simulate(parser, args) -> int:
         return 0
 
     prior = _prior_from_args(parser, args)
-    d = _parse_d_range(args.d)[0]
+    d = _parse_order(args.d)
 
     if args.subkind == "tails":
         t_grid = (
@@ -283,7 +291,7 @@ def cmd_simulate(parser, args) -> int:
             else [round(0.05 * i, 2) for i in range(13)]
         )
         rows_out = montecarlo.overlap_tail_experiment(
-            prior, args.n, args.trials, t_grid, seed, threads
+            prior, args.n, args.trials, t_grid, seed, args.threads
         )
         rows = [
             {
@@ -315,7 +323,7 @@ def cmd_simulate(parser, args) -> int:
                 est = montecarlo.injective_norm_estimate(tensor, settings, trial_seed)
             return {"trial": k, "estimate": est.value, "converged": est.converged}
 
-        rows = parallel_map(one, range(args.trials), threads)
+        rows = parallel_map(one, range(args.trials), args.threads)
         write_table(
             ["trial", "estimate", "converged"], rows, spec,
             {"command": "simulate_norms", "prior": prior.label(), "n": args.n, "d": d},
@@ -331,7 +339,7 @@ def cmd_simulate(parser, args) -> int:
         parser.error(str(exc))
 
     if args.subkind == "detect":
-        result = montecarlo.detection_experiment(config, threads)
+        result = montecarlo.detection_experiment(config, args.threads)
         row = {
             "test": args.test, "n": args.n, "d": d, "lambda": args.snr,
             "trials": args.trials, "epsilon": config.threshold_margin,
@@ -340,7 +348,7 @@ def cmd_simulate(parser, args) -> int:
             "mean_abs_overlap": result.mean_abs_overlap,
         }
     else:
-        result = montecarlo.recovery_experiment(config, threads)
+        result = montecarlo.recovery_experiment(config, args.threads)
         row = {
             "test": args.test, "n": args.n, "d": d, "lambda": args.snr,
             "trials": args.trials,
@@ -366,6 +374,7 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
     }
     try:
+        check_threads(args.threads)  # before any command, threaded or not
         return dispatch[args.command](parser, args)
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code or 0)

@@ -10,7 +10,9 @@ records, so results are bit-identical across runs and thread counts.
 Exhaustive search (mle, map) needs support_size(n) <= 2^24 and visits half
 the support in blocks of max(1, 2^22 // n^(d-1)) candidates, so besides the
 tensor it holds at most 2^22 scalars (32 MB) of candidates and as many of
-partial products (one row of n^(d-1) products where that is larger).
+partial products (one row of n^(d-1) products where that is larger), a
+few (rows, k) index and sign temporaries while a block is scattered, and a
+table of the supports: C(n, k) k <= 2^23 indices, as C(n, k) 2^k <= 2^24.
 
 The injective-norm maximizer is a heuristic: restarted power iteration on
 the gradient direction, with an adaptive positive shift.  A plain power step
@@ -143,40 +145,26 @@ class ExperimentResult:
 # exhaustive statistics over discrete supports
 # ---------------------------------------------------------------------------
 
-def _batch_form_values(entries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """<T, v^{(x)d}> for every row v of ``candidates`` at once."""
-    m, n = candidates.shape
-    d = entries.ndim
-    values = candidates @ entries.reshape(n, -1)  # (m, n^(d-1))
-    for _ in range(d - 2):
-        values = values.reshape(m, n, -1)
-        values = np.einsum("mjr,mj->mr", values, candidates)
-    return np.einsum("mj,mj->m", values.reshape(m, n), candidates)
-
-
 def _candidate_chunks(n: int, k: int, rows: int):
     """Yield the half-support candidates with k nonzeros, <= rows per block.
 
     Supports come in ``itertools.combinations(range(n), k)`` order; in each,
     sign code c = 0 .. 2^(k-1)-1 gives the first nonzero +1/sqrt(k) and
-    nonzero j+2 +-1/sqrt(k) as bit j of c is 1 or 0.  Each block is built
-    from its own range of candidate indices.  Rademacher is k = n.
+    nonzero j+2 +-1/sqrt(k) as bit j of c is 1 or 0.  Candidate i is support
+    i // 2^(k-1) with code i % 2^(k-1), so each block is scattered from its
+    own range of indices and a table of the supports.  Rademacher is k = n.
     """
     codes = 1 << (k - 1)
-    total = math.comb(n, k) * codes
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    supports = np.fromiter(flat, dtype=np.intp, count=math.comb(n, k) * k).reshape(-1, k)
+    total = len(supports) * codes
     scale = 1.0 / math.sqrt(k)
-    supports = itertools.combinations(range(n), k)
-    held = []  # the supports of the current block, pulled in order
     for start in range(0, total, rows):
         which, code = np.divmod(np.arange(start, min(start + rows, total)), codes)
-        held = held[-1:] if code[0] else []  # a support the boundary split goes on
-        held += itertools.islice(supports, int(which[-1] - which[0]) + 1 - len(held))
-        columns, slot = np.array(held), which - which[0]
-        signs = 2 * code + 1  # bit 0 is the fixed leading +1; bit j+1 is bit j of c
-        row = np.arange(code.size)
+        # bit 0 is the fixed leading +1; bit j+1 is bit j of c
+        signs = (2 * code + 1)[:, None] >> np.arange(k) & 1
         block = np.zeros((code.size, n))
-        for j in range(k):  # one column at a time keeps temporaries at O(rows)
-            block[row, columns[slot, j]] = np.where(signs >> j & 1, scale, -scale)
+        np.put_along_axis(block, supports[which], np.where(signs, scale, -scale), axis=1)
         yield block
 
 
@@ -195,7 +183,7 @@ def mle_statistic(
     rows = max(1, _FORM_BUDGET // n ** (d - 1))
     best, best_vec = -math.inf, None
     for candidates in _candidate_chunks(n, prior.nonzeros(n), rows):
-        values = _batch_form_values(tensor.entries, candidates)
+        values = np.einsum("mj,mj->m", contract(tensor, candidates), candidates)
         if d % 2 == 0:
             i = int(np.argmax(values))
             if values[i] > best:
@@ -243,7 +231,7 @@ def _power_iteration_ascent(
     # (negation is exact), so a point flipped to -x keeps its g.
     d = tensor.d
     x = start / np.linalg.norm(start)
-    g = contract(tensor, UnitVector(x))
+    g = contract(tensor, x)
     fx = float(g @ x)
     if d % 2 == 1 and fx < 0:
         x, fx = -x, -fx
@@ -257,7 +245,7 @@ def _power_iteration_ascent(
             if norm == 0.0:
                 return fx, x, True  # stationary point
             y = step / norm
-            gy = contract(tensor, UnitVector(y))
+            gy = contract(tensor, y)
             fy = float(gy @ y)
             if d % 2 == 1 and fy < 0:
                 y, fy = -y, -fy
@@ -287,11 +275,12 @@ def injective_norm_estimate(
     A heuristic LOWER estimate of max <T, x^{(x)d}> over the sphere; the
     objective value is nondecreasing along every run by construction.
     """
-    rng = (seed or RngSeed(0)).generator(2)
-    starts = [rng.standard_normal(tensor.n) for _ in range(settings.restarts)]
+    if settings.restarts * tensor.n > MEMORY_CAP:
+        raise ValueError(f"{settings.restarts} starts of n={tensor.n} exceed the memory cap {MEMORY_CAP}")
+    starts = (seed or RngSeed(0)).generator(2).standard_normal((settings.restarts, tensor.n))
     if spike_start is not None:
-        starts.insert(0, np.asarray(spike_start.coords, dtype=float))
-    if not starts:
+        starts = np.vstack([spike_start.coords, starts])
+    if not len(starts):
         raise ValueError("injective norm estimate needs a start: restarts = 0 and no spike start")
     best = None
     for start in starts:
@@ -318,13 +307,15 @@ def matrix_top_eigenpair(tensor: SymmetricTensor) -> tuple[float, np.ndarray]:
 
 def _arm_statistic(
     config: ExperimentConfig, tensor: SymmetricTensor, arm_seed: RngSeed
-) -> tuple[float, UnitVector | None]:
+) -> tuple[float, np.ndarray]:
+    if config.test == "injective_norm":
+        est = injective_norm_estimate(tensor, config.power_iter, seed=arm_seed)
+        return est.value, est.vector
     if config.test == "mle":
-        return mle_statistic(tensor, config.prior, config.n, config.d)
-    if config.test == "map":
-        return map_statistic(tensor, config.prior, config.n, config.d, config.snr)
-    est = injective_norm_estimate(tensor, config.power_iter, seed=arm_seed)
-    return est.value, UnitVector(est.vector / np.linalg.norm(est.vector))
+        value, argmax = mle_statistic(tensor, config.prior, config.n, config.d)
+    else:
+        value, argmax = map_statistic(tensor, config.prior, config.n, config.d, config.snr)
+    return value, argmax.coords
 
 
 def detection_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -339,7 +330,7 @@ def detection_experiment(config: ExperimentConfig, threads: int = 1) -> Experime
         unspiked = sample_wigner(config.n, config.d, unspiked_seed)
         s1, v1 = _arm_statistic(config, spiked, spiked_seed)
         s0, _ = _arm_statistic(config, unspiked, unspiked_seed)
-        overlap = float(np.dot(x.coords, v1.coords)) if v1 is not None else math.nan
+        overlap = float(np.dot(x.coords, v1))
         return s1, s0, overlap
 
     outcomes = parallel_map(run_trial, range(config.trials), threads)
@@ -401,7 +392,7 @@ def recovery_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
         seed = config.seed.offset(2 + k)
         x, spiked = sample_spiked(config.prior, config.n, config.d, config.snr, seed)
         value, vhat = _arm_statistic(config, spiked, seed)
-        return value, float(np.dot(x.coords, vhat.coords))
+        return value, float(np.dot(x.coords, vhat))
 
     outcomes = parallel_map(run_trial, range(config.trials), threads)
     records = tuple(

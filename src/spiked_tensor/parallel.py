@@ -2,23 +2,20 @@
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
-ENV_THREADS = "SPIKED_TENSOR_THREADS"
+MAX_THREADS = 256  # each worker is an OS thread
 
 
-def resolve_threads(flag_value: int | None) -> int:
-    """Thread count: the environment variable overrides the CLI flag."""
-    env = os.environ.get(ENV_THREADS)
-    if env is not None and env.strip():
-        return max(1, int(env))
-    return max(1, flag_value or 1)
+def check_threads(threads: int) -> None:
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be in 1..{MAX_THREADS}, got {threads}")
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:
+    check_threads(threads)
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    if threads == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

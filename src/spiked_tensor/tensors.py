@@ -230,18 +230,22 @@ def sample_spiked(
 
 def rank_one_inner(tensor: SymmetricTensor, x: UnitVector) -> float:
     """<T, x^{(x)d}>: full contraction against the rank-one frame of x."""
-    return float(contract(tensor, x) @ x.coords)
+    return float(contract(tensor, x.coords) @ x.coords)
 
 
-def contract(tensor: SymmetricTensor, x: UnitVector) -> np.ndarray:
-    """Contract all but the first index: v_i = sum_j T[i, j_2..j_d] x_{j_2}..x_{j_d}.
+def contract(tensor: SymmetricTensor, x: np.ndarray) -> np.ndarray:
+    """Contract all but the last index: v_j = sum T[i_1..i_{d-1}, j] x_{i_1}..x_{i_{d-1}}.
 
-    Satisfies <contract(T, x), x> = rank_one_inner(T, x); proportional to the
-    gradient of x -> <T, x^{(x)d}>, which is what power iteration ascends.
+    ``x`` is an (n,) vector or an (m, n) block of rows, and the result has
+    its shape.  One gemm reduces the leading index of the whole block, an
+    einsum each further one.  <contract(T, x), x> = <T, x^{(x)d}>, and for
+    odd d contract(T, -x) = contract(T, x) bit for bit (negation is exact).
     """
-    if tensor.n != x.n:
-        raise DimensionMismatchError(f"tensor n={tensor.n} vs vector n={x.n}")
-    value = tensor.entries
-    for _ in range(tensor.d - 1):
-        value = value @ x.coords
-    return np.asarray(value, dtype=float)
+    block = x.reshape(-1, x.shape[-1])
+    m, n = block.shape
+    if n != tensor.n:
+        raise DimensionMismatchError(f"tensor n={tensor.n} vs vector n={n}")
+    values = block @ tensor.entries.reshape(n, -1)  # (m, n^(d-1))
+    for _ in range(tensor.d - 2):
+        values = np.einsum("mjr,mj->mr", values.reshape(m, n, -1), block)
+    return values.reshape(x.shape)

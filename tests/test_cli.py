@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import pytest
 
@@ -283,6 +282,14 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["simulate", "norms", "--prior", "spherical", "--n", "2", "--d", "26", "--trials", "1"],
         ["simulate", "norms", "--prior", "spherical", "--n", str(10**9), "--d", str(10**6),
          "--trials", "1"],
+        # one item: parallel_map starts no pool, so no thread is started even unchecked
+        ["thresholds", "--prior", "spherical", "--d", "3", "--threads", "0"],
+        ["thresholds", "--prior", "spherical", "--d", "3", "--threads", "-1"],
+        ["thresholds", "--prior", "spherical", "--d", "3", "--threads", "100000"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--d", "3..5", "--trials", "1"],
+        ["ratefn", "--prior", "rademacher", "--grid", "100001"],
+        ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1",
+         "--restarts", str(10**9)],
     ],
     ids=["tails_tgrid", "ratefn_tmax", "spherical_replica_d40", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
@@ -294,7 +301,9 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "rademacher_replica_inf_snr", "ratefn_grid_huge", "tails_trials_huge",
          "norms_trials_huge", "detect_trials_huge", "recover_trials_huge", "bbp_trials_huge",
          "tails_n_huge", "spherical_replica_huge_snr", "rademacher_replica_huge_snr",
-         "rademacher_replica_tiny_snr", "norms_d26_symmetrize", "norms_huge_n_and_d"],
+         "rademacher_replica_tiny_snr", "norms_d26_symmetrize", "norms_huge_n_and_d",
+         "threads_0", "threads_negative", "threads_huge", "simulate_d_range",
+         "ratefn_grid_over_cap", "norms_restarts_huge"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)
@@ -357,18 +366,3 @@ def test_thread_determinism_quick(tmp_path, capsys):
         assert code == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_env_var_overrides_threads(tmp_path, capsys, monkeypatch):
-    base = tmp_path / "a.csv"
-    env = tmp_path / "b.csv"
-    args = [
-        "simulate", "tails", "--prior", "rademacher", "--n", "16",
-        "--trials", "5000", "--seed", "4", "--tgrid", "0.0,0.25",
-    ]
-    code, _ = run_cli(args + ["--threads", "1", "--out", str(base)], capsys)
-    assert code == 0
-    monkeypatch.setenv("SPIKED_TENSOR_THREADS", "6")
-    code, _ = run_cli(args + ["--threads", "1", "--out", str(env)], capsys)
-    assert code == 0
-    assert base.read_bytes() == env.read_bytes()

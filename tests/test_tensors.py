@@ -21,7 +21,12 @@ from spiked_tensor import (
     sample_wigner,
 )
 from spiked_tensor.rng import SPIKE_SUBSTREAM
-from spiked_tensor.tensors import check_memory_cap, round_half_up, sample_spike_batch
+from spiked_tensor.tensors import (
+    DimensionMismatchError,
+    check_memory_cap,
+    round_half_up,
+    sample_spike_batch,
+)
 
 
 def test_single_entry_variance_is_two():
@@ -201,19 +206,52 @@ def test_rank_one_inner_scaling(seed, alpha):
 def test_contract_inner_identity(seed):
     W = sample_wigner(7, 3, RngSeed(seed))
     x = sample_spike(SpikePrior.spherical(), 7, RngSeed(seed, 1))
-    assert abs(float(contract(W, x) @ x.coords) - rank_one_inner(W, x)) < 1e-10
+    assert abs(float(contract(W, x.coords) @ x.coords) - rank_one_inner(W, x)) < 1e-10
 
 
 def test_contract_d2_is_matvec():
     W = sample_wigner(9, 2, RngSeed(4))
     x = sample_spike(SpikePrior.spherical(), 9, RngSeed(4))
-    assert np.allclose(contract(W, x), W.entries @ x.coords, atol=1e-14)
+    assert np.allclose(contract(W, x.coords), W.entries @ x.coords, atol=1e-14)
 
 
 def test_contract_rank_one_returns_spike():
     x = sample_spike(SpikePrior.spherical(), 6, RngSeed(6))
     T = rank_one(x, 4)
-    assert np.allclose(contract(T, x), x.coords, atol=1e-12)
+    assert np.allclose(contract(T, x.coords), x.coords, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, n", [(2, 9), (3, 7), (4, 5), (5, 4), (6, 3)])
+def test_contract_block_matches_rows_and_brute_force(d, n):
+    T = sample_wigner(n, d, RngSeed(d))
+    X = np.random.default_rng(d).standard_normal((7, n))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    block = contract(T, X)
+    assert block.shape == X.shape
+    # BLAS picks its kernel by shape, so a block row and its own call may
+    # differ in the last bits
+    rows = np.array([contract(T, x) for x in X])
+    assert np.max(np.abs(block - rows)) <= 1e-15
+    axes = "abcdefg"[:d]
+    spec = f"{axes},{','.join(axes[:-1])}->{axes[-1]}"
+    for x, row in zip(X, block):
+        assert np.max(np.abs(row - np.einsum(spec, T.entries, *[x] * (d - 1)))) <= 1e-13
+
+
+@pytest.mark.parametrize("d, n", [(3, 7), (5, 4)])
+def test_contract_odd_order_ignores_sign(d, n):
+    # the ascent flips x to -x for odd d and keeps its contraction
+    T = sample_wigner(n, d, RngSeed(d))
+    X = np.random.default_rng(d).standard_normal((5, n))
+    assert np.array_equal(contract(T, -X), contract(T, X))
+    assert np.array_equal(contract(T, -X[0]), contract(T, X[0]))
+
+
+def test_contract_rejects_wrong_dimension():
+    T = sample_wigner(4, 3, RngSeed(0))
+    for x in (np.ones(5), np.ones((2, 3))):
+        with pytest.raises(DimensionMismatchError):
+            contract(T, x)
 
 
 def test_seed_determinism():

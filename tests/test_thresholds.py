@@ -160,8 +160,19 @@ def test_upper_bound_spherical_ordering():
         upper = upper_bound_spherical(d, mu)
         lower = lower_bound_lambda(rate, d).value
         assert lower < upper < mu
-        # bisection consistency: L_d at the root equals mu
+        # root consistency: L_d at the bound equals mu
         assert abs(spiked_norm_lower_Ld(d, upper).value - mu) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "d, value",
+    [(3, "1.7743343219664221919"), (4, "2.0361578774358712804"), (10, "2.6269102650196731935"),
+     (30, "3.1326550685513992264"), (1000, "4.2564477193544509711"),
+     (10**6, "5.7611015721373319284")],
+)
+def test_upper_bound_spherical_high_precision(d, value):
+    # 60-digit values of min_m [mu_d m^-d - h(m)] at the exact mu_d
+    assert upper_bound_spherical(d) == pytest.approx(float(value), rel=1e-10, abs=0)
 
 
 def test_upper_bound_spherical_asymptotic_gap():
