@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Digests of the CLI output for a fixed list of commands.
+
+Runs each argv below in-process through ``spiked_tensor.cli.main`` and
+prints one line per argv: the exit code, the sha256 of stdout and, where
+the command writes a ``--records`` file, the sha256 of that file (each cut
+to its first 16 hex digits).  Two
+trees give the same output for these commands exactly when they print the
+same lines.  To compare against another checkout, run this script twice
+with ``PYTHONPATH`` pointing at each checkout's ``src/`` and diff the
+outputs.  Each seeded ``simulate`` argv also runs at ``--threads 2``; the
+last line says whether those digests equal the ``--threads 1`` ones.
+Takes well under a minute.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from spiked_tensor.cli import main
+
+RECORDS = "{records}"  # replaced by a temporary path at run time
+
+THRESHOLDS = [
+    ["thresholds", "--prior", "spherical", "--d", "2..30", "--replica", "--asymptotics"],
+    ["thresholds", "--prior", "spherical", "--d", "31..200"],
+    ["thresholds", "--prior", "spherical", "--d", "10000"],
+    ["thresholds", "--prior", "spherical", "--d", "1000000"],
+    ["thresholds", "--prior", "rademacher", "--d", "2..12", "--replica", "--asymptotics"],
+    ["thresholds", "--prior", "rademacher", "--d", "13..60"],
+    ["thresholds", "--prior", "sparse", "--rho", "0.3", "--d", "2..3", "--asymptotics"],
+    ["thresholds", "--prior", "sparse", "--rho", "0.144543977", "--d", "2"],
+]
+
+REPLICA = [
+    ["replica", "--prior", "spherical", "--d", "3", "--lambda", "1.5,2,2.5,3,5"],
+    ["replica", "--prior", "spherical", "--d", "2", "--lambda", "0.5,1.5"],
+    ["replica", "--prior", "rademacher", "--d", "3", "--lambda", "1,1.5,1.7,2,3"],
+    ["replica", "--prior", "rademacher", "--d", "2", "--lambda", "0.5,1.5"],
+    ["replica", "--prior", "spherical", "--d", "2..12", "--thresholds"],
+    ["replica", "--prior", "rademacher", "--d", "2..5", "--thresholds"],
+]
+
+RATEFN = [
+    ["ratefn", "--prior", "rademacher", "--n", "60", "--grid", "40"],
+    ["ratefn", "--prior", "sparse", "--rho", "0.3", "--n", "60", "--grid", "12"],
+    ["ratefn", "--prior", "spherical", "--n", "30", "--grid", "40"],
+    ["ratefn", "--prior", "rademacher", "--n", "201", "--grid", "3"],
+]
+
+SIMULATE = [
+    ["simulate", "detect", "--prior", "rademacher", "--test", "mle", "--n", "10", "--d", "3",
+     "--lambda", "3", "--trials", "16", "--seed", "7", "--records", RECORDS],
+    ["simulate", "detect", "--prior", "sparse", "--rho", "0.3", "--test", "mle", "--n", "12",
+     "--d", "3", "--lambda", "2.5", "--trials", "8", "--seed", "3"],
+    ["simulate", "detect", "--prior", "spherical", "--test", "injective_norm", "--n", "10",
+     "--d", "3", "--lambda", "3", "--trials", "3", "--seed", "5", "--records", RECORDS],
+    ["simulate", "recover", "--prior", "rademacher", "--test", "mle", "--n", "10", "--d", "4",
+     "--lambda", "2", "--trials", "8", "--seed", "11", "--records", RECORDS],
+    ["simulate", "recover", "--prior", "spherical", "--test", "injective_norm", "--n", "10",
+     "--d", "3", "--lambda", "3", "--trials", "3", "--seed", "2"],
+    ["simulate", "norms", "--prior", "spherical", "--n", "12", "--d", "3", "--trials", "3",
+     "--seed", "4"],
+    ["simulate", "norms", "--prior", "rademacher", "--n", "12", "--d", "3", "--lambda", "3",
+     "--trials", "3", "--seed", "4"],
+    ["simulate", "tails", "--prior", "rademacher", "--n", "20", "--trials", "20000", "--seed", "1"],
+    ["simulate", "tails", "--prior", "sparse", "--rho", "0.3", "--n", "20", "--trials", "5000",
+     "--seed", "1", "--tgrid", "0,0.25,0.5"],
+    ["simulate", "tails", "--prior", "spherical", "--n", "5", "--trials", "5000", "--seed", "1"],
+    ["simulate", "bbp", "--n", "150", "--lambda", "2", "--trials", "3", "--seed", "7"],
+    ["simulate", "detect", "--prior", "rademacher", "--test", "map", "--n", "10", "--d", "3",
+     "--lambda", "3", "--trials", "4", "--seed", "7"],
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def digest(argv: list[str], tmpdir: str) -> str:
+    records = os.path.join(tmpdir, "records.csv")
+    if os.path.exists(records):
+        os.remove(records)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([records if a == RECORDS else a for a in argv])
+    line = f"{code} {_sha(out.getvalue().encode())}"
+    if os.path.exists(records):
+        with open(records, "rb") as fh:
+            line += f" records={_sha(fh.read())}"
+    return line
+
+
+def run() -> bool:
+    as_json = [argv + ["--format", "json"] for argv in THRESHOLDS]
+    threaded = [argv + ["--threads", "2"] for argv in SIMULATE]
+    lines = {}
+    with tempfile.TemporaryDirectory() as tmpdir:
+        for argv in THRESHOLDS + as_json + REPLICA + RATEFN + SIMULATE + threaded:
+            lines[tuple(argv)] = digest(argv, tmpdir)
+            print(f"{lines[tuple(argv)]}  {' '.join(argv)}", flush=True)
+    same = all(lines[tuple(a)] == lines[tuple(t)] for a, t in zip(SIMULATE, threaded))
+    print("threads 1 vs 2:", "equal" if same else "DIFFER")
+    return same
+
+
+if __name__ == "__main__":
+    sys.exit(0 if run() else 1)

@@ -11,7 +11,6 @@ from .montecarlo import (
     bbp_reference_experiment,
     detection_experiment,
     injective_norm_estimate,
-    map_statistic,
     mle_statistic,
     overlap_tail_experiment,
     recovery_experiment,

@@ -7,7 +7,12 @@ Trial k derives its own RNG stream (offset 2+k; paired designs use 2+2k and
 3+2k for the two arms), and aggregation is an ordered fold over per-trial
 records, so results are bit-identical across runs and thread counts.
 
-Exhaustive search (mle, map) needs support_size(n) <= 2^24 and visits half
+There is no separate MAP test: both discrete priors are uniform on their
+support, so the MAP statistic is the MLE statistic shifted by the constant
+-2 log|supp| / (n snr), its threshold moves by the same constant, and it
+makes the MLE test's decisions.
+
+Exhaustive search (the mle test) needs support_size(n) <= 2^24 and visits half
 the support in blocks of max(1, 2^22 // n^(d-1)) candidates, so besides the
 tensor it holds at most 2^22 scalars (32 MB) of candidates and as many of
 partial products (one row of n^(d-1) products where that is larger), a
@@ -50,7 +55,7 @@ MAX_ENUMERATION = 2**24  # support points; the half visited is 2^23 candidates
 _FORM_BUDGET = 1 << 22  # scalars in one block's partial products of <T, v^{(x)d}>
 _TAIL_CHUNK = 10_000  # spike pairs per overlap-tail chunk; chunk c draws from stream 2+c
 
-TESTS = ("mle", "map", "injective_norm")
+TESTS = ("mle", "injective_norm")
 
 
 class SupportTooLargeError(ValueError):
@@ -92,7 +97,7 @@ class ExperimentConfig:
             raise ValueError(f"snr must be finite, got {self.snr}")
         if self.epsilon is not None and not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
-        if self.test in ("mle", "map"):
+        if self.test == "mle":
             check_support_enumerable(self.prior, self.n)
 
     @property
@@ -197,21 +202,6 @@ def mle_statistic(
     return best, UnitVector(best_vec)
 
 
-def map_statistic(
-    tensor: SymmetricTensor, prior: SpikePrior, n: int, d: int, snr: float
-) -> tuple[float, UnitVector]:
-    """max of <T, v^{(x)d}> + (2/(n snr)) log Pr(v).
-
-    Both discrete priors are uniform on their support, so the prior term is
-    the constant -2 log|supp| / (n snr) and the argmax equals the MLE's.
-    """
-    if snr <= 0:
-        raise ValueError(f"map statistic requires snr > 0, got {snr}")
-    value, argmax = mle_statistic(tensor, prior, n, d)
-    shift = -2.0 * math.log(prior.support_size(n)) / (n * snr)
-    return value + shift, argmax
-
-
 # ---------------------------------------------------------------------------
 # power iteration
 # ---------------------------------------------------------------------------
@@ -311,17 +301,14 @@ def _arm_statistic(
     if config.test == "injective_norm":
         est = injective_norm_estimate(tensor, config.power_iter, seed=arm_seed)
         return est.value, est.vector
-    if config.test == "mle":
-        value, argmax = mle_statistic(tensor, config.prior, config.n, config.d)
-    else:
-        value, argmax = map_statistic(tensor, config.prior, config.n, config.d, config.snr)
+    value, argmax = mle_statistic(tensor, config.prior, config.n, config.d)
     return value, argmax.coords
 
 
 def detection_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Paired trials: one spiked and one unspiked sample per trial, the
-    configured statistic thresholded at snr - eps (MLE), snr - 2s/snr - eps
-    (MAP), or the midpoint of the two arms' mean statistics (injective)."""
+    configured statistic thresholded at snr - eps (MLE) or the midpoint of
+    the two arms' mean statistics (injective)."""
 
     def run_trial(k: int):
         spiked_seed = config.seed.offset(2 + 2 * k)
@@ -335,13 +322,9 @@ def detection_experiment(config: ExperimentConfig, threads: int = 1) -> Experime
 
     outcomes = parallel_map(run_trial, range(config.trials), threads)
 
-    eps = config.threshold_margin
     norm_estimates = None
     if config.test == "mle":
-        threshold = config.snr - eps
-    elif config.test == "map":
-        s_n = math.log(config.prior.support_size(config.n)) / config.n
-        threshold = config.snr - 2.0 * s_n / config.snr - eps
+        threshold = config.snr - config.threshold_margin
     else:
         spiked_stats = np.array([s1 for s1, _, _ in outcomes])
         unspiked_stats = np.array([s0 for _, s0, _ in outcomes])

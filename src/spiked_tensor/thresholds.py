@@ -6,15 +6,16 @@ largest snr with ``snr^2/2 * t^d/(1+t^d) <= f(t)`` on (0,1), i.e.
     snr* = sqrt(2 * inf_t (1+t^d)/t^d * f(t)),
 
 with the additional cap ``snr* <= 1`` at d=2 (local subgaussianity; see
-lower_bound_lambda).  For the spherical prior the same number solves a
-tangency system in closed form, which provides an independent solver route.
+lower_bound_lambda).  For the spherical prior the infimum is the root of a
+closed tangency equation (spherical_tangency), which the reports use; the
+grid route lower_bound_lambda serves the discrete priors, and the tests
+cross-check it against the tangency root.
 
 Upper bounds: for discrete priors, exhaustive-search MLE gives 2*sqrt(c)
 with c the log-cardinality density.  Both priors are uniform on their
-support, so c equals the collision entropy F = lim_{t->1} f(t), and the
-MAP/entropy variant 2*sqrt(s) is the same number;
-for the spherical prior, the spiked injective norm exceeds the unspiked
-limit mu_d once snr crosses the unique root of L_d(snr) = mu_d.
+support, so c equals the collision entropy F = lim_{t->1} f(t); for the
+spherical prior, the spiked injective norm exceeds the unspiked limit mu_d
+once snr crosses the unique root of L_d(snr) = mu_d.
 """
 
 from __future__ import annotations
@@ -124,9 +125,10 @@ def spherical_tangency(d: int) -> TangencyResult:
     value matches an 80-digit evaluation to < 1e-13 relative for d = 3 ..
     10^300.  The residual is |h| at the root in the s form.
 
+    threshold_report takes the spherical lower bound from this root.
     lower_bound_lambda solves the same infimum on a grid in t and agrees
-    with this route within 1e-8 relative for d = 3 .. 10^12; past that its
-    grid cannot resolve 1 - t and it raises ValueError (d >= 10^13).
+    with it within 1e-8 relative for d = 3 .. 10^12 (the tests' cross-check);
+    past that its grid cannot resolve 1 - t and it raises ValueError.
     """
     if d < 3:
         raise ValueError(f"tangency route requires d >= 3, got {d}")
@@ -287,53 +289,44 @@ def threshold_report(
 
     d=2 with the spherical or Rademacher prior is the exactly known case:
     both strong detection and weak recovery transition at snr = 1, so the
-    report pins both bounds there (the generic optimization value is kept in
-    the diagnostics for comparison).
+    report pins both bounds there and runs no solver.  The spherical lower
+    bound at d >= 3 is the tangency root (spherical_tangency); the other
+    priors take theirs from lower_bound_lambda.
     """
-    rate = rate_function_for(prior)
-    lower = lower_bound_lambda(rate, d)
-    diagnostics: dict = {
-        "lower_t_star": lower.t_star,
-        "lower_capped_by_sigma": lower.capped_by_sigma,
-        "lower_grid_refinement_gap": lower.grid_refinement_gap,
-        "collision_entropy": rate.collision_entropy,
-    }
-    replica_prediction = None
+    diagnostics: dict = {}
+    mu = replica_prediction = None
     asym_lower = asym_upper = None
 
-    if d == 2:
-        mu = None
-        if prior.kind in ("spherical", "rademacher"):
-            lam_lo = lam_hi = 1.0
-            diagnostics["generic_lambda_lower"] = lower.value
-            diagnostics["exact_d2_threshold"] = True
-        else:
-            lam_lo = lower.value
-            lam_hi = upper_bound_cardinality(prior, d)
-            if prior.rho < 1.0:
-                asym_lower = asymptotics("sparse_rho_lower", prior.rho)
+    if d == 2 and prior.kind in ("spherical", "rademacher"):
+        lam_lo = lam_hi = 1.0
+        diagnostics["exact_d2_threshold"] = True
+    elif prior.kind == "spherical":
+        tang = spherical_tangency(d)
+        lam_lo = tang.value
+        diagnostics["lower_t_star"] = tang.t_star
+        diagnostics["tangency_residual"] = tang.residual
     else:
+        lower = lower_bound_lambda(rate_function_for(prior), d)
+        lam_lo = lower.value
+        diagnostics["lower_t_star"] = lower.t_star
+        diagnostics["lower_capped_by_sigma"] = lower.capped_by_sigma
+        diagnostics["lower_grid_refinement_gap"] = lower.grid_refinement_gap
+        lam_hi = upper_bound_cardinality(prior, d)
+        if prior.kind == "rademacher":
+            asym_lower = asym_upper = lam_hi
+        elif prior.rho < 1.0:
+            asym_lower = asymptotics("sparse_rho_lower", prior.rho)
+
+    if d > 2:
         mu = injective_norm_mu(d)
         diagnostics["mu_residual"] = abs(_mu_characteristic(d, mu * math.sqrt(d / 2.0)))
         if prior.kind == "spherical":
-            tang = spherical_tangency(d)
-            diagnostics["tangency_t_star"] = tang.t_star
-            diagnostics["tangency_residual"] = tang.residual
-            diagnostics["tangency_value"] = tang.value
-            lam_lo = lower.value
             lam_hi = upper_bound_spherical(d, mu)
             diagnostics["upper_residual"] = abs(
                 spiked_norm_lower_Ld(d, lam_hi).value - mu
             )
             asym_lower = math.sqrt(asymptotics("lower_sph_sq", d))
             asym_upper = math.sqrt(asymptotics("upper_sph_sq", d))
-        else:
-            lam_lo = lower.value
-            lam_hi = upper_bound_cardinality(prior, d)
-            if prior.kind == "rademacher":
-                asym_lower = asym_upper = lam_hi
-            elif prior.rho < 1.0:
-                asym_lower = asymptotics("sparse_rho_lower", prior.rho)
         if include_replica and prior.kind in ("spherical", "rademacher"):
             from . import replica
 

@@ -81,6 +81,20 @@ def test_ratefn_spherical_monotone(capsys):
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("prior", [["spherical"], ["rademacher"], ["sparse", "--rho", "0.3"]])
+def test_ratefn_rate_column_matches_scalar_eval(prior, capsys):
+    # the column is one batch evaluation; each row must equal the scalar rate
+    from spiked_tensor import SpikePrior, rate_function_for
+
+    code, out = run_cli(["ratefn", "--prior", *prior, "--grid", "7", "--precision", "17"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    spike = SpikePrior.sparse(0.3) if prior[0] == "sparse" else getattr(SpikePrior, prior[0])()
+    rate = rate_function_for(spike)
+    for row in rows:
+        assert float(row["rate"]) == rate.eval(float(row["t"]))
+
+
 def test_ratefn_exact_tail_columns(capsys):
     code, out = run_cli(
         ["ratefn", "--prior", "rademacher", "--grid", "6", "--n", "32"], capsys
@@ -290,6 +304,14 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["ratefn", "--prior", "rademacher", "--grid", "100001"],
         ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1",
          "--restarts", str(10**9)],
+        ["simulate", "detect", "--prior", "rademacher", "--n", "25", "--lambda", "2",
+         "--trials", "1"],
+        ["simulate", "detect", "--prior", "spherical", "--n", "5", "--lambda", "2",
+         "--trials", "1"],
+        ["ratefn", "--prior", "rademacher", "--n", "201", "--grid", "3"],
+        ["replica", "--prior", "spherical", "--d", "3", "--lambda", ","],
+        ["simulate", "tails", "--prior", "rademacher", "--n", "5", "--trials", "10",
+         "--tgrid", ","],
     ],
     ids=["tails_tgrid", "ratefn_tmax", "spherical_replica_d40", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
@@ -303,7 +325,9 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "tails_n_huge", "spherical_replica_huge_snr", "rademacher_replica_huge_snr",
          "rademacher_replica_tiny_snr", "norms_d26_symmetrize", "norms_huge_n_and_d",
          "threads_0", "threads_negative", "threads_huge", "simulate_d_range",
-         "ratefn_grid_over_cap", "norms_restarts_huge"],
+         "ratefn_grid_over_cap", "norms_restarts_huge", "detect_support_over_cap",
+         "detect_spherical_mle", "ratefn_n_over_exact_cap", "replica_empty_lambda",
+         "tails_empty_tgrid"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)
@@ -314,6 +338,24 @@ def test_library_errors_exit_2_with_one_line(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("spiked-tensor: error: ")
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--lambda", ["replica", "--prior", "spherical", "--d", "3", "--lambda", ","]),
+    ("--tgrid", ["simulate", "tails", "--prior", "rademacher", "--n", "5", "--trials", "10",
+                 "--tgrid", ""]),
+])
+def test_empty_value_list_names_the_flag(flag, argv, capsys):
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_map_test_is_gone(capsys):
+    # MAP made the MLE test's decisions (a constant shift of statistic and threshold)
+    argv = ["simulate", "detect", "--prior", "rademacher", "--test", "map", "--n", "8",
+            "--lambda", "2", "--trials", "1"]
+    assert main(argv) == 2
+    assert "invalid choice: 'map'" in capsys.readouterr().err
 
 
 def test_huge_order_names_the_memory_cap(capsys):

@@ -16,7 +16,6 @@ from spiked_tensor import (
     exact_overlap_tail,
     injective_norm_estimate,
     injective_norm_mu,
-    map_statistic,
     mle_statistic,
     overlap_tail_experiment,
     rank_one,
@@ -80,26 +79,6 @@ def test_mle_sparse_support():
     value, argmax = mle_statistic(T, prior, 8, 3)
     assert value == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(np.abs(argmax.coords), np.abs(x.coords))
-
-
-def test_map_statistic_uniform_shift():
-    prior = SpikePrior.rademacher()
-    T = sample_wigner(8, 3, RngSeed(9))
-    snr = 1.7
-    mle_val, mle_arg = mle_statistic(T, prior, 8, 3)
-    map_val, map_arg = map_statistic(T, prior, 8, 3, snr)
-    assert map_val == pytest.approx(mle_val - 2.0 * math.log(2.0) / snr, abs=1e-12)
-    assert np.array_equal(mle_arg.coords, map_arg.coords)
-
-
-def test_map_statistic_sparse_shift():
-    prior = SpikePrior.sparse(0.5)
-    assert prior.support_size(8) == 1120
-    T = sample_wigner(8, 3, RngSeed(10))
-    snr = 2.0
-    value, _ = map_statistic(T, prior, 8, 3, snr)
-    plain, _ = mle_statistic(T, prior, 8, 3)
-    assert value == pytest.approx(plain - 2.0 * math.log(1120) / (8 * snr), abs=1e-12)
 
 
 def test_support_caps():
@@ -286,15 +265,6 @@ def test_detection_deterministic_across_threads():
     a = detection_experiment(cfg, threads=1)
     b = detection_experiment(cfg, threads=4)
     assert a == b
-
-
-def test_map_detection_runs():
-    cfg = ExperimentConfig(SpikePrior.rademacher(), 10, 3, 4.0, 40, RngSeed(13), test="map")
-    res = detection_experiment(cfg)
-    assert res.accuracy >= 0.9
-    # MAP thresholds at snr - 2 s/snr - eps
-    s_n = math.log(2.0)
-    assert res.threshold == pytest.approx(4.0 - 2 * s_n / 4.0 - 0.2 * 4.0, abs=1e-12)
 
 
 def test_injective_detection_small():

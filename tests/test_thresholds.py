@@ -222,11 +222,33 @@ def test_asymptotics_kinds():
 def test_threshold_report_spherical():
     rep = threshold_report(SpikePrior.spherical(), 5)
     assert rep.lambda_lower < rep.lambda_upper < rep.mu_d
+    assert rep.lambda_lower == spherical_tangency(5).value
+    assert rep.diagnostics["lower_t_star"] == spherical_tangency(5).t_star
     assert rep.diagnostics["tangency_residual"] < 1e-10
     assert rep.diagnostics["mu_residual"] < 1e-8
     assert rep.diagnostics["upper_residual"] < 1e-6
-    assert abs(rep.diagnostics["tangency_value"] - rep.lambda_lower) < 1e-6
     assert rep.asymptotic_lower is not None and rep.asymptotic_upper is not None
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this report must not take the generic route")
+
+
+def test_threshold_report_one_route_per_bound(monkeypatch):
+    from spiked_tensor import thresholds
+
+    monkeypatch.setattr(thresholds, "lower_bound_lambda", _refuse)
+    monkeypatch.setattr(thresholds, "rate_function_for", _refuse)
+    # the spherical lower bound is the tangency root, exactly
+    for d in (3, 4, 7, 30, 200, 10**4, 10**6):
+        rep = threshold_report(SpikePrior.spherical(), d)
+        assert rep.lambda_lower == spherical_tangency(d).value
+    # the exact d = 2 rows run no solver at all
+    for name in ("bisect_root", "golden_min", "spherical_tangency", "injective_norm_mu"):
+        monkeypatch.setattr(thresholds, name, _refuse)
+    for prior in (SpikePrior.spherical(), SpikePrior.rademacher()):
+        rep = threshold_report(prior, 2, include_replica=True)
+        assert (rep.lambda_lower, rep.lambda_upper) == (1.0, 1.0)
 
 
 def test_threshold_report_d2_exact_cases():
@@ -234,7 +256,7 @@ def test_threshold_report_d2_exact_cases():
         rep = threshold_report(prior, 2)
         assert rep.lambda_lower == 1.0 and rep.lambda_upper == 1.0
         assert rep.mu_d is None
-        assert abs(rep.diagnostics["generic_lambda_lower"] - 1.0) < 1e-6
+        assert rep.diagnostics["exact_d2_threshold"]
 
 
 def test_threshold_report_sparse():
