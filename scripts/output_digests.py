@@ -49,6 +49,7 @@ RATEFN = [
     ["ratefn", "--prior", "sparse", "--rho", "0.3", "--n", "60", "--grid", "12"],
     ["ratefn", "--prior", "spherical", "--n", "30", "--grid", "40"],
     ["ratefn", "--prior", "rademacher", "--n", "201", "--grid", "3"],
+    ["ratefn", "--prior", "sparse", "--rho", "0.5", "--n", "200", "--grid", "2000"],
 ]
 
 SIMULATE = [
@@ -71,8 +72,10 @@ SIMULATE = [
      "--seed", "1", "--tgrid", "0,0.25,0.5"],
     ["simulate", "tails", "--prior", "spherical", "--n", "5", "--trials", "5000", "--seed", "1"],
     ["simulate", "bbp", "--n", "150", "--lambda", "2", "--trials", "3", "--seed", "7"],
-    ["simulate", "detect", "--prior", "rademacher", "--test", "map", "--n", "10", "--d", "3",
-     "--lambda", "3", "--trials", "4", "--seed", "7"],
+    ["simulate", "tails", "--prior", "sparse", "--rho", "1", "--n", "12", "--trials", "2000",
+     "--seed", "1"],
+    ["simulate", "norms", "--prior", "spherical", "--n", "10", "--d", "3", "--lambda", "2e6",
+     "--trials", "1", "--seed", "4"],
 ]
 
 

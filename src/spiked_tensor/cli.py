@@ -375,6 +375,7 @@ def main(argv=None) -> int:
     }
     try:
         check_threads(args.threads)  # before any command, threaded or not
+        _output_spec(args)  # likewise --format and --precision, before any row is computed
         return dispatch[args.command](parser, args)
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code or 0)

@@ -14,16 +14,17 @@ hypergeometric at finite n, which is what the exact oracle sums over.
 All logarithms are natural.  0 * log 0 = 0 at entropy boundaries.
 
 The exact oracles are independent of the rate functions: discrete priors use
-integer combinatorics (fractions.Fraction, exact); for the spherical prior
-(1 + <x,x'>)/2 is Beta((n-1)/2, (n-1)/2), whose tail is a regularized
-incomplete beta function.
+the integer law of k<x,x'> on the lattice -k..k (Rademacher is k = n); for the
+spherical prior (1 + <x,x'>)/2 is Beta((n-1)/2, (n-1)/2), whose tail is a
+regularized incomplete beta function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -171,24 +172,20 @@ def rate_function_for(prior: SpikePrior) -> RateFunction:
 # exact finite-n overlap tails
 # ---------------------------------------------------------------------------
 
-def binomial_tail_half(m: int, jmin: int) -> Fraction:
-    """Pr[Binom(m, 1/2) >= jmin], exact."""
-    jmin = max(jmin, 0)
-    if jmin > m:
-        return Fraction(0)
-    return Fraction(sum(math.comb(m, j) for j in range(jmin, m + 1)), 2**m)
+@lru_cache(maxsize=256)
+def _lattice_tails(n: int, k: int) -> tuple[float, ...]:
+    """Pr[k<x,x'> >= s] at index s + k, s = -k..k+1, for k nonzeros of +-1/sqrt(k).
 
-
-def hypergeometric_pmf(n: int, k: int, z: int) -> Fraction:
-    """Pr[overlap count = z] for two uniform size-k supports in [n], exact."""
-    if z < 0 or z > k or k - z > n - k:
-        return Fraction(0)
-    return Fraction(math.comb(k, z) * math.comb(n - k, k - z), math.comb(n, k))
-
-
-def _sign_count_at_least(threshold: float, m: int) -> int:
-    """Smallest j with 2j - m >= threshold, guarded against float lattice ties."""
-    return math.ceil((m + threshold) / 2.0 - 1e-9)
+    s = 2j - z for z shared support points (hypergeometric) and j equal signs
+    among them (Binom(z, 1/2)): integer counts over C(n, k) 2^k, exact."""
+    counts = [0] * (2 * k + 1)
+    for z in range(max(0, 2 * k - n), k + 1):
+        weight = math.comb(k, z) * math.comb(n - k, k - z) << (k - z)
+        for j in range(z + 1):
+            counts[2 * j - z + k] += weight * math.comb(z, j)
+    total = math.comb(n, k) << k  # one correctly rounded int / int per tail
+    tails = [count / total for count in accumulate(reversed(counts))]
+    return tuple(reversed(tails)) + (0.0,)
 
 
 def exact_overlap_tail(prior: SpikePrior, n: int, t: float) -> float:
@@ -205,18 +202,9 @@ def exact_overlap_tail(prior: SpikePrior, n: int, t: float) -> float:
         raise ValueError(
             f"exact combinatorics capped at n <= {EXACT_TAIL_MAX_N} for discrete priors"
         )
-    if prior.kind == "rademacher":
-        # <x,x'> = (sum of n iid signs)/n
-        return float(binomial_tail_half(n, _sign_count_at_least(t * n, n)))
     k = prior.nonzeros(n)
-    total = Fraction(0)
-    for z in range(max(0, 2 * k - n), k + 1):
-        w = hypergeometric_pmf(n, k, z)
-        if w == 0:
-            continue
-        # conditioned on z shared support points, <x,x'> = (sum of z signs)/k
-        total += w * binomial_tail_half(z, _sign_count_at_least(t * k, z))
-    return float(total)
+    s = math.ceil(t * k - 2e-9)  # guarded against float lattice ties
+    return _lattice_tails(n, k)[min(s, k + 1) + k]
 
 
 def _spherical_tail(n: int, t: float) -> float:

@@ -32,12 +32,13 @@ from functools import lru_cache
 import numpy as np
 
 from .solvers import BracketError, bisect_root
+from .tensors import SNR_MAX
 
 MU_SCAN_POINTS = 2000
 THRESHOLD_TOL = 1e-6
 # fixed points are solved for snr in this range, where no step over- or
 # underflows for d = 2..10^6; far past it the mu grid and the root scans do
-SNR_RANGE = (1e-6, 1e6)
+SNR_RANGE = (1e-6, SNR_MAX)
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ def rademacher_replica_thresholds(d: int) -> tuple[float, float]:
     lo, hi = 0.05, 1.0
     while not exists(hi):
         hi *= 2.0
-        if hi > 1e6:
+        if hi > SNR_MAX:
             raise BracketError(f"no nonzero replica solutions found up to snr={hi}")
     if exists(lo):
         lo = 1e-3
@@ -258,7 +259,7 @@ def _crossing(gap, lambda1: float) -> float:
         if gb is not None and gb < 0.0:
             break
         b *= 1.1
-        if b > 1e6:
+        if b > SNR_MAX:
             raise BracketError("free-energy crossing not bracketed")
     while b - a > THRESHOLD_TOL:
         mid = 0.5 * (a + b)

@@ -9,8 +9,8 @@ entry has variance 2/(n d!).  For d=2 this is the usual Gaussian Wigner
 matrix (off-diagonal N(0,1/n), diagonal N(0,2/n)).
 
 Spiked samples are ``T = snr * x^{(x)d} + W`` with the spike x drawn from one
-of three priors: uniform on the sphere, iid +-1/sqrt(n), or sparse with
-exactly round(rho*n) nonzero entries equal to +-1/sqrt(round(rho*n)).
+of three priors: uniform on the sphere, iid +-1/sqrt(n) (k = n), or sparse with
+exactly k = round(rho*n) nonzero entries equal to +-1/sqrt(k).
 
 Storage is a dense n^d array.  Every entry is read through a sorted-index
 gather from its orbit's representative, so permuted reads are bit-for-bit
@@ -29,6 +29,7 @@ from .rng import NOISE_SUBSTREAM, SPIKE_SUBSTREAM, RngSeed
 
 MEMORY_CAP = 10**8  # scalars; d * n^d (the gather's index arrays) above this refuses to allocate
 NDIM_LIMIT = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # numpy's maximum ndim
+SNR_MAX = 1e6  # largest snr sampled or solved for; far past it snr^2 and power steps overflow
 
 PRIOR_KINDS = ("spherical", "rademacher", "sparse_rademacher")
 
@@ -78,16 +79,14 @@ class SpikePrior:
         return self.kind != "spherical"
 
     def support_size(self, n: int) -> int:
-        """Exact cardinality of the support at dimension n (discrete priors)."""
-        if self.kind == "rademacher":
-            return 2**n
-        if self.kind == "sparse_rademacher":
-            k = self.nonzeros(n)
-            return math.comb(n, k) * 2**k
-        raise ValueError("spherical prior has no finite support")
+        """Exact cardinality C(n, k) 2^k of the support at dimension n (discrete priors)."""
+        if not self.is_discrete:
+            raise ValueError("spherical prior has no finite support")
+        k = self.nonzeros(n)
+        return math.comb(n, k) * 2**k
 
     def nonzeros(self, n: int) -> int:
-        """Support size of a sparse sample: round-half-up(rho*n), must be >= 1."""
+        """Nonzero entries k of a sample: n, or round-half-up(rho*n) >= 1 (sparse)."""
         if self.kind != "sparse_rademacher":
             return n
         k = round_half_up(self.rho * n)
@@ -204,13 +203,13 @@ def sample_spike_batch(
     if prior.kind == "spherical":
         g = rng.standard_normal((count, n))
         return g / np.linalg.norm(g, axis=1, keepdims=True)
-    if prior.kind == "rademacher":
-        return (2.0 * rng.integers(0, 2, size=(count, n)) - 1.0) / math.sqrt(n)
-    k = prior.nonzeros(n)
-    order = np.argsort(rng.random((count, n)), axis=1)  # uniform random support
-    rows = np.zeros((count, n))
+    k = prior.nonzeros(n)  # Rademacher is k = n: no support to draw
+    support = None if k == n else np.argsort(rng.random((count, n)), axis=1)[:, :k]
     signs = (2.0 * rng.integers(0, 2, size=(count, k)) - 1.0) / math.sqrt(k)
-    np.put_along_axis(rows, order[:, :k], signs, axis=1)
+    if support is None:
+        return signs
+    rows = np.zeros((count, n))
+    np.put_along_axis(rows, support, signs, axis=1)
     return rows
 
 
@@ -218,8 +217,8 @@ def sample_spiked(
     prior: SpikePrior, n: int, d: int, snr: float, seed: RngSeed
 ) -> tuple[UnitVector, SymmetricTensor]:
     """Spike x and sample snr * x^{(x)d} + W; spike and noise use split streams."""
-    if not 0 <= snr < math.inf:
-        raise ValueError(f"snr must be finite and >= 0, got {snr}")
+    if not 0 <= snr <= SNR_MAX:
+        raise ValueError(f"snr (--lambda) must lie in [0, {SNR_MAX:g}], got {snr!r}")
     check_memory_cap(n, d)
     x = sample_spike(prior, n, seed)
     noise = sample_wigner(n, d, seed)

@@ -312,6 +312,11 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["replica", "--prior", "spherical", "--d", "3", "--lambda", ","],
         ["simulate", "tails", "--prior", "rademacher", "--n", "5", "--trials", "10",
          "--tgrid", ","],
+        ["simulate", "norms", "--prior", "spherical", "--n", "10", "--d", "3",
+         "--lambda", "1e155", "--trials", "1"],
+        ["simulate", "detect", "--prior", "spherical", "--test", "injective_norm", "--n", "10",
+         "--d", "3", "--lambda", "1e160", "--trials", "1"],
+        ["simulate", "bbp", "--n", "10", "--lambda", "1e200", "--trials", "1"],
     ],
     ids=["tails_tgrid", "ratefn_tmax", "spherical_replica_d40", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
@@ -327,7 +332,7 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "threads_0", "threads_negative", "threads_huge", "simulate_d_range",
          "ratefn_grid_over_cap", "norms_restarts_huge", "detect_support_over_cap",
          "detect_spherical_mle", "ratefn_n_over_exact_cap", "replica_empty_lambda",
-         "tails_empty_tgrid"],
+         "tails_empty_tgrid", "norms_huge_snr", "detect_injective_huge_snr", "bbp_huge_snr"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)
@@ -348,6 +353,16 @@ def test_library_errors_exit_2_with_one_line(argv, capsys):
 def test_empty_value_list_names_the_flag(flag, argv, capsys):
     assert main(argv) == 2
     assert flag in capsys.readouterr().err
+
+
+def test_precision_is_checked_before_any_row(monkeypatch, capsys):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr("spiked_tensor.thresholds.threshold_report", no_rows)
+    argv = ["thresholds", "--prior", "sparse", "--rho", "0.3", "--d", "2..3", "--precision", "0"]
+    assert main(argv) == 2
+    assert "precision must be >= 1" in capsys.readouterr().err
 
 
 def test_map_test_is_gone(capsys):

@@ -105,7 +105,7 @@ simulate_argv = st.tuples(
     st.sampled_from(list(SIMULATE_COLUMNS)).map(lambda kind: ["simulate", kind]), PRIORS,
     _opt("--n", ["1", "2", "6", "10", "0", "-3"]),
     _opt("--d", ["2", "3", "4", "3..4", "1"]),
-    _opt("--lambda", ["0", "1", "3", "-1", "nan", "inf"]),
+    _opt("--lambda", ["0", "1", "3", "-1", "nan", "inf", "1e200"]),
     st.sampled_from(["1", "3", "0", "-2"]).map(lambda t: ["--trials", t]),
     _opt("--test", ["mle", "injective_norm", "map"]),
     _opt("--epsilon", ["0.1", "-1", "inf"]),

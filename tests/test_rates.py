@@ -20,7 +20,7 @@ from spiked_tensor import (
     rate_spherical,
     upper_bound_cardinality,
 )
-from spiked_tensor.rates import binomial_tail_half, hypergeometric_pmf
+from spiked_tensor.rates import EXACT_TAIL_MAX_N
 from spiked_tensor.tensors import round_half_up
 
 LOG2 = math.log(2.0)
@@ -140,6 +140,57 @@ def test_collision_entropy_accurate_at_tiny_rho():
 # ---------------------------------------------------------------------------
 # exact overlap tails
 # ---------------------------------------------------------------------------
+
+# Reference: the tail as a sum of Fractions, one hypergeometric overlap count
+# z at a time, each times a Binom(z, 1/2) sign tail.
+
+def binomial_tail_half(m: int, jmin: int) -> Fraction:
+    """Pr[Binom(m, 1/2) >= jmin], exact."""
+    jmin = max(jmin, 0)
+    if jmin > m:
+        return Fraction(0)
+    return Fraction(sum(math.comb(m, j) for j in range(jmin, m + 1)), 2**m)
+
+
+def hypergeometric_pmf(n: int, k: int, z: int) -> Fraction:
+    """Pr[overlap count = z] for two uniform size-k supports in [n], exact."""
+    if z < 0 or z > k or k - z > n - k:
+        return Fraction(0)
+    return Fraction(math.comb(k, z) * math.comb(n - k, k - z), math.comb(n, k))
+
+
+def reference_overlap_tail(prior: SpikePrior, n: int, t: float) -> float:
+    """Pr[<x,x'> >= t] for a discrete prior, summed over the overlap count."""
+    k = prior.nonzeros(n)
+    total = Fraction(0)
+    for z in range(max(0, 2 * k - n), k + 1):
+        # conditioned on z shared support points, <x,x'> = (sum of z signs)/k;
+        # the smallest j with 2j - z >= t k, guarded against float lattice ties
+        jmin = math.ceil((z + t * k) / 2.0 - 1e-9)
+        total += hypergeometric_pmf(n, k, z) * binomial_tail_half(z, jmin)
+    return float(total)
+
+
+def test_exact_tail_equals_the_fraction_reference():
+    # lattice points j/k and t within 1e-15..3e-9 of them on both sides, where
+    # the tie guard decides; both discrete priors, every n = 1..200
+    rng = np.random.default_rng(20)
+    cases = 0
+    for n in range(1, EXACT_TAIL_MAX_N + 1):
+        rho = float(rng.uniform(0.05, 1.0))
+        for prior in (SpikePrior.rademacher(), SpikePrior.sparse(rho)):
+            if prior.kind == "sparse_rademacher" and round_half_up(rho * n) < 1:
+                continue
+            k = prior.nonzeros(n)
+            for j in rng.integers(0, k + 1, size=3).tolist():
+                delta = float(10.0 ** rng.uniform(-15.0, math.log10(3e-9)))
+                for t in (j / k, j / k - delta, j / k + delta):
+                    if not 0.0 <= t <= 1.0:
+                        continue
+                    assert exact_overlap_tail(prior, n, t) == reference_overlap_tail(prior, n, t)
+                    cases += 1
+    assert cases >= 2000
+
 
 def test_rademacher_tail_small_case_enumeration():
     # n=2: relative sign patterns give overlaps {1, 0, 0, -1}

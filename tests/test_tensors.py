@@ -134,6 +134,16 @@ def test_spike_is_row_zero_of_the_batch_draw():
             assert np.array_equal(sample_spike(prior, n, seed).coords, row)
 
 
+def test_rademacher_is_the_sparse_prior_at_k_equals_n():
+    # rho = 1 keeps every coordinate, so no support is drawn: the same stream
+    # gives the Rademacher rows bit for bit
+    for n, count, seed in ((1, 3, 0), (7, 5, 3), (40, 64, 9)):
+        sparse = sample_spike_batch(SpikePrior.sparse(1.0), n, count, np.random.default_rng(seed))
+        rade = sample_spike_batch(SpikePrior.rademacher(), n, count, np.random.default_rng(seed))
+        assert np.array_equal(sparse, rade)
+        assert SpikePrior.sparse(1.0).support_size(n) == 2**n
+
+
 def test_spherical_spike_symmetry():
     n = 100
     coords = np.array(
@@ -302,3 +312,5 @@ def test_prior_validation():
     with pytest.raises(ValueError):
         SpikePrior("rademacher", rho=0.5)
     assert SpikePrior.sparse(0.25).support_size(8) == math.comb(8, 2) * 4
+    with pytest.raises(ValueError, match="no finite support"):
+        SpikePrior.spherical().support_size(8)
