@@ -76,6 +76,12 @@ SIMULATE = [
      "--seed", "1"],
     ["simulate", "norms", "--prior", "spherical", "--n", "10", "--d", "3", "--lambda", "2e6",
      "--trials", "1", "--seed", "4"],
+    ["simulate", "recover", "--prior", "rademacher", "--test", "mle", "--n", "8", "--d", "6",
+     "--lambda", "2", "--trials", "4", "--seed", "6", "--records", RECORDS],
+    ["simulate", "detect", "--prior", "sparse", "--rho", "0.1", "--test", "mle", "--n", "12",
+     "--d", "4", "--lambda", "2", "--trials", "8", "--seed", "9", "--records", RECORDS],
+    ["simulate", "detect", "--prior", "rademacher", "--test", "mle", "--n", "1", "--d", "3",
+     "--lambda", "1", "--trials", "8", "--seed", "2", "--records", RECORDS],
 ]
 
 

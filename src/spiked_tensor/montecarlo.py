@@ -13,11 +13,12 @@ support, so the MAP statistic is the MLE statistic shifted by the constant
 makes the MLE test's decisions.
 
 Exhaustive search (the mle test) needs support_size(n) <= 2^24 and visits half
-the support in blocks of max(1, 2^22 // n^(d-1)) candidates, so besides the
-tensor it holds at most 2^22 scalars (32 MB) of candidates and as many of
-partial products (one row of n^(d-1) products where that is larger), a
-few (rows, k) index and sign temporaries while a block is scattered, and a
-table of the supports: C(n, k) k <= 2^23 indices, as C(n, k) 2^k <= 2^24.
+the support as pairs of candidates on the two halves of the coordinates (see
+mle_statistic).  Besides the tensor it holds the d + 1 blocks of T that it
+contracts (under n^d scalars in all), a table of the supports on each side,
+and blocks of at most 2^22 scalars (32 MB): one of candidate values, and for
+each side one of candidates with their features and the first step of their
+contractions.
 
 The injective-norm maximizer is a heuristic: restarted power iteration on
 the gradient direction, with an adaptive positive shift.  A plain power step
@@ -46,13 +47,14 @@ from .tensors import (
     SymmetricTensor,
     UnitVector,
     contract,
+    contract_leading,
     sample_spike_batch,
     sample_spiked,
     sample_wigner,
 )
 
 MAX_ENUMERATION = 2**24  # support points; the half visited is 2^23 candidates
-_FORM_BUDGET = 1 << 22  # scalars in one block's partial products of <T, v^{(x)d}>
+_BLOCK_BUDGET = 1 << 22  # scalars in one block of candidate values, and per side block
 _TAIL_CHUNK = 10_000  # spike pairs per overlap-tail chunk; chunk c draws from stream 2+c
 
 TESTS = ("mle", "injective_norm")
@@ -150,56 +152,126 @@ class ExperimentResult:
 # exhaustive statistics over discrete supports
 # ---------------------------------------------------------------------------
 
-def _candidate_chunks(n: int, k: int, rows: int):
-    """Yield the half-support candidates with k nonzeros, <= rows per block.
+def _candidate_chunks(length: int, k: int, rows: int, scale: float, fixed: bool):
+    """Yield the vectors on ``length`` coordinates with k nonzeros of +-scale,
+    <= rows per block, with the first nonzero fixed to +scale if ``fixed``.
 
-    Supports come in ``itertools.combinations(range(n), k)`` order; in each,
-    sign code c = 0 .. 2^(k-1)-1 gives the first nonzero +1/sqrt(k) and
-    nonzero j+2 +-1/sqrt(k) as bit j of c is 1 or 0.  Candidate i is support
-    i // 2^(k-1) with code i % 2^(k-1), so each block is scattered from its
-    own range of indices and a table of the supports.  Rademacher is k = n.
+    Supports come in ``itertools.combinations(range(length), k)`` order; in
+    each, sign code c = 0 .. 2^(k-fixed)-1 makes nonzero j (from 0) +scale
+    where bit j of (2c+1 if fixed else c) is 1 and -scale where it is 0.
+    Candidate i is support i // codes with code i % codes, so each block is
+    scattered from its own range of indices and a table of the supports.
+    k = 0 gives the zero vector alone.
     """
-    codes = 1 << (k - 1)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    supports = np.fromiter(flat, dtype=np.intp, count=math.comb(n, k) * k).reshape(-1, k)
-    total = len(supports) * codes
-    scale = 1.0 / math.sqrt(k)
+    codes = 1 << (k - fixed)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(length), k))
+    count = math.comb(length, k)
+    supports = np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+    total = count * codes
     for start in range(0, total, rows):
         which, code = np.divmod(np.arange(start, min(start + rows, total)), codes)
-        # bit 0 is the fixed leading +1; bit j+1 is bit j of c
-        signs = (2 * code + 1)[:, None] >> np.arange(k) & 1
-        block = np.zeros((code.size, n))
+        signs = (2 * code + 1 if fixed else code)[:, None] >> np.arange(k) & 1
+        block = np.zeros((code.size, length))
         np.put_along_axis(block, supports[which], np.where(signs, scale, -scale), axis=1)
         yield block
+
+
+def _features(x: np.ndarray, terms) -> np.ndarray:
+    """(rows, D) features of one side's candidate rows: per term (block, p),
+    x^{(x)p} flattened where block is None, else block contracted against x p times."""
+    columns = []
+    for block, p in terms:
+        if block is None:
+            f = np.ones((len(x), 1))
+            for _ in range(p):
+                f = (f[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+        else:
+            f = contract_leading(block, x, p)
+        columns.append(f)
+    return np.concatenate(columns, axis=1)
+
+
+def _row_cost(length: int, terms, width: int) -> int:
+    """Scalars per candidate row of a side block: the row, its ``width``
+    features twice while they are joined, and the first gemm of its widest
+    contraction."""
+    return length + 2 * width + max((b.size // length for b, _ in terms if b is not None), default=0)
 
 
 def mle_statistic(
     tensor: SymmetricTensor, prior: SpikePrior, n: int, d: int
 ) -> tuple[float, UnitVector]:
-    """max over the support of <T, v^{(x)d}> by exhaustive enumeration.
+    """max over the support of <T, v^{(x)d}> by exhaustive meet-in-the-middle search.
 
     Only half the support is visited: for even d the form is sign-invariant,
     and for odd d the other half contributes the negated values, so the
     overall max is the max of |value| with the sign folded into the argmax.
+
+    Each candidate splits as v = u (+) w over U, the first h = n // 2
+    coordinates, and W, the rest.  By symmetry
+    <T, v^{(x)d}> = sum_a C(d, a) <T[U^a W^(d-a)], u^{(x)a} (x) w^{(x)(d-a)}>,
+    and each term is an inner product of a feature of u with a feature of w:
+    the block contracted onto the side with fewer features (u^{(x)a} against
+    the block contracted with w^{(x)(d-a)} when h^a <= (n-h)^(d-a), else the
+    other way round).  Every candidate value is then one entry of a gemm
+    P Q^T of inner dimension D <= 2 + sum_{a=1}^{d-1} min(h^a, (n-h)^(d-a)).
+    The search runs one such product per k1 = the nonzeros in U (Rademacher
+    has the one k1 = h): U holds C(h, k1) 2^(k1-1) halves with the first sign
+    fixed, W all C(n-h, k-k1) 2^(k-k1) sign patterns, or for k1 = 0 the zero
+    u against half of W.  By Vandermonde's identity these are exactly the
+    C(n, k) 2^(k-1) candidates of the half support.  Terms whose u or w is
+    the zero vector vanish and are left out.
+
+    Ties go to the first maximum in scan order: k1 ascending, then blocks of
+    U rows, then blocks of W rows, then (u, w) in row-major order within a
+    block, each side listed in its ``_candidate_chunks`` order.
     """
     check_support_enumerable(prior, n)
     if tensor.n != n or tensor.d != d:
         raise ValueError("tensor shape disagrees with (n, d)")
-    rows = max(1, _FORM_BUDGET // n ** (d - 1))
-    best, best_vec = -math.inf, None
-    for candidates in _candidate_chunks(n, prior.nonzeros(n), rows):
-        values = np.einsum("mj,mj->m", contract(tensor, candidates), candidates)
-        if d % 2 == 0:
-            i = int(np.argmax(values))
-            if values[i] > best:
-                best, best_vec = float(values[i]), candidates[i].copy()
+    k = prior.nonzeros(n)
+    scale = 1.0 / math.sqrt(k)
+    h, m = n // 2, n - n // 2
+    u_terms, w_terms = [], []  # per a = 0 .. d: (block or None, power) on each side
+    for a in range(d + 1):
+        block = tensor.entries[(slice(None, h),) * a + (slice(h, None),) * (d - a)]
+        if a == 0 or (a < d and h**a <= m ** (d - a)):  # u^{(x)a} against the block's W contraction
+            block = block.transpose([*range(a, d), *range(a)])
+            u_terms.append((None, a))
+            w_terms.append((math.comb(d, a) * np.ascontiguousarray(block), d - a))
         else:
-            magnitudes = np.abs(values)
-            i = int(np.argmax(magnitudes))
-            if magnitudes[i] > best:
-                best = float(magnitudes[i])
-                best_vec = candidates[i] * (1.0 if values[i] >= 0 else -1.0)
+            u_terms.append((math.comb(d, a) * np.ascontiguousarray(block), a))
+            w_terms.append((None, d - a))
+    odd = d % 2 == 1
+    best, best_vec = -math.inf, None
+    for k1 in range(max(0, k - m), min(h, k) + 1):
+        # a term with a > 0 vanishes when u = 0, one with a < d when w = 0
+        live = [a for a in range(d + 1) if (k1 or a == 0) and (k - k1 or a == d)]
+        uts, wts = [u_terms[a] for a in live], [w_terms[a] for a in live]
+        width = sum(min(h**a, m ** (d - a)) if 0 < a < d else 1 for a in live)
+        n_w = math.comb(m, k - k1) << (k - k1 - (k1 == 0))
+        cols = max(1, _BLOCK_BUDGET // _row_cost(m, wts, width))
+        rows = max(1, _BLOCK_BUDGET // max(_row_cost(h, uts, width), min(cols, n_w)))
+        for u in _candidate_chunks(h, k1, rows, scale, k1 > 0):
+            p = _features(u, uts)
+            for w in _candidate_chunks(m, k - k1, cols, scale, k1 == 0):
+                r, c, value = _first_max(p @ _features(w, wts).T, odd)
+                score = abs(value) if odd else value
+                if score > best:
+                    best = score
+                    best_vec = np.concatenate([u[r], w[c]]) * (-1.0 if odd and value < 0 else 1.0)
     return best, UnitVector(best_vec)
+
+
+def _first_max(values: np.ndarray, by_magnitude: bool) -> tuple[int, int, float]:
+    """Row, column and value of the first maximum of a block, or of the first
+    maximum of |value|, without an |values| temporary."""
+    i = int(np.argmax(values))
+    if by_magnitude:
+        j = int(np.argmin(values))  # the max of |value| is the max or -min
+        if (-values.flat[j], -j) > (values.flat[i], -i):
+            i = j
+    return *divmod(i, values.shape[1]), float(values.flat[i])
 
 
 # ---------------------------------------------------------------------------

@@ -117,12 +117,23 @@ class UnitVector:
         return self.coords.shape[0]
 
 
-@lru_cache(maxsize=32)
-def _sorted_index_gather(n: int, d: int) -> np.ndarray:
-    """Flat gather indices mapping every entry to its sorted-index representative."""
+# A table holds n^d gather indices plus two arrays per orbit, up to 2 n^d
+# scalars at d = 2; four of them keep a few orders warm without letting a
+# process that samples many orders (one bbp order per task) keep them all.
+@lru_cache(maxsize=4)
+def _orbit_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat gather indices mapping every entry to its sorted-index representative,
+    the representatives, and the noise scale sqrt(2 / (n c)) of each one's orbit
+    of c entries.  The arrays are shared by every caller, so they are read-only."""
     idx = np.indices((n,) * d).reshape(d, -1)
     idx = np.sort(idx, axis=0)
-    return np.ravel_multi_index(tuple(idx), (n,) * d)
+    gather = np.ravel_multi_index(tuple(idx), (n,) * d)
+    orbit = np.bincount(gather)  # c at each sorted index, 0 elsewhere
+    reps = np.flatnonzero(orbit)
+    scale = np.sqrt(2.0 / (n * orbit[reps]))
+    for table in (gather, reps, scale):
+        table.setflags(write=False)
+    return gather, reps, scale
 
 
 def check_memory_cap(n: int, d: int) -> None:
@@ -175,19 +186,17 @@ def rank_one(x: UnitVector, d: int) -> SymmetricTensor:
     for _ in range(d - 1):
         outer = np.multiply.outer(outer, x.coords)
     n = x.n
-    exact = outer.reshape(-1)[_sorted_index_gather(n, d)].reshape((n,) * d)
+    exact = outer.reshape(-1)[_orbit_table(n, d)[0]].reshape((n,) * d)
     return SymmetricTensor(n, d, exact)
 
 
 def sample_wigner(n: int, d: int, seed: RngSeed) -> SymmetricTensor:
     """Symmetric noise: one N(0, 2/(n c)) draw per orbit of c entries; deterministic in the seed."""
     check_memory_cap(n, d)
-    gather = _sorted_index_gather(n, d)
-    orbit = np.bincount(gather)  # c at each sorted index, 0 elsewhere
-    reps = np.flatnonzero(orbit)
+    gather, reps, scale = _orbit_table(n, d)
     rng = seed.generator(NOISE_SUBSTREAM)
-    draws = np.zeros(orbit.size)
-    draws[reps] = rng.standard_normal(reps.size) * np.sqrt(2.0 / (n * orbit[reps]))
+    draws = np.zeros(gather.size)
+    draws[reps] = rng.standard_normal(reps.size) * scale
     return SymmetricTensor(n, d, draws[gather].reshape((n,) * d))
 
 
@@ -241,10 +250,20 @@ def contract(tensor: SymmetricTensor, x: np.ndarray) -> np.ndarray:
     odd d contract(T, -x) = contract(T, x) bit for bit (negation is exact).
     """
     block = x.reshape(-1, x.shape[-1])
+    if block.shape[1] != tensor.n:
+        raise DimensionMismatchError(f"tensor n={tensor.n} vs vector n={block.shape[1]}")
+    return contract_leading(tensor.entries, block, tensor.d - 1).reshape(x.shape)
+
+
+def contract_leading(entries: np.ndarray, block: np.ndarray, times: int) -> np.ndarray:
+    """Contract the leading ``times`` >= 1 indices of ``entries`` against each row of
+    the (m, n) ``block``: an (m, r) array, r the size of the remaining indices.
+
+    One gemm reduces the first index, an einsum each further one, so no
+    (m, n^times) outer power of the rows is formed.
+    """
     m, n = block.shape
-    if n != tensor.n:
-        raise DimensionMismatchError(f"tensor n={tensor.n} vs vector n={n}")
-    values = block @ tensor.entries.reshape(n, -1)  # (m, n^(d-1))
-    for _ in range(tensor.d - 2):
+    values = block @ entries.reshape(n, -1)
+    for _ in range(times - 1):
         values = np.einsum("mjr,mj->mr", values.reshape(m, n, -1), block)
-    return values.reshape(x.shape)
+    return values

@@ -116,14 +116,47 @@ def _reference_candidates(n: int, k: int) -> np.ndarray:
     ],
 )
 def test_candidate_chunks_order_and_completeness(n, k, rows):
-    blocks = list(_candidate_chunks(n, k, rows))
+    blocks = list(_candidate_chunks(n, k, rows, 1.0 / math.sqrt(k), True))
     assert all(b.shape[0] == rows for b in blocks[:-1]) and 1 <= blocks[-1].shape[0] <= rows
     assert np.array_equal(np.concatenate(blocks), _reference_candidates(n, k))
 
 
-@pytest.mark.parametrize("n, d", [(20, 3), (10, 6)])
+@pytest.mark.parametrize(
+    "n, k, d",
+    [
+        *[(n, n, d) for n in (1, 2, 3, 7) for d in (2, 3, 4, 5)],  # Rademacher
+        (6, 1, 3), (7, 1, 4),  # k = 1: one nonzero, in U or in W
+        (7, 5, 3), (7, 5, 4), (9, 6, 5),  # k > n - n//2: every candidate has nonzeros in U
+        (8, 3, 3), (8, 3, 4), (9, 4, 2), (9, 2, 5),  # k <= n - n//2: the zero-U block exists
+    ],
+)
+def test_mle_statistic_matches_brute_force(n, k, d):
+    # the max of <T, v^(x)d> over the full support, listed naively as the
+    # half support and its negation
+    prior = SpikePrior.rademacher() if k == n else SpikePrior.sparse(k / n)
+    assert prior.nonzeros(n) == k
+    T = sample_wigner(n, d, RngSeed(100 * n + 10 * k + d))
+    half = _reference_candidates(n, k)
+    full = np.vstack([half, -half])
+    values = []
+    for v in full:
+        val = T.entries
+        for _ in range(d):
+            val = val @ v
+        values.append(float(val))
+    value, argmax = mle_statistic(T, prior, n, d)
+    assert value == pytest.approx(max(values), rel=1e-12, abs=1e-12)
+    expected = full[int(np.argmax(values))]
+    if d % 2 == 1:
+        assert np.array_equal(argmax.coords, expected)
+    else:  # v and -v are both maxima
+        assert np.array_equal(argmax.coords, expected) or np.array_equal(argmax.coords, -expected)
+
+
+@pytest.mark.parametrize("n, d", [(20, 3), (10, 6), (24, 3)])
 def test_mle_statistic_memory_bounded(n, d):
-    # the 2^(n-1) candidates are visited in blocks of <= 2^22 / n^(d-1) rows
+    # candidate values come in blocks of <= 2^22 scalars; (24, 3) is the
+    # 2^24-point enumeration cap
     T = rank_one(sample_spike(SpikePrior.rademacher(), n, RngSeed(n)), d)
     tracemalloc.start()
     try:

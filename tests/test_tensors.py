@@ -20,9 +20,10 @@ from spiked_tensor import (
     sample_spiked,
     sample_wigner,
 )
-from spiked_tensor.rng import SPIKE_SUBSTREAM
+from spiked_tensor.rng import NOISE_SUBSTREAM, SPIKE_SUBSTREAM
 from spiked_tensor.tensors import (
     DimensionMismatchError,
+    _orbit_table,
     check_memory_cap,
     round_half_up,
     sample_spike_batch,
@@ -270,6 +271,25 @@ def test_seed_determinism():
     c = sample_wigner(5, 3, RngSeed(10, 4))
     assert np.array_equal(a.entries, b.entries)
     assert not np.array_equal(a.entries, c.entries)
+
+
+def test_orbit_table_cache_keeps_draws():
+    # a cold and a warm orbit table give the same draw bit for bit, and both
+    # equal the draw built from the orbit sizes on the spot
+    n, d, seed = 6, 3, RngSeed(21)
+    _orbit_table.cache_clear()
+    cold = sample_wigner(n, d, seed).entries
+    warm = sample_wigner(n, d, seed).entries
+    assert np.array_equal(cold, warm)
+    gather = np.ravel_multi_index(tuple(np.sort(np.indices((n,) * d).reshape(d, -1), axis=0)), (n,) * d)
+    orbit = np.bincount(gather)
+    reps = np.flatnonzero(orbit)
+    draws = np.zeros(orbit.size)
+    normals = seed.generator(NOISE_SUBSTREAM).standard_normal(reps.size)
+    draws[reps] = normals * np.sqrt(2.0 / (n * orbit[reps]))
+    assert np.array_equal(cold, draws[gather].reshape((n,) * d))
+    with pytest.raises(ValueError):  # the cached table is shared, so it is read-only
+        _orbit_table(n, d)[2][0] = 0.0
 
 
 def test_memory_cap_enforced():
