@@ -33,6 +33,7 @@ THRESHOLDS = [
     ["thresholds", "--prior", "rademacher", "--d", "13..60"],
     ["thresholds", "--prior", "sparse", "--rho", "0.3", "--d", "2..3", "--asymptotics"],
     ["thresholds", "--prior", "sparse", "--rho", "0.144543977", "--d", "2"],
+    ["thresholds", "--prior", "spherical", "--d", "40..42", "--replica"],
 ]
 
 REPLICA = [
@@ -42,6 +43,8 @@ REPLICA = [
     ["replica", "--prior", "rademacher", "--d", "2", "--lambda", "0.5,1.5"],
     ["replica", "--prior", "spherical", "--d", "2..12", "--thresholds"],
     ["replica", "--prior", "rademacher", "--d", "2..5", "--thresholds"],
+    ["replica", "--prior", "spherical", "--d", "38..42", "--thresholds"],
+    ["replica", "--prior", "spherical", "--d", "30000", "--thresholds"],  # exits 2
 ]
 
 RATEFN = [

@@ -201,11 +201,7 @@ def cmd_replica(parser, args) -> int:
     spec = _output_spec(args)
     if args.thresholds:
         def one(d: int):
-            if prior.kind == "rademacher":
-                l1, l2 = replica.rademacher_replica_thresholds(d)
-            else:
-                l1 = replica.spherical_appearance_snr(d)
-                l2 = replica.spherical_replica_threshold(d)
+            l1, l2 = replica.replica_thresholds(prior, d)
             return {"d": d, "lambda1": l1, "lambda2": l2}
 
         rows = parallel_map(one, ds, args.threads)
@@ -221,12 +217,7 @@ def cmd_replica(parser, args) -> int:
     d = ds[0]
     rows = []
     for snr in _parse_lambda_list(args.snr, "--lambda"):
-        sols = (
-            replica.rademacher_fixed_points(d, snr)
-            if prior.kind == "rademacher"
-            else replica.spherical_fixed_points(d, snr)
-        )
-        for s in sols:
+        for s in replica.fixed_points(prior, d, snr):
             rows.append(
                 {
                     "lambda": snr,
@@ -341,8 +332,9 @@ def cmd_simulate(parser, args) -> int:
     if args.subkind == "detect":
         result = montecarlo.detection_experiment(config, args.threads)
         row = {
-            "test": args.test, "n": args.n, "d": d, "lambda": args.snr,
-            "trials": args.trials, "epsilon": config.threshold_margin,
+            "test": args.test, "n": args.n, "d": d, "lambda": args.snr, "trials": args.trials,
+            # the injective test thresholds at the arms' midpoint; no margin applies
+            "epsilon": config.threshold_margin if args.test == "mle" else math.nan,
             "threshold": result.threshold, "accuracy": result.accuracy,
             "type_i_rate": result.type_i_rate, "type_ii_rate": result.type_ii_rate,
             "mean_abs_overlap": result.mean_abs_overlap,

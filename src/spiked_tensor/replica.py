@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .solvers import BracketError, bisect_root
-from .tensors import SNR_MAX
+from .tensors import SNR_MAX, SpikePrior
 
 MU_SCAN_POINTS = 2000
 THRESHOLD_TOL = 1e-6
@@ -81,21 +81,17 @@ def default_quadrature() -> GaussQuadrature:
     return GaussQuadrature.build()
 
 
+def _q(mu: float | np.ndarray) -> float | np.ndarray:
+    """E_z tanh(mu + sqrt(mu) z) at a float mu, or at each entry of an (N, 1) column."""
+    quad = default_quadrature()
+    return np.tanh(mu + np.sqrt(mu) * quad.nodes) @ quad.weights
+
+
 def q_of_mu_rademacher(mu: float) -> float:
     """E_z tanh(mu + sqrt(mu) z); equals E_z tanh^2 on the Nishimori line."""
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    if mu == 0.0:
-        return 0.0
-    quad = default_quadrature()
-    arg = mu + math.sqrt(mu) * quad.nodes
-    return float(quad.expect(np.tanh(arg)))
-
-
-def _q_batch(mus: np.ndarray) -> np.ndarray:
-    quad = default_quadrature()
-    arg = mus[:, None] + np.sqrt(mus)[:, None] * quad.nodes[None, :]
-    return np.tanh(arg) @ quad.weights
+    return float(_q(mu))
 
 
 @dataclass(frozen=True)
@@ -136,18 +132,39 @@ def _root_cells(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero((left == 0.0) | (left * vals[1:] < 0))
 
 
-def _phi_scan(d: int, snr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi(mu) = d q(mu)^(d-1) - 2 mu / snr^2 on the mu grid, and its root cells.
+def _scan_roots(grid: np.ndarray, vals: np.ndarray, f, xtol: float) -> list[float]:
+    """Ascending roots of f from its values on a grid.
 
-    phi < 0 at the grid's last point (d q^(d-1) <= d < 20 d), so the cells
-    hold every grid zero and sign change: nonzero solutions exist iff any.
+    Grid zeros are kept as they are; each sign change is bisected with the
+    scalar f to xtol * max(1, right end of its cell).
+    """
+    roots = []
+    for i in _root_cells(vals):
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        root = lo if vals[i] == 0.0 else bisect_root(f, lo, hi, xtol=xtol * max(1.0, hi)).root
+        roots.append(root)
+    return roots
+
+
+def _label(k: int, roots: list[float]) -> str:
+    """The largest nonzero root is the high branch, any other the low one."""
+    return "high" if k == len(roots) - 1 else "low"
+
+
+def _phi_scan(d: int, snr: float) -> tuple[np.ndarray, np.ndarray]:
+    """phi(mu) = d q(mu)^(d-1) - 2 mu / snr^2 on the mu grid.
+
+    phi < 0 at the grid's last point (d q^(d-1) <= d < 20 d), so the grid's
+    root cells hold every zero and sign change: nonzero solutions exist iff
+    any.
     """
     mus = _mu_grid(d, snr)
-    phi = d * _q_batch(mus) ** (d - 1) - 2.0 * mus / snr**2
-    return mus, phi, _root_cells(phi)
+    return mus, d * _q(mus[:, None]) ** (d - 1) - 2.0 * mus / snr**2
 
 
-def _check_snr(snr: float) -> None:
+def _check(d: int, snr: float) -> None:
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
     lo, hi = SNR_RANGE
     if not lo <= snr <= hi:
         raise ValueError(f"snr (--lambda) must lie in [{lo:g}, {hi:g}], got {snr!r}")
@@ -157,47 +174,34 @@ def rademacher_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     """All solutions at (d, snr): the zero branch plus any nonzero roots.
 
     Nonzero roots are the sign changes of d q(mu)^(d-1) - 2 mu / snr^2 on a
-    log+linear mu grid, polished by bisection; branches are labeled low/high
-    by mu.
+    log+linear mu grid, polished by bisection; the one with the largest mu
+    is the high branch.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    _check_snr(snr)
-    mus, phi, cells = _phi_scan(d, snr)
-
-    def phi_scalar(mu: float) -> float:
-        return d * q_of_mu_rademacher(mu) ** (d - 1) - 2.0 * mu / snr**2
-
-    roots: list[float] = []
-    for i in cells:
-        if phi[i] == 0.0:
-            roots.append(float(mus[i]))
-        else:
-            res = bisect_root(
-                phi_scalar, float(mus[i]), float(mus[i + 1]), xtol=1e-13 * max(1.0, mus[i + 1])
-            )
-            roots.append(res.root)
-
+    _check(d, snr)
+    mus, phi = _phi_scan(d, snr)
+    roots = _scan_roots(
+        mus, phi, lambda mu: d * q_of_mu_rademacher(mu) ** (d - 1) - 2.0 * mu / snr**2, 1e-13
+    )
     out = [ReplicaSolution(d, snr, "zero", 0.0, 0.0, rademacher_free_energy(d, snr, 0.0, 0.0), 0.0)]
-    labels = _branch_labels(len(roots))
-    for mu, label in zip(sorted(roots), labels):
+    for k, mu in enumerate(roots):
         q = q_of_mu_rademacher(mu)
         # q = q(mu) holds by construction, so only the mu equation has a residual
         residual = abs(mu - 0.5 * snr**2 * d * q ** (d - 1))
-        out.append(
-            ReplicaSolution(
-                d, snr, label, q, mu, rademacher_free_energy(d, snr, q, mu), residual
-            )
-        )
+        out.append(ReplicaSolution(
+            d, snr, _label(k, roots), q, mu, rademacher_free_energy(d, snr, q, mu), residual
+        ))
     return out
 
 
-def _branch_labels(count: int) -> list[str]:
-    if count == 0:
-        return []
-    if count == 1:
-        return ["high"]
-    return ["low"] * (count - 1) + ["high"]
+def _bisect(holds, lo: float, hi: float) -> float:
+    """Midpoint after halving [lo, hi] to THRESHOLD_TOL, keeping holds(hi) and not holds(lo)."""
+    while hi - lo > THRESHOLD_TOL:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def rademacher_replica_thresholds(d: int) -> tuple[float, float]:
@@ -213,7 +217,7 @@ def rademacher_replica_thresholds(d: int) -> tuple[float, float]:
         return 1.0, 1.0
 
     def exists(snr: float) -> bool:
-        return _phi_scan(d, snr)[2].size > 0
+        return _root_cells(_phi_scan(d, snr)[1]).size > 0
 
     lo, hi = 0.05, 1.0
     while not exists(hi):
@@ -222,53 +226,48 @@ def rademacher_replica_thresholds(d: int) -> tuple[float, float]:
             raise BracketError(f"no nonzero replica solutions found up to snr={hi}")
     if exists(lo):
         lo = 1e-3
-    while hi - lo > THRESHOLD_TOL:
-        mid = 0.5 * (lo + hi)
-        if exists(mid):
-            hi = mid
-        else:
-            lo = mid
-    lambda1 = 0.5 * (lo + hi)
+    lambda1 = _bisect(exists, lo, hi)
+    return lambda1, _crossing(rademacher_fixed_points, d, lambda1)
+
+
+def _crossing(solve, d: int, lambda1: float) -> float:
+    """snr where the high branch's free energy crosses the zero branch's.
+
+    solve(d, snr) returns the zero branch, then the nonzero roots ascending,
+    the high branch last.  The start is the first probe, from just above lambda1 out to
+    lambda1 + 10^6 THRESHOLD_TOL, at which the root scan sees the high
+    branch: close to lambda1 the two nonzero roots can both fall inside one
+    cell of the scan's grid.  A gap <= 0 at the first probe means the
+    crossing coincides with the appearance point (the continuous case); at
+    a later probe it means the crossing lies before it, unresolved.
+    """
 
     def gap(snr: float) -> float | None:
-        sols = rademacher_fixed_points(d, snr)
-        nonzero = [s for s in sols if s.branch != "zero"]
-        if not nonzero:
-            return None
-        high = max(nonzero, key=lambda s: s.mu)
-        return high.free_energy - sols[0].free_energy
+        sols = solve(d, snr)
+        return sols[-1].free_energy - sols[0].free_energy if len(sols) > 1 else None
 
-    lambda2 = _crossing(gap, lambda1)
-    return lambda1, lambda2
+    def crossed(snr: float) -> bool:
+        g = gap(snr)
+        return g is not None and g <= 0.0
 
-
-def _crossing(gap, lambda1: float) -> float:
-    """snr where the high branch's free energy crosses the zero branch's."""
-    a = lambda1 * (1.0 + 1e-9) + 1e-12
-    ga = gap(a)
-    if ga is None:
-        a = lambda1 + 10 * THRESHOLD_TOL
+    probes = [lambda1 * (1.0 + 1e-9) + 1e-12]
+    probes += [lambda1 + 10.0**k * THRESHOLD_TOL for k in range(1, 7)]
+    for k, a in enumerate(probes):
         ga = gap(a)
-        if ga is None:
-            raise BracketError(f"high branch vanished just above lambda1={lambda1}")
-    if ga <= 0.0:
-        return a  # crossing coincides with the appearance point (continuous case)
-    b = a * 1.1
-    while True:
-        gb = gap(b)
-        if gb is not None and gb < 0.0:
+        if ga is not None:
             break
+    else:
+        raise BracketError(f"the root scan finds no high branch for snr in ({lambda1!r}, {a!r}]")
+    if ga <= 0.0:
+        if k == 0:
+            return a
+        raise BracketError(f"free energies crossed before the high branch was seen at snr={a}")
+    b = a * 1.1
+    while not crossed(b):
         b *= 1.1
         if b > SNR_MAX:
             raise BracketError("free-energy crossing not bracketed")
-    while b - a > THRESHOLD_TOL:
-        mid = 0.5 * (a + b)
-        gm = gap(mid)
-        if gm is None or gm > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return _bisect(crossed, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +282,7 @@ def spherical_free_energy(d: int, snr: float, q: float) -> float:
 
 def spherical_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     """Zero branch plus roots of (snr^2/2) d q^(d-1)(1-q) = q on (0,1)."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    _check_snr(snr)
+    _check(d, snr)
 
     def psi(q: float) -> float:
         # divided through by q; valid for locating roots in (0,1)
@@ -293,25 +290,20 @@ def spherical_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
 
     qs = np.linspace(1e-9, 1.0 - 1e-12, 4000)
     vals = 0.5 * snr**2 * d * qs ** (d - 2) * (1.0 - qs) - 1.0
-    roots: list[float] = []
-    for i in _root_cells(vals):
-        if vals[i] == 0.0:
-            roots.append(float(qs[i]))
-        else:
-            res = bisect_root(psi, float(qs[i]), float(qs[i + 1]), xtol=1e-15)
-            roots.append(res.root)
-
+    roots = _scan_roots(qs, vals, psi, 1e-15)
     out = [ReplicaSolution(d, snr, "zero", 0.0, math.nan, spherical_free_energy(d, snr, 0.0), 0.0)]
-    for q, label in zip(sorted(roots), _branch_labels(len(roots))):
+    for k, q in enumerate(roots):
         residual = abs(0.5 * snr**2 * d * q ** (d - 1) * (1.0 - q) - q)
-        out.append(
-            ReplicaSolution(d, snr, label, q, math.nan, spherical_free_energy(d, snr, q), residual)
-        )
+        out.append(ReplicaSolution(
+            d, snr, _label(k, roots), q, math.nan, spherical_free_energy(d, snr, q), residual
+        ))
     return out
 
 
 def spherical_appearance_snr(d: int) -> float:
     """snr where nonzero spherical solutions first exist (exact stationarity)."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
     if d == 2:
         return 1.0
     q_peak = (d - 2.0) / (d - 1.0)
@@ -324,18 +316,29 @@ def spherical_replica_threshold(d: int) -> float:
     At d = 2 it is exactly 1, where the nonzero solution q = 1 - 1/snr^2
     departs continuously from zero.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if d == 2:
-        return 1.0
     lambda1 = spherical_appearance_snr(d)
+    return 1.0 if d == 2 else _crossing(spherical_fixed_points, d, lambda1)
 
-    def gap(snr: float) -> float | None:
-        sols = spherical_fixed_points(d, snr)
-        nonzero = [s for s in sols if s.branch != "zero"]
-        if not nonzero:
-            return None
-        high = max(nonzero, key=lambda s: s.q)
-        return high.free_energy - sols[0].free_energy
 
-    return _crossing(gap, lambda1)
+# ---------------------------------------------------------------------------
+# either prior
+# ---------------------------------------------------------------------------
+
+def _is_spherical(prior: SpikePrior) -> bool:
+    if prior.kind not in ("spherical", "rademacher"):
+        raise ValueError("replica solvers cover the spherical and rademacher priors only")
+    return prior.kind == "spherical"
+
+
+def fixed_points(prior: SpikePrior, d: int, snr: float) -> list[ReplicaSolution]:
+    """Zero branch plus the nonzero solutions at (d, snr), ascending."""
+    if _is_spherical(prior):
+        return spherical_fixed_points(d, snr)
+    return rademacher_fixed_points(d, snr)
+
+
+def replica_thresholds(prior: SpikePrior, d: int) -> tuple[float, float]:
+    """(lambda1, lambda2): appearance of the nonzero branches, free-energy crossing."""
+    if _is_spherical(prior):
+        return spherical_appearance_snr(d), spherical_replica_threshold(d)
+    return rademacher_replica_thresholds(d)

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import replica
 from .rates import RateFunction, collision_entropy, rate_function_for
 from .solvers import bisect_root, geometric_grid, golden_min
 from .tensors import SpikePrior
@@ -328,12 +329,7 @@ def threshold_report(
             asym_lower = math.sqrt(asymptotics("lower_sph_sq", d))
             asym_upper = math.sqrt(asymptotics("upper_sph_sq", d))
         if include_replica and prior.kind in ("spherical", "rademacher"):
-            from . import replica
-
-            if prior.kind == "spherical":
-                replica_prediction = replica.spherical_replica_threshold(d)
-            else:
-                replica_prediction = replica.rademacher_replica_thresholds(d)[1]
+            replica_prediction = replica.replica_thresholds(prior, d)[1]
 
     return ThresholdReport(
         prior=prior,

@@ -1,9 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from spiked_tensor.cli import main
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 def run_cli(args, capsys):
@@ -115,6 +118,14 @@ def test_replica_d2_appearance(capsys):
     assert float(rows[0]["lambda1"]) == float(rows[0]["lambda2"]) == 1.0
 
 
+def test_replica_spherical_thresholds_match_results_table(capsys):
+    code, out = run_cli(["replica", "--prior", "spherical", "--d", "3..5", "--thresholds"], capsys)
+    assert code == 0
+    committed = (RESULTS / "replica_thresholds_spherical.csv").read_text().splitlines()
+    assert committed[0] == "d,lambda1,lambda2"
+    assert out.splitlines() == committed[:4]
+
+
 def test_replica_branch_table_residuals(capsys):
     code, out = run_cli(
         ["replica", "--prior", "spherical", "--d", "3", "--lambda", "3.0"], capsys
@@ -143,6 +154,21 @@ def test_simulate_detect_summary(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert float(rows[0]["accuracy"]) >= 0.9
+    assert float(rows[0]["epsilon"]) == 0.2 * 4
+
+
+def test_simulate_detect_injective_has_no_epsilon(capsys):
+    # the injective test thresholds at the midpoint of the arms' means
+    code, out = run_cli(
+        [
+            "simulate", "detect", "--prior", "spherical", "--test", "injective_norm", "--n", "6",
+            "--d", "3", "--lambda", "3", "--trials", "2", "--epsilon", "0.5",
+        ],
+        capsys,
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0]["epsilon"] == "NaN"
 
 
 def test_simulate_bbp_smoke(capsys):
@@ -250,7 +276,8 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["simulate", "tails", "--prior", "rademacher", "--n", "10", "--trials", "5",
          "--tgrid", "1.5"],
         ["ratefn", "--prior", "rademacher", "--tmax", "1.5"],
-        ["thresholds", "--prior", "spherical", "--d", "40", "--replica"],
+        # past d ~ 10^4 the root scan's 4000-point grid cannot resolve the high branch
+        ["thresholds", "--prior", "spherical", "--d", "30000", "--replica"],
         ["simulate", "detect", "--prior", "rademacher", "--n", "8", "--trials", "4",
          "--lambda", "nan"],
         ["simulate", "detect", "--prior", "rademacher", "--n", "8", "--trials", "4",
@@ -318,7 +345,7 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "--d", "3", "--lambda", "1e160", "--trials", "1"],
         ["simulate", "bbp", "--n", "10", "--lambda", "1e200", "--trials", "1"],
     ],
-    ids=["tails_tgrid", "ratefn_tmax", "spherical_replica_d40", "detect_nan_snr",
+    ids=["tails_tgrid", "ratefn_tmax", "spherical_replica_d30000", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
          "ratefn_n_negative", "ratefn_n_0", "tails_n_0", "tails_trials_0", "bbp_trials_0",
          "norms_max_iters_0", "norms_tol_negative", "norms_tol_nan", "norms_tol_inf",

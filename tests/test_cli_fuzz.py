@@ -40,10 +40,10 @@ SIMULATE_COLUMNS = {
 # Columns documented to hold a non-finite cell: NaN where a quantity does
 # not apply (mu_d at d = 2, replica off the two priors, the Rademacher order
 # parameter mu on spherical branches, exact tails past the combinatorics
-# cap), inf for the rate of an impossible event (an empirical or exact tail
+# cap, the MLE margin epsilon of an injective-norm detection), inf for the rate of an impossible event (an empirical or exact tail
 # of 0, the spherical rate at t = 1).
 NON_FINITE_OK = {
-    "mu_d", "replica", "asymptotic_lower", "asymptotic_upper", "mu",
+    "mu_d", "replica", "asymptotic_lower", "asymptotic_upper", "mu", "epsilon",
     "rate", "empirical_rate", "rate_value", "exact_tail", "exact_rate",
 }
 

@@ -6,6 +6,7 @@ import pytest
 
 from spiked_tensor import (
     GaussQuadrature,
+    ReplicaSolution,
     SpikePrior,
     injective_norm_mu,
     lower_bound_lambda,
@@ -17,9 +18,18 @@ from spiked_tensor import (
     spherical_appearance_snr,
     spherical_fixed_points,
     spherical_replica_threshold,
+    threshold_report,
     upper_bound_spherical,
 )
-from spiked_tensor.replica import default_quadrature
+from spiked_tensor.cli import main
+from spiked_tensor.replica import (
+    THRESHOLD_TOL,
+    _crossing,
+    default_quadrature,
+    fixed_points,
+    replica_thresholds,
+)
+from spiked_tensor.solvers import BracketError
 from spiked_tensor.thresholds import asymptotics, upper_bound_cardinality
 
 TWO_SQRT_LOG2 = 2.0 * math.sqrt(math.log(2.0))
@@ -211,3 +221,64 @@ def test_rademacher_nonzero_count_is_zero_or_two():
         count = len([s for s in rademacher_fixed_points(3, float(lam)) if s.branch != "zero"])
         assert count in (0, 2)
         assert count == (0 if lam < l1 else 2)
+
+
+@pytest.mark.parametrize(
+    "d", list(range(3, 61)) + [79, 100, 200, 500, 600, 1000, 1500, 3000, 5000, 10**4]
+)
+def test_spherical_threshold_between_bounds_to_large_d(d):
+    # from d = 40 on the scan can miss the high branch just above lambda1,
+    # where both nonzero roots lie in one cell of its grid; the crossing
+    # search then starts at a later probe
+    rep = threshold_report(SpikePrior.spherical(), d, include_replica=True)
+    assert rep.lambda_lower < rep.replica_prediction < rep.lambda_upper < rep.mu_d
+
+
+@pytest.mark.parametrize("d", ["40", "42", "50"])
+def test_thresholds_replica_row_at_d_40_42_50(d, capsys):
+    assert main(["thresholds", "--prior", "spherical", "--d", d, "--replica"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith(f"{d},")
+
+
+def _stub_fixed_points(seen_from: float, crossing: float):
+    """Zero branch from snr 0, a high branch from ``seen_from`` whose gap is crossing - snr."""
+
+    def fixed_points(d, snr):
+        zero = ReplicaSolution(d, snr, "zero", 0.0, 0.0, 0.0, 0.0)
+        if snr < seen_from:
+            return [zero]
+        return [zero, ReplicaSolution(d, snr, "high", 0.5, 0.0, crossing - snr, 0.0)]
+
+    return fixed_points
+
+
+def test_crossing_starts_at_the_first_probe_that_sees_the_branch():
+    # seen only from the fourth probe, lambda1 + 1e3 tol, and crossing after it
+    lambda2 = _crossing(_stub_fixed_points(1.0 + 5e-4, 1.2), 3, 1.0)
+    assert abs(lambda2 - 1.2) <= THRESHOLD_TOL
+    # crossed at the first probe: the continuous case returns that probe
+    assert _crossing(_stub_fixed_points(0.0, 0.5), 3, 1.0) == 1.0 * (1.0 + 1e-9) + 1e-12
+
+
+def test_crossing_rejects_a_gap_already_negative_at_a_later_probe():
+    # the crossing lies before the probe that first sees the branch: unresolved
+    with pytest.raises(BracketError):
+        _crossing(_stub_fixed_points(1.0 + 5e-4, 1.0 + 1e-4), 3, 1.0)
+    # no probe up to lambda1 + 1 sees the branch
+    with pytest.raises(BracketError):
+        _crossing(_stub_fixed_points(2.5, 3.0), 3, 1.0)
+
+
+def test_replica_solvers_are_picked_by_prior():
+    spherical, rademacher = SpikePrior.spherical(), SpikePrior.rademacher()
+    assert replica_thresholds(spherical, 5) == (
+        spherical_appearance_snr(5), spherical_replica_threshold(5)
+    )
+    assert replica_thresholds(rademacher, 3) == rademacher_replica_thresholds(3)
+    assert fixed_points(spherical, 3, 2.0) == spherical_fixed_points(3, 2.0)
+    assert fixed_points(rademacher, 3, 2.0) == rademacher_fixed_points(3, 2.0)
+    with pytest.raises(ValueError):
+        replica_thresholds(SpikePrior.sparse(0.3), 3)
+    with pytest.raises(ValueError):
+        fixed_points(SpikePrior.sparse(0.3), 3, 2.0)

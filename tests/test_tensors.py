@@ -306,7 +306,7 @@ def test_memory_cap_enforced():
     assert peak < 1_000_000
 
 
-def test_symmetrize_work_budget():
+def test_sampling_work_budget():
     # sampling costs the gather's d index arrays of n^d entries: orders within
     # the memory cap sample at once, orders past it or past numpy's array
     # dimensions raise at once (n^d is never formed)
