@@ -85,6 +85,11 @@ SIMULATE = [
      "--d", "4", "--lambda", "2", "--trials", "8", "--seed", "9", "--records", RECORDS],
     ["simulate", "detect", "--prior", "rademacher", "--test", "mle", "--n", "1", "--d", "3",
      "--lambda", "1", "--trials", "8", "--seed", "2", "--records", RECORDS],
+    ["simulate", "norms", "--prior", "sparse", "--rho", "0.3", "--n", "10", "--d", "4",
+     "--lambda", "2", "--trials", "2"],
+    ["simulate", "norms", "--prior", "spherical", "--n", "3", "--d", "12", "--lambda", "2",
+     "--trials", "1"],
+    ["simulate", "bbp", "--n", "400", "--lambda", "0.5", "--trials", "2"],
 ]
 
 

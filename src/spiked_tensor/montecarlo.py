@@ -40,7 +40,7 @@ from scipy import linalg
 
 from .parallel import parallel_map
 from .rates import exact_overlap_tail, rate_function_for, EXACT_TAIL_MAX_N
-from .rng import RngSeed
+from .rng import RESTART_SUBSTREAM, RngSeed
 from .tensors import (
     MEMORY_CAP,
     SpikePrior,
@@ -339,7 +339,8 @@ def injective_norm_estimate(
     """
     if settings.restarts * tensor.n > MEMORY_CAP:
         raise ValueError(f"{settings.restarts} starts of n={tensor.n} exceed the memory cap {MEMORY_CAP}")
-    starts = (seed or RngSeed(0)).generator(2).standard_normal((settings.restarts, tensor.n))
+    rng = (seed or RngSeed(0)).generator(RESTART_SUBSTREAM)
+    starts = rng.standard_normal((settings.restarts, tensor.n))
     if spike_start is not None:
         starts = np.vstack([spike_start.coords, starts])
     if not len(starts):

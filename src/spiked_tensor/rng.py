@@ -9,7 +9,8 @@ Stream conventions used throughout the package:
 
 * substream 0 of a seed draws the spike, substream 1 draws the noise tensor
   (so a spiked sample and a pure-noise sample under the same seed share the
-  same noise realization);
+  same noise realization), substream 2 draws the power iteration's restart
+  vectors;
 * Monte Carlo experiments give trial ``k`` the stream offset ``2 + k``
   (paired designs use ``2 + 2k`` for the spiked arm and ``3 + 2k`` for the
   unspiked arm).
@@ -23,6 +24,7 @@ import numpy as np
 
 SPIKE_SUBSTREAM = 0
 NOISE_SUBSTREAM = 1
+RESTART_SUBSTREAM = 2
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,22 @@ Spiked samples are ``T = snr * x^{(x)d} + W`` with the spike x drawn from one
 of three priors: uniform on the sphere, iid +-1/sqrt(n) (k = n), or sparse with
 exactly k = round(rho*n) nonzero entries equal to +-1/sqrt(k).
 
-Storage is a dense n^d array.  Every entry is read through a sorted-index
-gather from its orbit's representative, so permuted reads are bit-for-bit
-identical.
+Storage is a dense n^d array, built by one gather from one value per orbit
+(a noise draw, a spike product x_i1 ... x_id, or the spiked sum of the two),
+so permuted reads are bit-for-bit identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .rng import NOISE_SUBSTREAM, SPIKE_SUBSTREAM, RngSeed
 
-MEMORY_CAP = 10**8  # scalars; d * n^d (the gather's index arrays) above this refuses to allocate
+MEMORY_CAP = 10**8  # scalars; d * n^d (the orbit table's indices) above this refuses to allocate
 NDIM_LIMIT = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # numpy's maximum ndim
 SNR_MAX = 1e6  # largest snr sampled or solved for; far past it snr^2 and power steps overflow
 
@@ -117,27 +117,30 @@ class UnitVector:
         return self.coords.shape[0]
 
 
-# A table holds n^d gather indices plus two arrays per orbit, up to 2 n^d
-# scalars at d = 2; four of them keep a few orders warm without letting a
-# process that samples many orders (one bbp order per task) keep them all.
+# A table is n^d orbit numbers plus d indices and a scale per orbit; four keep a few
+# orders warm without letting a process keep every order it samples (one per bbp task).
 @lru_cache(maxsize=4)
 def _orbit_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat gather indices mapping every entry to its sorted-index representative,
-    the representatives, and the noise scale sqrt(2 / (n c)) of each one's orbit
-    of c entries.  The arrays are shared by every caller, so they are read-only."""
-    idx = np.indices((n,) * d).reshape(d, -1)
-    idx = np.sort(idx, axis=0)
-    gather = np.ravel_multi_index(tuple(idx), (n,) * d)
-    orbit = np.bincount(gather)  # c at each sorted index, 0 elsewhere
-    reps = np.flatnonzero(orbit)
-    scale = np.sqrt(2.0 / (n * orbit[reps]))
-    for table in (gather, reps, scale):
+    """The orbit number of every entry (orbits in flat order of their sorted index),
+    each orbit's sorted index as d rows, and the noise scale sqrt(2 / (n c)) of each
+    orbit of c entries.  The arrays are shared by every caller, so they are read-only."""
+    idx = np.sort(np.indices((n,) * d, dtype=np.min_scalar_type(n)).reshape(d, -1), axis=0)
+    flat = np.ravel_multi_index(tuple(idx), (n,) * d)  # each entry's sorted index
+    size = np.bincount(flat)  # c at each sorted index, 0 elsewhere
+    first = size > 0  # at a sorted index p, column p of idx is p itself
+    rows, scale = idx[:, first], np.sqrt(2.0 / (n * size[first]))
+    number = np.cumsum(first, out=size)  # 1 + orbit number at each sorted index
+    number -= 1
+    orbit = number[flat]
+    for table in (orbit, rows, scale):
         table.setflags(write=False)
-    return gather, reps, scale
+    return orbit, rows, scale
 
 
 def check_memory_cap(n: int, d: int) -> None:
-    """Reject orders whose d index arrays of n^d entries exceed MEMORY_CAP."""
+    """Reject orders whose d index arrays of n^d entries (the orbit table's index
+    stack) exceed MEMORY_CAP; at d >= 2 that also bounds the table's n^d orbit
+    numbers and the n^d entries of each tensor built from it."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if d < 2:
@@ -169,35 +172,32 @@ class SymmetricTensor:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    def __add__(self, other: "SymmetricTensor") -> "SymmetricTensor":
-        if (self.n, self.d) != (other.n, other.d):
-            raise DimensionMismatchError("tensor shapes differ")
-        return SymmetricTensor(self.n, self.d, self.entries + other.entries)
 
-    def __mul__(self, alpha: float) -> "SymmetricTensor":
-        return SymmetricTensor(self.n, self.d, alpha * self.entries)
+def _gather(n: int, d: int, values: np.ndarray) -> SymmetricTensor:
+    """The tensor whose every entry is the value of its orbit."""
+    return SymmetricTensor(n, d, values[_orbit_table(n, d)[0]].reshape((n,) * d))
 
-    __rmul__ = __mul__
+
+def _rank_one_values(x: np.ndarray, d: int) -> np.ndarray:
+    """x_i1 ... x_id per orbit, in sorted index order: ((x_i1 x_i2) x_i3) ..."""
+    return reduce(np.multiply, (x[row] for row in _orbit_table(x.size, d)[1]))
+
+
+def _noise_values(n: int, d: int, seed: RngSeed) -> np.ndarray:
+    """One N(0, 2/(n c)) draw per orbit of c entries, in orbit order, on the noise stream."""
+    scale = _orbit_table(n, d)[2]
+    return seed.generator(NOISE_SUBSTREAM).standard_normal(scale.size) * scale
 
 
 def rank_one(x: UnitVector, d: int) -> SymmetricTensor:
-    """x^{(x)d} with bit-exact symmetry (built from the sorted-index gather)."""
-    outer = x.coords
-    for _ in range(d - 1):
-        outer = np.multiply.outer(outer, x.coords)
-    n = x.n
-    exact = outer.reshape(-1)[_orbit_table(n, d)[0]].reshape((n,) * d)
-    return SymmetricTensor(n, d, exact)
+    """x^{(x)d} with bit-exact symmetry: one product per orbit, gathered."""
+    return _gather(x.n, d, _rank_one_values(x.coords, d))
 
 
 def sample_wigner(n: int, d: int, seed: RngSeed) -> SymmetricTensor:
     """Symmetric noise: one N(0, 2/(n c)) draw per orbit of c entries; deterministic in the seed."""
     check_memory_cap(n, d)
-    gather, reps, scale = _orbit_table(n, d)
-    rng = seed.generator(NOISE_SUBSTREAM)
-    draws = np.zeros(gather.size)
-    draws[reps] = rng.standard_normal(reps.size) * scale
-    return SymmetricTensor(n, d, draws[gather].reshape((n,) * d))
+    return _gather(n, d, _noise_values(n, d, seed))
 
 
 def sample_spike(prior: SpikePrior, n: int, seed: RngSeed) -> UnitVector:
@@ -230,10 +230,10 @@ def sample_spiked(
         raise ValueError(f"snr (--lambda) must lie in [0, {SNR_MAX:g}], got {snr!r}")
     check_memory_cap(n, d)
     x = sample_spike(prior, n, seed)
-    noise = sample_wigner(n, d, seed)
-    if snr == 0.0:
-        return x, noise
-    return x, snr * rank_one(x, d) + noise
+    values = _noise_values(n, d, seed)
+    if snr != 0.0:  # snr = 0 is sample_wigner's tensor bit for bit
+        values = snr * _rank_one_values(x.coords, d) + values
+    return x, _gather(n, d, values)
 
 
 def rank_one_inner(tensor: SymmetricTensor, x: UnitVector) -> float:

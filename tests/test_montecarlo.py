@@ -11,6 +11,7 @@ from spiked_tensor import (
     RngSeed,
     SpikePrior,
     SupportTooLargeError,
+    SymmetricTensor,
     bbp_reference_experiment,
     detection_experiment,
     exact_overlap_tail,
@@ -35,7 +36,7 @@ from spiked_tensor.tensors import UnitVector
 
 def test_mle_noiseless_maximizer():
     x = sample_spike(SpikePrior.rademacher(), 8, RngSeed(1))
-    T = 3.0 * rank_one(x, 3)
+    T = SymmetricTensor(x.n, 3, 3.0 * rank_one(x, 3).entries)
     value, argmax = mle_statistic(T, SpikePrior.rademacher(), 8, 3)
     assert value == pytest.approx(3.0, abs=1e-12)
     assert np.allclose(argmax.coords, x.coords)
@@ -43,8 +44,6 @@ def test_mle_noiseless_maximizer():
 
 def test_mle_hand_enumeration_d2():
     # T = diag(1, -1): every sign vector v gives v^T T v = 0
-    from spiked_tensor import SymmetricTensor
-
     T = SymmetricTensor(2, 2, np.array([[1.0, 0.0], [0.0, -1.0]]))
     value, _ = mle_statistic(T, SpikePrior.rademacher(), 2, 2)
     assert abs(value) < 1e-12
@@ -75,7 +74,7 @@ def test_mle_matches_full_enumeration():
 def test_mle_sparse_support():
     prior = SpikePrior.sparse(0.5)
     x = sample_spike(prior, 8, RngSeed(3))
-    T = 2.0 * rank_one(x, 3)
+    T = SymmetricTensor(x.n, 3, 2.0 * rank_one(x, 3).entries)
     value, argmax = mle_statistic(T, prior, 8, 3)
     assert value == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(np.abs(argmax.coords), np.abs(x.coords))
@@ -174,7 +173,7 @@ def test_mle_statistic_memory_bounded(n, d):
 
 def test_norm_estimate_noiseless_rank_one():
     x = sample_spike(SpikePrior.spherical(), 12, RngSeed(4))
-    T = 3.0 * rank_one(x, 3)
+    T = SymmetricTensor(x.n, 3, 3.0 * rank_one(x, 3).entries)
     est = injective_norm_estimate(T, seed=RngSeed(4), spike_start=x)
     assert est.value == pytest.approx(3.0, abs=1e-8)
 
@@ -218,7 +217,7 @@ def test_power_iteration_needs_a_start():
     with pytest.raises(ValueError):
         PowerIterationSettings(restarts=-1)
     x = sample_spike(SpikePrior.spherical(), 6, RngSeed(8))
-    T = 2.0 * rank_one(x, 3)
+    T = SymmetricTensor(x.n, 3, 2.0 * rank_one(x, 3).entries)
     with pytest.raises(ValueError):
         injective_norm_estimate(T, PowerIterationSettings(restarts=0), seed=RngSeed(8))
     est = injective_norm_estimate(T, PowerIterationSettings(restarts=0), spike_start=x)

@@ -200,7 +200,7 @@ def test_rank_one_inner_disjoint_support():
 
 def test_noiseless_inner_recovers_snr():
     x, T = sample_spiked(SpikePrior.rademacher(), 10, 3, 7.5, RngSeed(2))
-    noiseless = 7.5 * rank_one(x, 3)
+    noiseless = SymmetricTensor(10, 3, 7.5 * rank_one(x, 3).entries)
     assert abs(rank_one_inner(noiseless, x) - 7.5) < 1e-12
 
 
@@ -209,7 +209,8 @@ def test_noiseless_inner_recovers_snr():
 def test_rank_one_inner_scaling(seed, alpha):
     W = sample_wigner(5, 3, RngSeed(seed))
     x = sample_spike(SpikePrior.spherical(), 5, RngSeed(seed))
-    assert abs(rank_one_inner(alpha * W, x) - alpha * rank_one_inner(W, x)) < 1e-10
+    scaled = SymmetricTensor(5, 3, alpha * W.entries)
+    assert abs(rank_one_inner(scaled, x) - alpha * rank_one_inner(W, x)) < 1e-10
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -292,6 +293,63 @@ def test_orbit_table_cache_keeps_draws():
         _orbit_table(n, d)[2][0] = 0.0
 
 
+def _dense_reference(n, d, x, seed):
+    """The dense construction, written out: the outer-product chain of x and a
+    zero buffer holding one scaled draw per sorted index, each read through the
+    sorted-index flat map.  Returns the rank-one and the noise tensor."""
+    idx = np.sort(np.indices((n,) * d, dtype=np.int16).reshape(d, -1), axis=0)
+    gather = np.ravel_multi_index(tuple(idx), (n,) * d)
+    size = np.bincount(gather)
+    reps = np.flatnonzero(size)
+    outer = x
+    for _ in range(d - 1):
+        outer = np.multiply.outer(outer, x)
+    noise = np.zeros(n**d)
+    normals = seed.generator(NOISE_SUBSTREAM).standard_normal(reps.size)
+    noise[reps] = normals * np.sqrt(2.0 / (n * size[reps]))
+    return outer.reshape(-1)[gather].reshape((n,) * d), noise[gather].reshape((n,) * d)
+
+
+def _same_bits(tensor, expected):
+    """Equal bit patterns, so -0.0 and 0.0 differ."""
+    return np.array_equal(tensor.entries.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (1, 5), (7, 2), (8, 6), (12, 4), (3, 12), (400, 2)])
+def test_constructions_match_the_dense_reference_bit_for_bit(n, d):
+    # rank_one, sample_wigner and sample_spiked build one value per orbit and
+    # gather it; the dense reference scales and sums whole tensors
+    seed = RngSeed(31, n + d)
+    for prior in (SpikePrior.spherical(), SpikePrior.rademacher(), SpikePrior.sparse(0.3)):
+        if prior.kind == "sparse_rademacher" and n == 1:  # round(0.3) = 0 nonzeros
+            with pytest.raises(ValueError, match="empty support"):
+                sample_spiked(prior, n, d, 2.5, seed)
+            continue
+        x = sample_spike(prior, n, seed)
+        outer, noise = _dense_reference(n, d, x.coords, seed)
+        assert _same_bits(rank_one(x, d), outer)
+        assert _same_bits(sample_wigner(n, d, seed), noise)
+        for snr in (0.0, 2.5, 1e6):
+            spike, T = sample_spiked(prior, n, d, snr, seed)
+            assert np.array_equal(spike.coords, x.coords)
+            assert _same_bits(T, noise if snr == 0.0 else snr * outer + noise)
+
+
+def test_spiked_sample_peak_memory_per_entry():
+    # one value per orbit and one gather: a cold-table sample peaks below
+    # 40 B an entry, where summing a dense rank-one and a dense noise tensor
+    # peaked at 44.5 (d = 2), 48 (d = 3) and 64 (d = 4)
+    for n, d in ((400, 2), (50, 3), (20, 4)):
+        _orbit_table.cache_clear()
+        tracemalloc.start()
+        try:
+            sample_spiked(SpikePrior.spherical(), n, d, 2.5, RngSeed(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n**d <= 40.0, (n, d, peak / n**d)
+
+
 def test_memory_cap_enforced():
     with pytest.raises(MemoryCapError):
         sample_wigner(1000, 3, RngSeed(0))  # 3 * 10^9 index entries > cap
@@ -307,9 +365,9 @@ def test_memory_cap_enforced():
 
 
 def test_sampling_work_budget():
-    # sampling costs the gather's d index arrays of n^d entries: orders within
-    # the memory cap sample at once, orders past it or past numpy's array
-    # dimensions raise at once (n^d is never formed)
+    # sampling costs the orbit table's d index arrays of n^d entries and one
+    # gather: orders within the memory cap sample at once, orders past it or
+    # past numpy's array dimensions raise at once (n^d is never formed)
     for n, d in ((3, 12), (1, 12)):
         start = time.perf_counter()
         sample_wigner(n, d, RngSeed(0))
