@@ -34,6 +34,7 @@ THRESHOLDS = [
     ["thresholds", "--prior", "sparse", "--rho", "0.3", "--d", "2..3", "--asymptotics"],
     ["thresholds", "--prior", "sparse", "--rho", "0.144543977", "--d", "2"],
     ["thresholds", "--prior", "spherical", "--d", "40..42", "--replica"],
+    ["thresholds", "--prior", "rademacher", "--d", "13..16", "--replica"],
 ]
 
 REPLICA = [
@@ -45,6 +46,9 @@ REPLICA = [
     ["replica", "--prior", "rademacher", "--d", "2..5", "--thresholds"],
     ["replica", "--prior", "spherical", "--d", "38..42", "--thresholds"],
     ["replica", "--prior", "spherical", "--d", "30000", "--thresholds"],  # exits 2
+    ["replica", "--prior", "rademacher", "--d", "6..8", "--thresholds"],
+    ["replica", "--prior", "rademacher", "--d", "10", "--lambda", "1.2,1.6,3"],
+    ["replica", "--prior", "spherical", "--d", "40", "--lambda", "3.2,3.5"],
 ]
 
 RATEFN = [

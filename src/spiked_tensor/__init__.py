@@ -11,6 +11,7 @@ from .montecarlo import (
     bbp_reference_experiment,
     detection_experiment,
     injective_norm_estimate,
+    injective_norm_experiment,
     mle_statistic,
     overlap_tail_experiment,
     recovery_experiment,
@@ -27,7 +28,6 @@ from .rates import (
     rate_spherical,
 )
 from .replica import (
-    GaussQuadrature,
     ReplicaSolution,
     q_of_mu_rademacher,
     rademacher_fixed_points,

@@ -30,7 +30,7 @@ from .parallel import MAX_THREADS, check_threads, parallel_map
 from .rates import exact_overlap_tail, rate_function_for
 from .rng import RngSeed
 from .solvers import BracketError
-from .tensors import SpikePrior, sample_spiked, sample_wigner
+from .tensors import SpikePrior
 
 MAX_GRID = 10**5  # ratefn rows; each is held until the table is written
 
@@ -305,19 +305,13 @@ def cmd_simulate(parser, args) -> int:
         return 0
 
     if args.subkind == "norms":
-        montecarlo.check_trials(args.trials)
-
-        def one(k: int):
-            trial_seed = seed.offset(2 + k)
-            if args.snr != 0:  # sample_spiked rejects a negative or non-finite snr
-                x, tensor = sample_spiked(prior, args.n, d, args.snr, trial_seed)
-                est = montecarlo.injective_norm_estimate(tensor, settings, trial_seed, spike_start=x)
-            else:
-                tensor = sample_wigner(args.n, d, trial_seed)
-                est = montecarlo.injective_norm_estimate(tensor, settings, trial_seed)
-            return {"trial": k, "estimate": est.value, "converged": est.converged}
-
-        rows = parallel_map(one, range(args.trials), args.threads)
+        estimates = montecarlo.injective_norm_experiment(
+            prior, args.n, d, args.snr, args.trials, seed, settings, args.threads
+        )
+        rows = [
+            {"trial": k, "estimate": est.value, "converged": est.converged}
+            for k, est in enumerate(estimates)
+        ]
         write_table(
             ["trial", "estimate", "converged"], rows, spec,
             {"command": "simulate_norms", "prior": prior.label(), "n": args.n, "d": d},

@@ -355,6 +355,33 @@ def injective_norm_estimate(
     return best
 
 
+def injective_norm_experiment(
+    prior: SpikePrior,
+    n: int,
+    d: int,
+    snr: float,
+    trials: int,
+    seed: RngSeed,
+    settings: PowerIterationSettings = PowerIterationSettings(),
+    threads: int = 1,
+) -> list[NormEstimate]:
+    """Injective-norm estimates of one sample per trial, in trial order.
+
+    Trial k samples from stream 2+k: a plain Wigner tensor at snr = 0, else a
+    spiked one whose spike is also a start of the power iteration.
+    """
+    check_trials(trials)
+
+    def run_trial(k: int) -> NormEstimate:
+        trial_seed = seed.offset(2 + k)
+        if snr != 0:  # sample_spiked rejects a negative or non-finite snr
+            x, tensor = sample_spiked(prior, n, d, snr, trial_seed)
+            return injective_norm_estimate(tensor, settings, trial_seed, spike_start=x)
+        return injective_norm_estimate(sample_wigner(n, d, trial_seed), settings, trial_seed)
+
+    return parallel_map(run_trial, range(trials), threads)
+
+
 def matrix_top_eigenpair(tensor: SymmetricTensor) -> tuple[float, np.ndarray]:
     """d=2 path: the top eigenvalue and a unit eigenvector, from LAPACK."""
     if tensor.d != 2:

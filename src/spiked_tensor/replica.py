@@ -18,16 +18,15 @@ lambda2 >= lambda1 is where the high branch's free energy crosses the zero
 branch's.  For d = 2 the nonzero solution departs continuously from zero at
 snr = 1 (the eigenvalue transition) and is immediately the stable one.
 
-Gaussian expectations use a composite Gauss-Legendre rule against the
-explicit normal density on [-10, 10]; the integrands (tanh, log cosh) are
-smooth with bounded growth, and the rule is validated by moment tests.
+Gaussian expectations E f(z) are f(NODES) @ WEIGHTS, a composite Gauss-Legendre
+rule against the explicit normal density on [-10, 10]; the integrands (tanh,
+log cosh) are smooth with bounded growth, and tests check the rule's moments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,57 +40,36 @@ THRESHOLD_TOL = 1e-6
 SNR_RANGE = (1e-6, SNR_MAX)
 
 
-@dataclass(frozen=True)
-class GaussQuadrature:
-    """Nodes/weights approximating E over a standard normal z."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @staticmethod
-    def build() -> "GaussQuadrature":
-        """3 panels of 67-point Gauss-Legendre on [-10, 10]."""
-        x, w = np.polynomial.legendre.leggauss(67)
-        edges = np.linspace(-10.0, 10.0, 4)
-        nodes, weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-            weights.append(0.5 * (b - a) * w)
-        z = np.concatenate(nodes)
-        w = np.concatenate(weights) * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        z.setflags(write=False)
-        w.setflags(write=False)
-        quad = GaussQuadrature(z, w)
-        quad.validate()
-        return quad
-
-    def validate(self) -> None:
-        moments = [float(np.sum(self.weights * self.nodes**k)) for k in range(5)]
-        if abs(moments[0] - 1.0) > 1e-12 or abs(moments[2] - 1.0) > 1e-10:
-            raise RuntimeError(f"quadrature sanity failure: moments {moments}")
-        if abs(moments[1]) > 1e-10 or abs(moments[3]) > 1e-8 or abs(moments[4] - 3.0) > 1e-8:
-            raise RuntimeError(f"quadrature sanity failure: moments {moments}")
-
-    def expect(self, values: np.ndarray) -> float | np.ndarray:
-        return values @ self.weights
+def _normal_rule() -> tuple[np.ndarray, np.ndarray]:
+    """3 panels of 67-point Gauss-Legendre on [-10, 10], weighted by the normal density."""
+    x, w = np.polynomial.legendre.leggauss(67)
+    edges = np.linspace(-10.0, 10.0, 4)[:, None]
+    a, b = edges[:-1], edges[1:]
+    z = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
+    w = (0.5 * (b - a) * w).ravel() * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return z, w
 
 
-@lru_cache(maxsize=1)
-def default_quadrature() -> GaussQuadrature:
-    return GaussQuadrature.build()
+# E f(z) over a standard normal z is f(NODES) @ WEIGHTS
+NODES, WEIGHTS = _normal_rule()
 
 
-def _q(mu: float | np.ndarray) -> float | np.ndarray:
-    """E_z tanh(mu + sqrt(mu) z) at a float mu, or at each entry of an (N, 1) column."""
-    quad = default_quadrature()
-    return np.tanh(mu + np.sqrt(mu) * quad.nodes) @ quad.weights
+def q_of_mu_rademacher(mu: float | np.ndarray) -> float | np.ndarray:
+    """E_z tanh(mu + sqrt(mu) z) at a float mu, or at each entry of an array of mu.
 
-
-def q_of_mu_rademacher(mu: float) -> float:
-    """E_z tanh(mu + sqrt(mu) z); equals E_z tanh^2 on the Nishimori line."""
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    return float(_q(mu))
+    Equals E_z tanh^2 on the Nishimori line.  A float is one 201-term dot
+    product, an array one (..., 201) @ (201,) product; the two can differ in
+    the last bit.
+    """
+    if isinstance(mu, np.ndarray):
+        if not np.all((0.0 <= mu) & (mu < math.inf)):
+            raise ValueError("mu must be finite and >= 0 at every entry")
+        return np.tanh(mu[..., None] + np.sqrt(mu)[..., None] * NODES) @ WEIGHTS
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    return float(np.tanh(mu + np.sqrt(mu) * NODES) @ WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -109,10 +87,9 @@ def rademacher_free_energy(d: int, snr: float, q: float, mu: float) -> float:
     if mu <= 0.0:
         expectation = math.log(2.0)
     else:
-        quad = default_quadrature()
         # log(2 cosh x) = |x| + log1p(e^(-2|x|)) does not overflow at large |x|
-        x = np.abs(mu + math.sqrt(mu) * quad.nodes)
-        expectation = float(quad.expect(x + np.log1p(np.exp(-2.0 * x))))
+        x = np.abs(mu + math.sqrt(mu) * NODES)
+        expectation = float((x + np.log1p(np.exp(-2.0 * x))) @ WEIGHTS)
     return (1.0 / snr) * (
         -(snr**2 / 4.0) * (q**d + 1.0) + 0.5 * mu * (q + 1.0) - expectation
     )
@@ -132,17 +109,17 @@ def _root_cells(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero((left == 0.0) | (left * vals[1:] < 0))
 
 
-def _scan_roots(grid: np.ndarray, vals: np.ndarray, f, xtol: float) -> list[float]:
-    """Ascending roots of f from its values on a grid.
+def _scan_roots(grid: np.ndarray, f, xtol: float) -> list[float]:
+    """Ascending roots of f, which takes a float or an array, from f(grid).
 
-    Grid zeros are kept as they are; each sign change is bisected with the
-    scalar f to xtol * max(1, right end of its cell).
+    Grid zeros are kept as they are; each sign change is bisected with f at
+    floats to xtol * max(1, right end of its cell).
     """
+    vals = f(grid)
     roots = []
     for i in _root_cells(vals):
         lo, hi = float(grid[i]), float(grid[i + 1])
-        root = lo if vals[i] == 0.0 else bisect_root(f, lo, hi, xtol=xtol * max(1.0, hi)).root
-        roots.append(root)
+        roots.append(lo if vals[i] == 0 else bisect_root(f, lo, hi, xtol=xtol * max(1.0, hi)).root)
     return roots
 
 
@@ -151,15 +128,17 @@ def _label(k: int, roots: list[float]) -> str:
     return "high" if k == len(roots) - 1 else "low"
 
 
-def _phi_scan(d: int, snr: float) -> tuple[np.ndarray, np.ndarray]:
-    """phi(mu) = d q(mu)^(d-1) - 2 mu / snr^2 on the mu grid.
+def _phi(d: int, snr: float):
+    """phi(mu) = d q(mu)^(d-1) - 2 mu / snr^2, at a float mu or an array of them.
 
-    phi < 0 at the grid's last point (d q^(d-1) <= d < 20 d), so the grid's
-    root cells hold every zero and sign change: nonzero solutions exist iff
-    any.
+    phi < 0 at the mu grid's last point (d q^(d-1) <= d < 20 d), so nonzero
+    solutions exist iff the grid has a root cell.
     """
-    mus = _mu_grid(d, snr)
-    return mus, d * _q(mus[:, None]) ** (d - 1) - 2.0 * mus / snr**2
+
+    def phi(mu):
+        return d * q_of_mu_rademacher(mu) ** (d - 1) - 2.0 * mu / snr**2
+
+    return phi
 
 
 def _check(d: int, snr: float) -> None:
@@ -173,15 +152,12 @@ def _check(d: int, snr: float) -> None:
 def rademacher_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     """All solutions at (d, snr): the zero branch plus any nonzero roots.
 
-    Nonzero roots are the sign changes of d q(mu)^(d-1) - 2 mu / snr^2 on a
+    Nonzero roots are the sign changes of phi(mu) (see _phi) on a
     log+linear mu grid, polished by bisection; the one with the largest mu
     is the high branch.
     """
     _check(d, snr)
-    mus, phi = _phi_scan(d, snr)
-    roots = _scan_roots(
-        mus, phi, lambda mu: d * q_of_mu_rademacher(mu) ** (d - 1) - 2.0 * mu / snr**2, 1e-13
-    )
+    roots = _scan_roots(_mu_grid(d, snr), _phi(d, snr), 1e-13)
     out = [ReplicaSolution(d, snr, "zero", 0.0, 0.0, rademacher_free_energy(d, snr, 0.0, 0.0), 0.0)]
     for k, mu in enumerate(roots):
         q = q_of_mu_rademacher(mu)
@@ -217,7 +193,7 @@ def rademacher_replica_thresholds(d: int) -> tuple[float, float]:
         return 1.0, 1.0
 
     def exists(snr: float) -> bool:
-        return _root_cells(_phi_scan(d, snr)[1]).size > 0
+        return _root_cells(_phi(d, snr)(_mu_grid(d, snr))).size > 0
 
     lo, hi = 0.05, 1.0
     while not exists(hi):
@@ -284,13 +260,11 @@ def spherical_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     """Zero branch plus roots of (snr^2/2) d q^(d-1)(1-q) = q on (0,1)."""
     _check(d, snr)
 
-    def psi(q: float) -> float:
+    def psi(q):
         # divided through by q; valid for locating roots in (0,1)
         return 0.5 * snr**2 * d * q ** (d - 2) * (1.0 - q) - 1.0
 
-    qs = np.linspace(1e-9, 1.0 - 1e-12, 4000)
-    vals = 0.5 * snr**2 * d * qs ** (d - 2) * (1.0 - qs) - 1.0
-    roots = _scan_roots(qs, vals, psi, 1e-15)
+    roots = _scan_roots(np.linspace(1e-9, 1.0 - 1e-12, 4000), psi, 1e-15)
     out = [ReplicaSolution(d, snr, "zero", 0.0, math.nan, spherical_free_energy(d, snr, 0.0), 0.0)]
     for k, q in enumerate(roots):
         residual = abs(0.5 * snr**2 * d * q ** (d - 1) * (1.0 - q) - q)

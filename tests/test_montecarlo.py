@@ -16,6 +16,7 @@ from spiked_tensor import (
     detection_experiment,
     exact_overlap_tail,
     injective_norm_estimate,
+    injective_norm_experiment,
     injective_norm_mu,
     mle_statistic,
     overlap_tail_experiment,
@@ -232,6 +233,26 @@ def test_norm_estimate_value_is_its_vectors_objective(d, n):
     for spike_start in (None, x):
         est = injective_norm_estimate(T, settings, seed=RngSeed(d), spike_start=spike_start)
         assert est.value == rank_one_inner(T, UnitVector(est.vector))
+
+
+@pytest.mark.parametrize("snr", [0.0, 2.0])
+def test_norm_experiment_trial_streams(snr):
+    # trial k samples from stream 2+k and starts at the spike when snr != 0
+    prior, seed, settings = SpikePrior.rademacher(), RngSeed(4), PowerIterationSettings(restarts=3)
+    estimates = injective_norm_experiment(prior, 8, 3, snr, 3, seed, settings)
+    threaded = injective_norm_experiment(prior, 8, 3, snr, 3, seed, settings, threads=2)
+    for k, (est, other) in enumerate(zip(estimates, threaded, strict=True)):
+        assert (est.value, est.converged) == (other.value, other.converged)
+        trial_seed = seed.offset(2 + k)
+        if snr:
+            x, T = sample_spiked(prior, 8, 3, snr, trial_seed)
+            ref = injective_norm_estimate(T, settings, trial_seed, spike_start=x)
+        else:
+            ref = injective_norm_estimate(sample_wigner(8, 3, trial_seed), settings, trial_seed)
+        assert (est.value, est.converged) == (ref.value, ref.converged)
+        assert np.array_equal(est.vector, ref.vector)
+    with pytest.raises(ValueError):
+        injective_norm_experiment(prior, 8, 3, snr, 0, seed, settings)
 
 
 @pytest.mark.parametrize("snr", [0.8, 1.5])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from spiked_tensor import (
-    GaussQuadrature,
     ReplicaSolution,
     SpikePrior,
     injective_norm_mu,
@@ -23,9 +22,10 @@ from spiked_tensor import (
 )
 from spiked_tensor.cli import main
 from spiked_tensor.replica import (
+    NODES,
     THRESHOLD_TOL,
+    WEIGHTS,
     _crossing,
-    default_quadrature,
     fixed_points,
     replica_thresholds,
 )
@@ -36,9 +36,9 @@ TWO_SQRT_LOG2 = 2.0 * math.sqrt(math.log(2.0))
 
 
 def test_quadrature_moments():
-    quad = GaussQuadrature.build()
-    z, w = quad.nodes, quad.weights
+    z, w = NODES, WEIGHTS
     assert len(z) == 201
+    assert not z.flags.writeable and not w.flags.writeable
     assert abs(float(w.sum()) - 1.0) < 1e-12
     assert abs(float((w * z).sum())) < 1e-10
     assert abs(float((w * z**2).sum()) - 1.0) < 1e-10
@@ -48,10 +48,9 @@ def test_quadrature_moments():
 
 def test_nishimori_identity():
     # E tanh = E tanh^2 at the same coupling (mu + sqrt(mu) z)
-    quad = default_quadrature()
     for mu in (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0):
-        th = np.tanh(mu + math.sqrt(mu) * quad.nodes)
-        m2 = float(quad.expect(th * th))
+        th = np.tanh(mu + math.sqrt(mu) * NODES)
+        m2 = float((th * th) @ WEIGHTS)
         assert abs(q_of_mu_rademacher(mu) - m2) < 1e-8
 
 
@@ -62,11 +61,42 @@ def test_q_of_mu_limits():
         q_of_mu_rademacher(-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_q_of_mu_rejects_non_finite_or_negative(bad):
+    with pytest.raises(ValueError):
+        q_of_mu_rademacher(bad)
+    with pytest.raises(ValueError):
+        q_of_mu_rademacher(np.array([0.0, 0.5, bad, 2.0]))
+    with pytest.raises(ValueError):
+        q_of_mu_rademacher(np.array(bad))
+
+
+def test_q_of_mu_float_and_array_agree():
+    # an array entry and the float call are different kernels (one row of a
+    # matrix product against a 1-D dot); they agree to a few ulps, not bitwise
+    mus = np.linspace(0.0, 40.0, 401)
+    batch = q_of_mu_rademacher(mus)
+    assert batch.shape == mus.shape
+    assert q_of_mu_rademacher(mus[:400].reshape(20, 20)).shape == (20, 20)
+    for mu, q in zip(mus, batch):
+        assert abs(q_of_mu_rademacher(float(mu)) - q) <= 1e-15
+
+
+def test_threshold_values_pinned_to_the_bit():
+    # full-precision values of the solvers as first committed; any change to
+    # the scans, the polishing or the quadrature moves at least one of them
+    assert rademacher_replica_thresholds(3) == (1.4671469569206237, 1.5351897678149715)
+    assert rademacher_replica_thresholds(4) == (1.4740500330924988, 1.6210524579279557)
+    assert rademacher_replica_thresholds(10) == (1.1929114699363708, 1.664758677292542)
+    assert spherical_replica_threshold(3) == 1.7063273984090024
+    assert spherical_replica_threshold(10) == 2.606619506958087
+    assert spherical_replica_threshold(40) == 3.2384785070465005
+
+
 def test_quadrature_against_monte_carlo():
     # E log(2 cosh(mu + sqrt(mu) z)) at mu = 1 vs a 10^7-sample oracle
-    quad = default_quadrature()
     mu = 1.0
-    exact = float(quad.expect(np.log(2.0 * np.cosh(mu + np.sqrt(mu) * quad.nodes))))
+    exact = float(np.log(2.0 * np.cosh(mu + np.sqrt(mu) * NODES)) @ WEIGHTS)
     z = np.random.default_rng(12345).standard_normal(10_000_000)
     mc = float(np.mean(np.log(2.0 * np.cosh(mu + np.sqrt(mu) * z))))
     assert abs(exact - mc) < 1e-3
