@@ -10,7 +10,8 @@ Subcommands emit CSV (default) or JSON tables:
   norms | bbp.
 
 Every command is deterministic given its flags and seed; output ordering is
-fixed, so runs with different ``--threads`` are byte-identical.  Exit codes
+fixed.  Every command runs on the caller's thread; ``--threads`` is checked
+but changes no work.  Exit codes
 report execution health only (0 = completed, 2 = rejected input, printed as
 one ``spiked-tensor: error: ...`` line), never statistical outcomes.
 """
@@ -26,7 +27,7 @@ import numpy as np
 from . import montecarlo, replica, thresholds
 from .montecarlo import ExperimentConfig, PowerIterationSettings
 from .output import OutputSpec, write_table
-from .parallel import MAX_THREADS, check_threads, parallel_map
+from .parallel import MAX_THREADS, check_threads
 from .rates import exact_overlap_tail, rate_function_for
 from .rng import RngSeed
 from .solvers import BracketError
@@ -90,7 +91,9 @@ def _add_common(p: argparse.ArgumentParser, *, prior_required: bool = True) -> N
     )
     p.add_argument("--rho", type=float, default=None, help="sparsity for --prior sparse")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help=f"worker threads, 1..{MAX_THREADS}")
+    p.add_argument(
+        "--threads", type=int, default=1, help=f"accepted, 1..{MAX_THREADS}; changes no work"
+    )
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--precision", type=int, default=9)
@@ -141,11 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_thresholds(parser, args) -> int:
     prior = _prior_from_args(parser, args)
     ds = _parse_d_range(args.d)
-    reports = parallel_map(
-        lambda d: thresholds.threshold_report(prior, d, include_replica=args.replica),
-        ds,
-        args.threads,
-    )
+    reports = [thresholds.threshold_report(prior, d, include_replica=args.replica) for d in ds]
     columns = ["d", "lambda_lower", "lambda_upper", "mu_d"]
     if args.replica:
         columns.append("replica")
@@ -200,11 +199,10 @@ def cmd_replica(parser, args) -> int:
     ds = _parse_d_range(args.d)
     spec = _output_spec(args)
     if args.thresholds:
-        def one(d: int):
+        rows = []
+        for d in ds:
             l1, l2 = replica.replica_thresholds(prior, d)
-            return {"d": d, "lambda1": l1, "lambda2": l2}
-
-        rows = parallel_map(one, ds, args.threads)
+            rows.append({"d": d, "lambda1": l1, "lambda2": l2})
         write_table(
             ["d", "lambda1", "lambda2"], rows, spec,
             {"command": "replica_thresholds", "prior": prior.label()},
@@ -260,9 +258,7 @@ def cmd_simulate(parser, args) -> int:
     settings = PowerIterationSettings(args.restarts, args.max_iters, args.tol)
 
     if args.subkind == "bbp":
-        summary = montecarlo.bbp_reference_experiment(
-            args.n, args.snr, args.trials, seed, args.threads
-        )
+        summary = montecarlo.bbp_reference_experiment(args.n, args.snr, args.trials, seed)
         row = {
             "n": summary.n,
             "lambda": summary.snr,
@@ -284,9 +280,7 @@ def cmd_simulate(parser, args) -> int:
             if args.tgrid is not None
             else [round(0.05 * i, 2) for i in range(13)]
         )
-        rows_out = montecarlo.overlap_tail_experiment(
-            prior, args.n, args.trials, t_grid, seed, args.threads
-        )
+        rows_out = montecarlo.overlap_tail_experiment(prior, args.n, args.trials, t_grid, seed)
         rows = [
             {
                 "t": r.t,
@@ -306,7 +300,7 @@ def cmd_simulate(parser, args) -> int:
 
     if args.subkind == "norms":
         estimates = montecarlo.injective_norm_experiment(
-            prior, args.n, d, args.snr, args.trials, seed, settings, args.threads
+            prior, args.n, d, args.snr, args.trials, seed, settings
         )
         rows = [
             {"trial": k, "estimate": est.value, "converged": est.converged}
@@ -324,7 +318,7 @@ def cmd_simulate(parser, args) -> int:
     )
 
     if args.subkind == "detect":
-        result = montecarlo.detection_experiment(config, args.threads)
+        result = montecarlo.detection_experiment(config)
         row = {
             "test": args.test, "n": args.n, "d": d, "lambda": args.snr, "trials": args.trials,
             # the injective test thresholds at the arms' midpoint; no margin applies
@@ -334,16 +328,16 @@ def cmd_simulate(parser, args) -> int:
             "mean_abs_overlap": result.mean_abs_overlap,
         }
     else:
-        result = montecarlo.recovery_experiment(config, args.threads)
+        result = montecarlo.recovery_experiment(config)
         row = {
             "test": args.test, "n": args.n, "d": d, "lambda": args.snr,
             "trials": args.trials,
             "mean_abs_overlap": result.mean_abs_overlap,
             "mean_overlap_pow_d": result.mean_overlap_pow_d,
         }
-    write_table(list(row), [row], spec, {"command": f"simulate_{args.subkind}"})
-    if args.records:
+    if args.records:  # first, so that an unwritable path leaves stdout empty
         _write_records(args.records, result, args.precision)
+    write_table(list(row), [row], spec, {"command": f"simulate_{args.subkind}"})
     return 0
 
 
@@ -360,12 +354,13 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
     }
     try:
-        check_threads(args.threads)  # before any command, threaded or not
+        check_threads(args.threads)  # before any command, though none uses it
         _output_spec(args)  # likewise --format and --precision, before any row is computed
         return dispatch[args.command](parser, args)
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code or 0)
-    except (ValueError, BracketError) as exc:  # input the library rejects or cannot solve
+    # input the library rejects or cannot solve, or an --out/--records path it cannot open
+    except (ValueError, BracketError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

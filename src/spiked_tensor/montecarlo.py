@@ -5,7 +5,7 @@ tails, and the d=2 eigenvalue-transition reference check.
 Determinism contract: every experiment is a pure function of its config.
 Trial k derives its own RNG stream (offset 2+k; paired designs use 2+2k and
 3+2k for the two arms), and aggregation is an ordered fold over per-trial
-records, so results are bit-identical across runs and thread counts.
+records, so results are bit-identical across runs.
 
 There is no separate MAP test: both discrete priors are uniform on their
 support, so the MAP statistic is the MLE statistic shifted by the constant
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .parallel import parallel_map
 from .rates import exact_overlap_tail, rate_function_for, EXACT_TAIL_MAX_N
 from .rng import RESTART_SUBSTREAM, RngSeed
 from .tensors import (
@@ -108,7 +107,7 @@ class ExperimentConfig:
 
 
 def check_trials(trials: int) -> None:
-    """Trial indices are listed up front and per-trial results held, so the
+    """Per-trial results are held until the experiment folds them, so the
     trial count is bounded by MEMORY_CAP like any other array."""
     if not 1 <= trials <= MEMORY_CAP:
         raise ValueError(f"trials must be in 1..{MEMORY_CAP}, got {trials}")
@@ -363,7 +362,6 @@ def injective_norm_experiment(
     trials: int,
     seed: RngSeed,
     settings: PowerIterationSettings = PowerIterationSettings(),
-    threads: int = 1,
 ) -> list[NormEstimate]:
     """Injective-norm estimates of one sample per trial, in trial order.
 
@@ -379,7 +377,7 @@ def injective_norm_experiment(
             return injective_norm_estimate(tensor, settings, trial_seed, spike_start=x)
         return injective_norm_estimate(sample_wigner(n, d, trial_seed), settings, trial_seed)
 
-    return parallel_map(run_trial, range(trials), threads)
+    return [run_trial(k) for k in range(trials)]
 
 
 def matrix_top_eigenpair(tensor: SymmetricTensor) -> tuple[float, np.ndarray]:
@@ -405,7 +403,7 @@ def _arm_statistic(
     return value, argmax.coords
 
 
-def detection_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def detection_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Paired trials: one spiked and one unspiked sample per trial, the
     configured statistic thresholded at snr - eps (MLE) or the midpoint of
     the two arms' mean statistics (injective)."""
@@ -420,7 +418,7 @@ def detection_experiment(config: ExperimentConfig, threads: int = 1) -> Experime
         overlap = float(np.dot(x.coords, v1))
         return s1, s0, overlap
 
-    outcomes = parallel_map(run_trial, range(config.trials), threads)
+    outcomes = [run_trial(k) for k in range(config.trials)]
 
     norm_estimates = None
     if config.test == "mle":
@@ -462,7 +460,7 @@ def detection_experiment(config: ExperimentConfig, threads: int = 1) -> Experime
     )
 
 
-def recovery_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def recovery_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Spiked samples only; reports the statistic argmax's overlap with the spike.
 
     snr = 0 is allowed as the null reference: the argmax is then independent
@@ -477,7 +475,7 @@ def recovery_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
         value, vhat = _arm_statistic(config, spiked, seed)
         return value, float(np.dot(x.coords, vhat))
 
-    outcomes = parallel_map(run_trial, range(config.trials), threads)
+    outcomes = [run_trial(k) for k in range(config.trials)]
     records = tuple(
         TrialRecord(k, "spiked", value, None, overlap)
         for k, (value, overlap) in enumerate(outcomes)
@@ -511,7 +509,6 @@ def overlap_tail_experiment(
     trials: int,
     t_grid,
     seed: RngSeed,
-    threads: int = 1,
 ) -> list[TailRow]:
     """Empirical Pr[<x,x'> >= t] from sampled spike pairs, next to the rate
     function and (where exact combinatorics is available) the exact tail."""
@@ -533,7 +530,7 @@ def overlap_tail_experiment(
         rows = sample_spike_batch(prior, n, 2 * count, rng)
         return np.einsum("ij,ij->i", rows[0::2], rows[1::2])
 
-    overlaps = np.concatenate(parallel_map(run_chunk, range(n_chunks), threads))
+    overlaps = np.concatenate([run_chunk(c) for c in range(n_chunks)])
     exact_available = prior.kind == "spherical" or n <= EXACT_TAIL_MAX_N
     out = []
     for t in t_grid:
@@ -566,7 +563,6 @@ def bbp_reference_experiment(
     snr: float,
     trials: int,
     seed: RngSeed,
-    threads: int = 1,
 ) -> BbpSummary:
     """d=2 eigenvalue-transition check: top eigenvalue -> snr + 1/snr and
     squared spike alignment -> 1 - 1/snr^2 above snr = 1 (2 and 0 below)."""
@@ -578,7 +574,7 @@ def bbp_reference_experiment(
         eig, vec = matrix_top_eigenpair(spiked)
         return eig, float(np.dot(vec, x.coords)) ** 2
 
-    outcomes = parallel_map(run_trial, range(trials), threads)
+    outcomes = [run_trial(k) for k in range(trials)]
     eigs = tuple(e for e, _ in outcomes)
     aligns = tuple(a for _, a in outcomes)
     if snr > 1.0:

@@ -1,21 +1,11 @@
-"""Order-preserving parallel map; results never depend on the thread count."""
+"""The --threads check.  Every command runs on the caller's thread, so the
+flag is accepted and validated but changes no work and no output byte."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
-MAX_THREADS = 256  # each worker is an OS thread
+MAX_THREADS = 256  # the range --threads has always accepted; no thread is started
 
 
 def check_threads(threads: int) -> None:
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"threads must be in 1..{MAX_THREADS}, got {threads}")
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    check_threads(threads)
-    items = list(items)
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 from pathlib import Path
 
 import pytest
@@ -323,7 +324,7 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["simulate", "norms", "--prior", "spherical", "--n", "2", "--d", "26", "--trials", "1"],
         ["simulate", "norms", "--prior", "spherical", "--n", str(10**9), "--d", str(10**6),
          "--trials", "1"],
-        # one item: parallel_map starts no pool, so no thread is started even unchecked
+        # checked in main before dispatch, though no command starts a thread
         ["thresholds", "--prior", "spherical", "--d", "3", "--threads", "0"],
         ["thresholds", "--prior", "spherical", "--d", "3", "--threads", "-1"],
         ["thresholds", "--prior", "spherical", "--d", "3", "--threads", "100000"],
@@ -344,6 +345,9 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["simulate", "detect", "--prior", "spherical", "--test", "injective_norm", "--n", "10",
          "--d", "3", "--lambda", "1e160", "--trials", "1"],
         ["simulate", "bbp", "--n", "10", "--lambda", "1e200", "--trials", "1"],
+        ["thresholds", "--prior", "spherical", "--d", "3", "--out", "/dev/null/t.csv"],
+        ["simulate", "detect", "--prior", "rademacher", "--n", "6", "--d", "3", "--lambda", "1",
+         "--trials", "2", "--records", "/dev/null/r.csv"],
     ],
     ids=["tails_tgrid", "ratefn_tmax", "spherical_replica_d30000", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
@@ -359,7 +363,8 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "threads_0", "threads_negative", "threads_huge", "simulate_d_range",
          "ratefn_grid_over_cap", "norms_restarts_huge", "detect_support_over_cap",
          "detect_spherical_mle", "ratefn_n_over_exact_cap", "replica_empty_lambda",
-         "tails_empty_tgrid", "norms_huge_snr", "detect_injective_huge_snr", "bbp_huge_snr"],
+         "tails_empty_tgrid", "norms_huge_snr", "detect_injective_huge_snr", "bbp_huge_snr",
+         "out_unwritable", "records_unwritable"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)
@@ -450,3 +455,21 @@ def test_thread_determinism_quick(tmp_path, capsys):
         assert code == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_no_command_starts_a_thread(monkeypatch, capsys):
+    argvs = [
+        ["simulate", "norms", "--prior", "spherical", "--n", "6", "--d", "3", "--trials", "3",
+         "--restarts", "2"],
+        ["simulate", "tails", "--prior", "rademacher", "--n", "10", "--trials", "25000"],
+        ["thresholds", "--prior", "rademacher", "--d", "3..4"],
+    ]
+    serial = [run_cli(argv + ["--threads", "1"], capsys) for argv in argvs]
+
+    def refuse(self):
+        raise RuntimeError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for argv, expected in zip(argvs, serial):
+        assert expected[0] == 0
+        assert run_cli(argv + ["--threads", "8"], capsys) == expected

@@ -240,8 +240,8 @@ def test_norm_experiment_trial_streams(snr):
     # trial k samples from stream 2+k and starts at the spike when snr != 0
     prior, seed, settings = SpikePrior.rademacher(), RngSeed(4), PowerIterationSettings(restarts=3)
     estimates = injective_norm_experiment(prior, 8, 3, snr, 3, seed, settings)
-    threaded = injective_norm_experiment(prior, 8, 3, snr, 3, seed, settings, threads=2)
-    for k, (est, other) in enumerate(zip(estimates, threaded, strict=True)):
+    again = injective_norm_experiment(prior, 8, 3, snr, 3, seed, settings)
+    for k, (est, other) in enumerate(zip(estimates, again, strict=True)):
         assert (est.value, est.converged) == (other.value, other.converged)
         trial_seed = seed.offset(2 + k)
         if snr:
@@ -313,11 +313,9 @@ def test_detection_counts_and_records():
     assert miss == round(res.type_ii_rate * 25)
 
 
-def test_detection_deterministic_across_threads():
+def test_detection_deterministic_per_seed():
     cfg = ExperimentConfig(SpikePrior.rademacher(), 10, 3, 2.0, 16, RngSeed(5))
-    a = detection_experiment(cfg, threads=1)
-    b = detection_experiment(cfg, threads=4)
-    assert a == b
+    assert detection_experiment(cfg) == detection_experiment(cfg)
 
 
 def test_injective_detection_small():
@@ -383,10 +381,10 @@ def test_overlap_tail_sparse_rate_inequality():
         assert row.exact_rate >= row.rate_value - (math.log(max(fitted_c, 1e-9)) + 1.5 * math.log(n)) / n - 1e-12
 
 
-def test_overlap_tail_deterministic_across_threads():
-    rows1 = overlap_tail_experiment(SpikePrior.spherical(), 25, 30_000, [0.1, 0.2], RngSeed(3), threads=1)
-    rows8 = overlap_tail_experiment(SpikePrior.spherical(), 25, 30_000, [0.1, 0.2], RngSeed(3), threads=8)
-    assert rows1 == rows8
+def test_overlap_tail_deterministic_per_seed():
+    rows1 = overlap_tail_experiment(SpikePrior.spherical(), 25, 30_000, [0.1, 0.2], RngSeed(3))
+    rows2 = overlap_tail_experiment(SpikePrior.spherical(), 25, 30_000, [0.1, 0.2], RngSeed(3))
+    assert rows1 == rows2
 
 
 def test_bbp_subcritical():
@@ -398,5 +396,5 @@ def test_bbp_subcritical():
 
 def test_bbp_deterministic():
     a = bbp_reference_experiment(200, 2.0, 4, RngSeed(2))
-    b = bbp_reference_experiment(200, 2.0, 4, RngSeed(2), threads=3)
+    b = bbp_reference_experiment(200, 2.0, 4, RngSeed(2))
     assert a == b
