@@ -94,6 +94,8 @@ SIMULATE = [
     ["simulate", "norms", "--prior", "spherical", "--n", "3", "--d", "12", "--lambda", "2",
      "--trials", "1"],
     ["simulate", "bbp", "--n", "400", "--lambda", "0.5", "--trials", "2"],
+    ["simulate", "recover", "--prior", "spherical", "--test", "injective_norm", "--n", "12",
+     "--d", "4", "--lambda", "2", "--trials", "8", "--seed", "3", "--records", RECORDS],
 ]
 
 

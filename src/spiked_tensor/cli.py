@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -80,6 +81,23 @@ def _nan_if_none(value):
 
 def _output_spec(args) -> OutputSpec:
     return OutputSpec(format=args.format, path=args.out, precision=args.precision)
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise the OSError that writing ``path`` would raise, before any row is
+    computed.  The probe opens for appending, which truncates nothing, and
+    removes a file it created.  A path that exists and is neither a regular
+    file nor a directory (a device or a pipe, whose reader would see the
+    probe close) is left to the write itself."""
+    if path is None:
+        return
+    exists = os.path.exists(path)
+    if exists and not (os.path.isfile(path) or os.path.isdir(path)):
+        return
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not exists:
+        os.remove(path)
 
 
 def _add_common(p: argparse.ArgumentParser, *, prior_required: bool = True) -> None:
@@ -312,6 +330,7 @@ def cmd_simulate(parser, args) -> int:
         )
         return 0
 
+    _check_writable(args.records)  # detect and recover write it; before any trial runs
     config = ExperimentConfig(
         prior=prior, n=args.n, d=d, snr=args.snr, trials=args.trials,
         seed=seed, test=args.test, epsilon=args.epsilon, power_iter=settings,
@@ -356,6 +375,7 @@ def main(argv=None) -> int:
     try:
         check_threads(args.threads)  # before any command, though none uses it
         _output_spec(args)  # likewise --format and --precision, before any row is computed
+        _check_writable(args.out)  # and the output path
         return dispatch[args.command](parser, args)
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code or 0)

@@ -26,7 +26,11 @@ can decrease the objective on random tensors; whenever that happens the
 shift doubles and the step is retried, which restores guaranteed ascent
 (for a large enough shift the update is a small gradient step on the
 sphere).  Returned values are lower estimates of the true maximum, never a
-certified optimum.
+certified optimum.  All starts of one estimate ascend in lockstep: every
+block step is one contraction of the (rows, n) block of starts still
+running, each row keeping its own shift and counts, and a row leaves the
+block when it stops.  The starts are drawn and run in chunks whose first
+contraction step holds at most 2^22 scalars, whatever the restart count.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .rates import exact_overlap_tail, rate_function_for, EXACT_TAIL_MAX_N
 from .rng import RESTART_SUBSTREAM, RngSeed
@@ -47,13 +50,14 @@ from .tensors import (
     UnitVector,
     contract,
     contract_leading,
+    rank_one_inner,
     sample_spike_batch,
     sample_spiked,
     sample_wigner,
 )
 
 MAX_ENUMERATION = 2**24  # support points; the half visited is 2^23 candidates
-_BLOCK_BUDGET = 1 << 22  # scalars in one block of candidate values, and per side block
+_BLOCK_BUDGET = 1 << 22  # scalars in one block of candidate values, per side block, and per power-step block
 _TAIL_CHUNK = 10_000  # spike pairs per overlap-tail chunk; chunk c draws from stream 2+c
 
 TESTS = ("mle", "injective_norm")
@@ -284,45 +288,80 @@ class NormEstimate:
     converged: bool
 
 
-def _power_iteration_ascent(
-    tensor: SymmetricTensor, start: np.ndarray, max_iters: int, tol: float
-) -> tuple[float, np.ndarray, bool]:
-    # One contraction per point gives both f(x) = <g, x> and the next step's
-    # direction g.  For odd d, contract(T, -x) = contract(T, x) bit for bit
-    # (negation is exact), so a point flipped to -x keeps its g.
-    d = tensor.d
-    x = start / np.linalg.norm(start)
+def _ascend(
+    tensor: SymmetricTensor, starts: np.ndarray, max_iters: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, unit vector and convergence flag of the ascent from each row of
+    ``starts``, all rows stepped in lockstep.
+
+    Every block step makes one attempt per live row through one contraction
+    of the block.  A row keeps its own shift, step count and attempt count:
+    an attempt that lowers f doubles the row's shift (plus one) and retries
+    from the same point; the 80th failed attempt is taken if it lowers f by
+    no more than 1e-9 * scale and raises RuntimeError otherwise; a taken step
+    halves the shift.  A row leaves the block when its
+    step moves less than ``tol``, at a stationary point (a zero step, where
+    it stays, converged) and after ``max_iters`` steps.
+
+    One contraction per point gives both f(x) = <g, x> and the next step's
+    direction g.  For odd d, contract(T, -x) = contract(T, x) bit for bit
+    (negation is exact), so a point flipped to -x keeps its g.
+    """
+    rows, n = starts.shape
+    values, vectors, converged = np.empty(rows), np.empty((rows, n)), np.zeros(rows, dtype=bool)
+    odd = tensor.d % 2 == 1
+    x = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     g = contract(tensor, x)
-    fx = float(g @ x)
-    if d % 2 == 1 and fx < 0:
-        x, fx = -x, -fx
-    shift = 0.0
-    scale = max(1.0, abs(fx))
-    converged = False
-    for _ in range(max_iters):
-        for _ in range(80):
-            step = g + shift * x
-            norm = np.linalg.norm(step)
-            if norm == 0.0:
-                return fx, x, True  # stationary point
-            y = step / norm
+    fx = np.einsum("ij,ij->i", g, x)
+    if odd:
+        _flip_negative(x, fx)
+    shift, scale = np.zeros(rows), np.maximum(1.0, np.abs(fx))
+    steps, attempts, live = np.zeros(rows, dtype=int), np.zeros(rows, dtype=int), np.arange(rows)
+    while live.size:
+        step = g + shift[:, None] * x
+        norm = np.linalg.norm(step, axis=1)
+        if norm.all():
+            y = step / norm[:, None]
             gy = contract(tensor, y)
-            fy = float(gy @ y)
-            if d % 2 == 1 and fy < 0:
-                y, fy = -y, -fy
-            if fy >= fx - 1e-12 * scale:
-                break
-            shift = 2.0 * shift + 1.0  # retry with a safer (more contractive) step
-        if fy < fx - 1e-9 * scale:
-            raise RuntimeError(f"power iteration failed to ascend: {fx} -> {fy}")
-        move = float(np.linalg.norm(y - x))
-        x, fx, g = y, fy, gy
-        scale = max(scale, abs(fx))
-        if move < tol:
-            converged = True
-            break
-        shift *= 0.5  # relax toward the plain power step while it keeps ascending
-    return fx, x, converged
+            fy = np.einsum("ij,ij->i", gy, y)
+            if odd:
+                _flip_negative(y, fy)
+            failed = fy < fx - 1e-12 * scale
+            attempts += failed
+            last = attempts == 80
+            if last.any():
+                descends = last & (fy < fx - 1e-9 * scale)
+                if descends.any():
+                    i = int(np.argmax(descends))
+                    raise RuntimeError(f"power iteration failed to ascend: {fx[i]} -> {fy[i]}")
+            take = ~failed | last
+            finished = take & (np.linalg.norm(y - x, axis=1) < tol)
+            x, g = np.where(take[:, None], y, x), np.where(take[:, None], gy, g)
+            fx = np.where(take, fy, fx)
+            scale = np.maximum(scale, np.abs(fx))
+            shift = np.where(failed, 2.0 * shift + 1.0, shift)  # retry with a safer (more contractive) step
+            shift[take] *= 0.5  # relax toward the plain power step while it keeps ascending
+            steps += take
+            attempts[take] = 0
+            done = finished | (steps == max_iters)
+        else:  # a stationary point ends its row; the other rows make this attempt on the next pass
+            finished = done = norm == 0.0
+        if done.any():
+            converged[live[finished]] = True
+            values[live[done]], vectors[live[done]] = fx[done], x[done]
+            keep = ~done
+            x, g, fx, shift, scale, steps, attempts, live = (
+                a[keep] for a in (x, g, fx, shift, scale, steps, attempts, live)
+            )
+    return values, vectors, converged
+
+
+def _flip_negative(points: np.ndarray, values: np.ndarray) -> None:
+    """Negate, in place, the rows of ``points`` whose value is negative, and
+    those values (odd d: f(-x) = -f(x))."""
+    flip = values < 0
+    np.negative(points, out=points, where=flip[:, None])
+    np.negative(values, out=values, where=flip)
 
 
 def injective_norm_estimate(
@@ -335,23 +374,35 @@ def injective_norm_estimate(
 
     A heuristic LOWER estimate of max <T, x^{(x)d}> over the sphere; the
     objective value is nondecreasing along every run by construction.
+
+    The starts are the spike (when given) followed by ``restarts`` standard
+    normal rows of the restart stream.  Ties go to the first best start.
     """
-    if settings.restarts * tensor.n > MEMORY_CAP:
-        raise ValueError(f"{settings.restarts} starts of n={tensor.n} exceed the memory cap {MEMORY_CAP}")
+    n = tensor.n
+    if settings.restarts * n > MEMORY_CAP:
+        raise ValueError(f"{settings.restarts} starts of n={n} exceed the memory cap {MEMORY_CAP}")
     rng = (seed or RngSeed(0)).generator(RESTART_SUBSTREAM)
-    starts = rng.standard_normal((settings.restarts, tensor.n))
-    if spike_start is not None:
-        starts = np.vstack([spike_start.coords, starts])
-    if not len(starts):
+    total = settings.restarts + (spike_start is not None)
+    if not total:
         raise ValueError("injective norm estimate needs a start: restarts = 0 and no spike start")
+    # starts per chunk: the (rows, n^(d-1)) first step of a block contraction fits the budget
+    rows = max(1, _BLOCK_BUDGET // n ** (tensor.d - 1))
     best = None
-    for start in starts:
-        value, vector, converged = _power_iteration_ascent(
-            tensor, start, settings.max_iters, settings.tol
-        )
-        if best is None or value > best.value:
-            best = NormEstimate(value, vector, converged)
-    return best
+    for first in range(0, total, rows):
+        # chunk by chunk, the draws run through the restart stream in order
+        count = min(rows, total - first)
+        if first == 0 and spike_start is not None:
+            starts = np.vstack([spike_start.coords, rng.standard_normal((count - 1, n))])
+        else:
+            starts = rng.standard_normal((count, n))
+        values, vectors, converged = _ascend(tensor, starts, settings.max_iters, settings.tol)
+        i = int(np.argmax(values))
+        if best is None or values[i] > best[0]:
+            best = values[i], vectors[i].copy(), bool(converged[i])
+    _, vector, converged = best
+    # a block contraction rounds unlike a single vector's, so the value is
+    # read off the winning vector alone
+    return NormEstimate(rank_one_inner(tensor, UnitVector(vector)), vector, converged)
 
 
 def injective_norm_experiment(
@@ -384,6 +435,8 @@ def matrix_top_eigenpair(tensor: SymmetricTensor) -> tuple[float, np.ndarray]:
     """d=2 path: the top eigenvalue and a unit eigenvector, from LAPACK."""
     if tensor.d != 2:
         raise ValueError("matrix_top_eigenpair requires d = 2")
+    from scipy import linalg  # imported at its one use, so that other commands skip its import
+
     n = tensor.n
     values, vectors = linalg.eigh(tensor.entries, subset_by_index=[n - 1, n - 1])
     return float(values[0]), vectors[:, 0]

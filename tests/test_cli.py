@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -7,7 +10,8 @@ import pytest
 
 from spiked_tensor.cli import main
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "results"
 
 
 def run_cli(args, capsys):
@@ -397,6 +401,39 @@ def test_precision_is_checked_before_any_row(monkeypatch, capsys):
     assert "precision must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("work, argv", [
+    ("spiked_tensor.thresholds.threshold_report",
+     ["thresholds", "--prior", "spherical", "--d", "3", "--out", "/dev/null/t.csv"]),
+    ("spiked_tensor.montecarlo.injective_norm_experiment",
+     ["simulate", "norms", "--prior", "spherical", "--n", "6", "--trials", "1",
+      "--out", "/dev/null/n.csv"]),
+    ("spiked_tensor.montecarlo.detection_experiment",
+     ["simulate", "detect", "--prior", "rademacher", "--n", "6", "--d", "3", "--lambda", "1",
+      "--trials", "2", "--records", "/dev/null/r.csv"]),
+], ids=["thresholds_out", "norms_out", "detect_records"])
+def test_bad_output_path_fails_before_any_work(work, argv, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(work, no_work)
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "/dev/null/" in lines[0]
+
+
+def test_failed_run_keeps_output_files_as_they_were(tmp_path, capsys):
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("earlier output\n")
+    bad_snr = ["simulate", "detect", "--prior", "rademacher", "--n", "6", "--d", "3",
+               "--lambda", "nan", "--trials", "2"]
+    for flag in ("--out", "--records"):
+        assert main(bad_snr + [flag, str(kept)]) == 2
+        assert main(bad_snr + [flag, str(fresh)]) == 2
+    capsys.readouterr()
+    assert kept.read_text() == "earlier output\n"
+    assert not fresh.exists()
+
+
 def test_map_test_is_gone(capsys):
     # MAP made the MLE test's decisions (a constant shift of statistic and threshold)
     argv = ["simulate", "detect", "--prior", "rademacher", "--test", "map", "--n", "8",
@@ -473,3 +510,12 @@ def test_no_command_starts_a_thread(monkeypatch, capsys):
     for argv, expected in zip(argvs, serial):
         assert expected[0] == 0
         assert run_cli(argv + ["--threads", "8"], capsys) == expected
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # only the d = 2 eigenpair needs scipy.linalg, and every process would pay for its import
+    code = "import sys, spiked_tensor.cli; print('scipy.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "False"

@@ -27,8 +27,10 @@ from spiked_tensor import (
     sample_spiked,
     sample_wigner,
 )
-from spiked_tensor.montecarlo import _candidate_chunks
-from spiked_tensor.tensors import UnitVector
+from spiked_tensor import montecarlo
+from spiked_tensor.montecarlo import _ascend, _candidate_chunks
+from spiked_tensor.rng import RESTART_SUBSTREAM
+from spiked_tensor.tensors import MEMORY_CAP, UnitVector, contract
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +255,83 @@ def test_norm_experiment_trial_streams(snr):
         assert np.array_equal(est.vector, ref.vector)
     with pytest.raises(ValueError):
         injective_norm_experiment(prior, 8, 3, snr, 0, seed, settings)
+
+
+def _plain_step_descends(T, start):
+    """Whether the unshifted first step from ``start`` lowers the objective, so
+    that the ascent retries it with a shift."""
+    x = start / np.linalg.norm(start)
+    g = contract(T, x)
+    y = g / np.linalg.norm(g)
+    f, fy = g @ x, contract(T, y) @ y
+    if T.d % 2:
+        f, fy = abs(f), abs(fy)
+    return fy < f - 1e-12 * max(1.0, f)
+
+
+@pytest.mark.parametrize("d, n", [(3, 10), (4, 8)])
+def test_lockstep_rows_match_their_runs_alone(d, n):
+    # the spike start converges within 20 steps while random starts run to
+    # max_iters, and a random start's first plain step descends, so it retries
+    x, T = sample_spiked(SpikePrior.spherical(), n, d, 10.0, RngSeed(d))
+    starts = np.vstack([x.coords, RngSeed(d).generator(0).standard_normal((7, n))])
+    values, _, converged = _ascend(T, starts, 20, 1e-10)
+    assert converged[0] and not converged.all()
+    assert any(_plain_step_descends(T, start) for start in starts)
+    for i, start in enumerate(starts):
+        value, _, alone = _ascend(T, start[None], 20, 1e-10)
+        assert alone[0] == converged[i]
+        assert value[0] == pytest.approx(values[i], rel=1e-12, abs=0)
+
+
+def test_chunked_starts_match_one_block(monkeypatch):
+    # pure noise, where the best start's maximum is unique: starts that reach
+    # one maximum tie to the ulp, and block rounding may break such a tie
+    n, seed = 12, RngSeed(1)
+    T, x = sample_wigner(n, 3, RngSeed(101)), UnitVector(np.eye(n)[0])
+    settings = PowerIterationSettings(restarts=10)
+    whole = injective_norm_estimate(T, settings, seed, spike_start=x)
+    starts = np.vstack([x.coords, seed.generator(RESTART_SUBSTREAM).standard_normal((10, n))])
+    values, vectors, converged = _ascend(T, starts, settings.max_iters, settings.tol)
+    winner = int(np.argmax(values))
+
+    blocks = []
+
+    def counted(tensor, rows):
+        blocks.append(len(rows))
+        return contract(tensor, rows)
+
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", 3 * n**2)
+    monkeypatch.setattr(montecarlo, "contract", counted)
+    chunked = injective_norm_estimate(T, settings, seed, spike_start=x)
+    assert max(blocks) == 3  # four chunks: 3, 3, 3 and 2 starts
+    assert winner >= 3  # the best start is not in the first chunk
+    for est in (whole, chunked):
+        assert int(np.argmin(np.linalg.norm(vectors - est.vector, axis=1))) == winner
+        assert est.converged == converged[winner]
+        assert est.value == pytest.approx(values[winner], rel=1e-12, abs=0)
+
+
+def test_restarts_under_the_cap_step_in_chunks(monkeypatch):
+    # restarts x n just under MEMORY_CAP is accepted, and its first block
+    # step contracts one chunk, not all (restarts, n^2)
+    n, d = 100, 3
+    T = SymmetricTensor(n, d, np.zeros((n,) * d))
+    restarts = MEMORY_CAP // n - 1
+    with pytest.raises(ValueError, match="memory cap"):
+        injective_norm_estimate(T, PowerIterationSettings(restarts=restarts + 2), RngSeed(1))
+
+    class FirstBlock(Exception):
+        pass
+
+    def first_block(tensor, rows):
+        raise FirstBlock(len(rows))
+
+    monkeypatch.setattr(montecarlo, "contract", first_block)
+    with pytest.raises(FirstBlock) as block:
+        injective_norm_estimate(T, PowerIterationSettings(restarts=restarts), RngSeed(1))
+    rows = block.value.args[0]
+    assert rows * n ** (d - 1) <= montecarlo._BLOCK_BUDGET < restarts * n ** (d - 1)
 
 
 @pytest.mark.parametrize("snr", [0.8, 1.5])
