@@ -12,7 +12,7 @@ import pathlib
 
 import numpy as np
 
-from spiked_tensor import SpikePrior, asymptotics, threshold_report
+from spiked_tensor import SpikePrior, threshold_report
 from spiked_tensor.output import OutputSpec, write_table
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -27,9 +27,7 @@ def sweep(rhos) -> list[dict]:
                 "rho": float(rho),
                 "lambda_lower": rep.lambda_lower,
                 "lambda_upper": rep.lambda_upper,
-                "asymptote": (
-                    asymptotics("sparse_rho_lower", float(rho)) if rho < 1.0 else math.nan
-                ),
+                "asymptote": math.nan if rep.asymptotic_lower is None else rep.asymptotic_lower,
                 "capped_by_sigma": rep.diagnostics["lower_capped_by_sigma"],
             }
         )

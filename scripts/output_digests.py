@@ -9,7 +9,9 @@ trees give the same output for these commands exactly when they print the
 same lines.  To compare against another checkout, run this script twice
 with ``PYTHONPATH`` pointing at each checkout's ``src/`` and diff the
 outputs.  Each seeded ``simulate`` argv also runs at ``--threads 2``; the
-last line says whether those digests equal the ``--threads 1`` ones.
+last line says whether those digests equal the ``--threads 1`` ones.  The
+``thresholds`` argv and the ``SIMULATE_JSON`` ones also run with
+``--format json``, which pins the JSON cells of their rows.
 Takes well under a minute.
 """
 
@@ -98,6 +100,8 @@ SIMULATE = [
      "--d", "4", "--lambda", "2", "--trials", "8", "--seed", "3", "--records", RECORDS],
 ]
 
+SIMULATE_JSON = [SIMULATE[0], SIMULATE[10]]  # detect --test mle --records; bbp
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
@@ -120,9 +124,10 @@ def digest(argv: list[str], tmpdir: str) -> str:
 def run() -> bool:
     as_json = [argv + ["--format", "json"] for argv in THRESHOLDS]
     threaded = [argv + ["--threads", "2"] for argv in SIMULATE]
+    simulate_json = [argv + ["--format", "json"] for argv in SIMULATE_JSON]
     lines = {}
     with tempfile.TemporaryDirectory() as tmpdir:
-        for argv in THRESHOLDS + as_json + REPLICA + RATEFN + SIMULATE + threaded:
+        for argv in THRESHOLDS + as_json + REPLICA + RATEFN + SIMULATE + threaded + simulate_json:
             lines[tuple(argv)] = digest(argv, tmpdir)
             print(f"{lines[tuple(argv)]}  {' '.join(argv)}", flush=True)
     same = all(lines[tuple(a)] == lines[tuple(t)] for a, t in zip(SIMULATE, threaded))

@@ -29,7 +29,7 @@ from . import montecarlo, replica, thresholds
 from .montecarlo import ExperimentConfig, PowerIterationSettings
 from .output import OutputSpec, write_table
 from .parallel import MAX_THREADS, check_threads
-from .rates import exact_overlap_tail, rate_function_for
+from .rates import exact_overlap_tail, rate_function_for, tail_rate
 from .rng import RngSeed
 from .solvers import BracketError
 from .tensors import SpikePrior
@@ -202,9 +202,8 @@ def cmd_ratefn(parser, args) -> int:
     for t, f in zip(ts.tolist(), rate.eval_batch(ts).tolist()):
         row = {"t": t, "rate": f}
         if args.n is not None:
-            tail = exact_overlap_tail(prior, args.n, t)
-            row["exact_tail"] = tail
-            row["exact_rate"] = -math.log(tail) / args.n if tail > 0 else math.inf
+            row["exact_tail"] = tail = exact_overlap_tail(prior, args.n, t)
+            row["exact_rate"] = tail_rate(tail, args.n)
         rows.append(row)
     write_table(columns, rows, _output_spec(args), {"command": "ratefn", "prior": prior.label()})
     return 0

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rates import exact_overlap_tail, rate_function_for, EXACT_TAIL_MAX_N
+from .rates import exact_overlap_tail, rate_function_for, tail_rate, EXACT_TAIL_MAX_N
 from .rng import RESTART_SUBSTREAM, RngSeed
 from .tensors import (
     MEMORY_CAP,
@@ -148,7 +148,6 @@ class ExperimentResult:
     mean_overlap_pow_d: float | None
     threshold: float | None
     records: tuple[TrialRecord, ...]
-    norm_estimates: dict | None = None  # injective test: per-arm summary stats
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +458,8 @@ def _arm_statistic(
 def detection_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Paired trials: one spiked and one unspiked sample per trial, the
     configured statistic thresholded at snr - eps (MLE) or the midpoint of
-    the two arms' mean statistics (injective)."""
+    the two arms' mean statistics (injective).  An arm is declared spiked
+    when its statistic is >= the threshold."""
 
     def run_trial(k: int):
         spiked_seed = config.seed.offset(2 + 2 * k)
@@ -468,48 +468,29 @@ def detection_experiment(config: ExperimentConfig) -> ExperimentResult:
         unspiked = sample_wigner(config.n, config.d, unspiked_seed)
         s1, v1 = _arm_statistic(config, spiked, spiked_seed)
         s0, _ = _arm_statistic(config, unspiked, unspiked_seed)
-        overlap = float(np.dot(x.coords, v1))
-        return s1, s0, overlap
+        return s1, s0, float(np.dot(x.coords, v1))
 
-    outcomes = [run_trial(k) for k in range(config.trials)]
-
-    norm_estimates = None
+    spiked, unspiked, overlaps = map(np.array, zip(*[run_trial(k) for k in range(config.trials)]))
     if config.test == "mle":
         threshold = config.snr - config.threshold_margin
     else:
-        spiked_stats = np.array([s1 for s1, _, _ in outcomes])
-        unspiked_stats = np.array([s0 for _, s0, _ in outcomes])
-        threshold = 0.5 * (float(spiked_stats.mean()) + float(unspiked_stats.mean()))
-        norm_estimates = {
-            "spiked_mean": float(spiked_stats.mean()),
-            "spiked_std": float(spiked_stats.std()),
-            "unspiked_mean": float(unspiked_stats.mean()),
-            "unspiked_std": float(unspiked_stats.std()),
-        }
-
+        threshold = 0.5 * (float(spiked.mean()) + float(unspiked.mean()))
+    hits, alarms = spiked >= threshold, unspiked >= threshold
     records = []
-    hits = misses = false_alarms = 0
-    for k, (s1, s0, overlap) in enumerate(outcomes):
-        d1 = int(s1 >= threshold)
-        d0 = int(s0 >= threshold)
-        hits += d1
-        misses += 1 - d1
-        false_alarms += d0
-        records.append(TrialRecord(k, "spiked", s1, d1, overlap))
-        records.append(TrialRecord(k, "unspiked", s0, d0, math.nan))
-
-    trials = config.trials
-    overlaps = np.array([r.overlap for r in records if r.arm == "spiked"])
+    for k, (s1, s0, overlap, d1, d0) in enumerate(
+        zip(spiked.tolist(), unspiked.tolist(), overlaps.tolist(), hits.tolist(), alarms.tolist())
+    ):
+        records.append(TrialRecord(k, "spiked", s1, int(d1), overlap))
+        records.append(TrialRecord(k, "unspiked", s0, int(d0), math.nan))
     return ExperimentResult(
-        trials=trials,
-        accuracy=(hits + (trials - false_alarms)) / (2.0 * trials),
-        type_i_rate=false_alarms / trials,
-        type_ii_rate=misses / trials,
+        trials=config.trials,
+        accuracy=float(np.concatenate([hits, ~alarms]).mean()),
+        type_i_rate=float(alarms.mean()),
+        type_ii_rate=float((~hits).mean()),
         mean_abs_overlap=float(np.mean(np.abs(overlaps))),
         mean_overlap_pow_d=float(np.mean(overlaps**config.d)),
         threshold=threshold,
         records=tuple(records),
-        norm_estimates=norm_estimates,
     )
 
 
@@ -589,12 +570,9 @@ def overlap_tail_experiment(
     for t in t_grid:
         t = float(t)
         tail = float(np.mean(overlaps >= t))
-        emp_rate = -math.log(tail) / n if tail > 0 else math.inf
         exact = exact_overlap_tail(prior, n, t) if exact_available else None
-        exact_rate = None
-        if exact is not None:
-            exact_rate = -math.log(exact) / n if exact > 0 else math.inf
-        out.append(TailRow(t, tail, emp_rate, rate.eval(min(t, 1.0)), exact, exact_rate))
+        exact_rate = None if exact is None else tail_rate(exact, n)
+        out.append(TailRow(t, tail, tail_rate(tail, n), rate.eval(min(t, 1.0)), exact, exact_rate))
     return out
 
 

@@ -32,16 +32,12 @@ from .solvers import bisect_root, geometric_grid, golden_min
 from .tensors import SpikePrior
 
 GRID_POINTS = 10_000
-# below ~1e-6 the sparse rate evaluates as a difference of O(1) entropies and
-# is cancellation noise; the t->0 boundary is covered exactly by the d=2 cap
-SPARSE_T_FLOOR = 1e-6
 
 
 class LowerBoundResult(NamedTuple):
     value: float
     t_star: float
     capped_by_sigma: bool
-    grid_refinement_gap: float
 
 
 class TangencyResult(NamedTuple):
@@ -76,8 +72,8 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    tmin = SPARSE_T_FLOOR if rate.prior.kind == "sparse_rademacher" else 1e-9
-    ts = geometric_grid(GRID_POINTS, tmin=tmin)
+    # the grid starts at the rate's floor; below it the d=2 cap covers t -> 0 exactly
+    ts = geometric_grid(GRID_POINTS, tmin=rate.t_floor)
     fvals = np.maximum(rate.eval_batch(ts), 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         td = ts**d
@@ -112,7 +108,7 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
     capped = d == 2 and value > 1.0
     if capped:
         value = 1.0
-    return LowerBoundResult(value, t_star, capped, abs(refined - float(ratio[i])))
+    return LowerBoundResult(value, t_star, capped)
 
 
 def spherical_tangency(d: int) -> TangencyResult:
@@ -311,7 +307,6 @@ def threshold_report(
         lam_lo = lower.value
         diagnostics["lower_t_star"] = lower.t_star
         diagnostics["lower_capped_by_sigma"] = lower.capped_by_sigma
-        diagnostics["lower_grid_refinement_gap"] = lower.grid_refinement_gap
         lam_hi = upper_bound_cardinality(prior, d)
         if prior.kind == "rademacher":
             asym_lower = asym_upper = lam_hi

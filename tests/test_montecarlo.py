@@ -404,10 +404,37 @@ def test_injective_detection_small():
     )
     res = detection_experiment(cfg)
     assert res.accuracy >= 0.9
-    # injective runs carry per-arm norm summaries; the threshold is their midpoint
-    assert res.norm_estimates is not None
-    mid = 0.5 * (res.norm_estimates["spiked_mean"] + res.norm_estimates["unspiked_mean"])
-    assert res.threshold == pytest.approx(mid, abs=1e-12)
+    # the injective threshold is the midpoint of the two arms' mean statistics
+    arm_means = [
+        np.mean([r.statistic for r in res.records if r.arm == arm]) for arm in ("spiked", "unspiked")
+    ]
+    assert res.threshold == pytest.approx(0.5 * sum(arm_means), abs=1e-12)
+
+
+@pytest.mark.parametrize("test, snr", [("mle", 2.0), ("injective_norm", 1.5)])
+def test_detection_rates_are_the_record_decisions(test, snr):
+    trials = 12
+    cfg = ExperimentConfig(
+        SpikePrior.rademacher(), 8, 3, snr, trials, RngSeed(13),
+        test=test, power_iter=PowerIterationSettings(restarts=4, max_iters=200),
+    )
+    res = detection_experiment(cfg)
+    decisions = {arm: [r.decision for r in res.records if r.arm == arm] for arm in ("spiked", "unspiked")}
+    assert all(r.decision == int(r.statistic >= res.threshold) for r in res.records)
+    hits, alarms = sum(decisions["spiked"]), sum(decisions["unspiked"])
+    assert res.type_i_rate == alarms / trials
+    assert res.type_ii_rate == (trials - hits) / trials
+    assert res.accuracy == (hits + trials - alarms) / (2 * trials)
+
+
+def test_detection_statistic_at_the_threshold_detects(monkeypatch):
+    # every statistic equals the mle threshold snr - eps = 1.5: each arm detects
+    monkeypatch.setattr(montecarlo, "_arm_statistic", lambda config, tensor, seed: (1.5, np.zeros(6)))
+    cfg = ExperimentConfig(SpikePrior.rademacher(), 6, 3, 2.0, 3, RngSeed(1), epsilon=0.5)
+    res = detection_experiment(cfg)
+    assert res.threshold == 1.5
+    assert [r.decision for r in res.records] == [1] * 6
+    assert (res.type_i_rate, res.type_ii_rate, res.accuracy) == (1.0, 0.0, 0.5)
 
 
 def test_recovery_noiseless_exact():

@@ -20,7 +20,7 @@ from spiked_tensor import (
     rate_spherical,
     upper_bound_cardinality,
 )
-from spiked_tensor.rates import EXACT_TAIL_MAX_N
+from spiked_tensor.rates import EXACT_TAIL_MAX_N, tail_rate
 from spiked_tensor.tensors import round_half_up
 
 LOG2 = math.log(2.0)
@@ -281,8 +281,9 @@ def test_sparse_tail_sandwich():
             ) * (1 + 1e-9)
     # and the normalized log-tail approaches the rate
     for t in ts:
-        emp = -math.log(exact_overlap_tail(prior, 200, t)) / 200
+        emp = tail_rate(exact_overlap_tail(prior, 200, t), 200)
         assert abs(emp - rates[t]) < 0.05
+    assert tail_rate(0.0, 200) == math.inf
 
 
 def test_spherical_tail_against_betainc():
