@@ -3,7 +3,7 @@
 
 Writes results/sparse_pca_d2.csv with the noise-conditioning lower bound,
 the exhaustive-search upper bound and the rho -> 0 asymptote on a log-spaced
-rho grid.  Takes a minute or two: each lower bound is a fresh 2-D
+rho grid.  Takes about half a minute: each lower bound is a fresh 2-D
 optimization.
 """
 

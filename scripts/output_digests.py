@@ -12,7 +12,7 @@ outputs.  Each seeded ``simulate`` argv also runs at ``--threads 2``; the
 last line says whether those digests equal the ``--threads 1`` ones.  The
 ``thresholds`` argv and the ``SIMULATE_JSON`` ones also run with
 ``--format json``, which pins the JSON cells of their rows.
-Takes well under a minute.
+Takes about a minute.
 """
 
 import contextlib
@@ -34,10 +34,18 @@ THRESHOLDS = [
     ["thresholds", "--prior", "rademacher", "--d", "2..12", "--replica", "--asymptotics"],
     ["thresholds", "--prior", "rademacher", "--d", "13..60"],
     ["thresholds", "--prior", "sparse", "--rho", "0.3", "--d", "2..3", "--asymptotics"],
+    # a 9-digit print of a figure-grid rho; not a frozen row (see NOISE_RHOS)
     ["thresholds", "--prior", "sparse", "--rho", "0.144543977", "--d", "2"],
     ["thresholds", "--prior", "spherical", "--d", "40..42", "--replica"],
     ["thresholds", "--prior", "rademacher", "--d", "13..16", "--replica"],
 ]
+# The repr of each rho in (0.14, 1) on scripts/figure_sparse_pca.py's grid.  There
+# the d = 2 lower bound is set by cancellation noise in the sparse rate, so
+# these rows move under any change to that arithmetic; they guard the frozen
+# rows of perfbench/reference/sparse_pca_d2.csv.
+NOISE_RHOS = ["0.1445439770745928", "0.26505337179010824", "0.4860340175990221",
+              "0.6666666666666666", "0.8912509381337456"]
+THRESHOLDS += [["thresholds", "--prior", "sparse", "--d", "2", "--rho", rho] for rho in NOISE_RHOS]
 
 REPLICA = [
     ["replica", "--prior", "spherical", "--d", "3", "--lambda", "1.5,2,2.5,3,5"],

@@ -549,6 +549,13 @@ def overlap_tail_experiment(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     check_trials(trials)
+    t_grid = [float(t) for t in t_grid]
+    spherical = prior.kind == "spherical"
+    for t in t_grid:
+        if not (0.0 <= t < 1.0 if spherical else 0.0 <= t <= 1.0):
+            raise ValueError(
+                f"tail points t must lie in [0, 1] ([0, 1) for the spherical prior), got {t}"
+            )
     block = 2 * min(trials, _TAIL_CHUNK) * n
     if block > MEMORY_CAP:
         raise ValueError(
@@ -565,14 +572,13 @@ def overlap_tail_experiment(
         return np.einsum("ij,ij->i", rows[0::2], rows[1::2])
 
     overlaps = np.concatenate([run_chunk(c) for c in range(n_chunks)])
-    exact_available = prior.kind == "spherical" or n <= EXACT_TAIL_MAX_N
+    exact_available = spherical or n <= EXACT_TAIL_MAX_N
     out = []
-    for t in t_grid:
-        t = float(t)
+    for t, rate_value in zip(t_grid, rate.eval_batch(np.asarray(t_grid)).tolist()):
         tail = float(np.mean(overlaps >= t))
         exact = exact_overlap_tail(prior, n, t) if exact_available else None
         exact_rate = None if exact is None else tail_rate(exact, n)
-        out.append(TailRow(t, tail, tail_rate(tail, n), rate.eval(min(t, 1.0)), exact, exact_rate))
+        out.append(TailRow(t, tail, tail_rate(tail, n), rate_value, exact, exact_rate))
     return out
 
 

@@ -10,7 +10,9 @@ For two independent spikes x, x' the rate function f(t) captures
                G(zeta) = -H({zeta, rho-zeta, rho-zeta, 1-2rho+zeta}) + 2 H(rho)
 
 zeta is the fraction of coordinates where both supports hit; it is
-hypergeometric at finite n, which is what the exact oracle sums over.
+hypergeometric at finite n, which is what the exact oracle sums over.  The
+minimum over zeta is a grid scan in blocks of t, then an array-parallel
+golden section (_rate_sparse_batch).
 All logarithms are natural.  0 * log 0 = 0 at entropy boundaries.
 
 The exact oracles are independent of the rate functions: discrete priors use
@@ -35,6 +37,7 @@ from .tensors import SpikePrior
 
 EXACT_TAIL_MAX_N = 200  # combinatorial oracles stay exact and fast below this
 _ZETA_GRID = 1000       # coarse scan guarding the golden-section basin
+_ZETA_BLOCK = 2**13     # scalars in one (t, zeta) block of that scan; larger ran slower
 _ZETA_GOLDEN_ITERS = 52  # INV_PHI**52 < 1e-11: refine zeta to ~1e-10 absolute
 
 
@@ -94,31 +97,38 @@ def rate_sparse_rademacher(t: float, rho: float) -> float:
 
 
 def _rate_sparse_batch(ts: np.ndarray, rho: float) -> np.ndarray:
-    """Vectorized inner minimization over zeta, one problem per t."""
+    """Vectorized inner minimization over zeta, one problem per t.
+
+    A coarse scan over _ZETA_GRID fractions of each t's feasible interval
+    finds the basin: one (t, zeta) array per block of t rows, at most
+    _ZETA_BLOCK scalars each, minimized along zeta.  Golden section then
+    polishes within one grid step either side of the best fraction.
+    """
     ts = np.asarray(ts, dtype=float)
     lo = np.maximum(rho * ts, 2.0 * rho - 1.0)
     lo = np.maximum(lo, 0.0)
-    hi = np.full_like(ts, rho)
+    span = rho - lo
 
-    def objective(zeta: np.ndarray) -> np.ndarray:
-        zeta = np.minimum(np.maximum(zeta, lo), hi)
+    def objective(zeta: np.ndarray, ts: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        zeta = np.minimum(np.maximum(zeta, lo), rho)
         safe = np.maximum(zeta, 1e-300)
         arg = np.minimum(rho * ts / safe, 1.0)
         return _entropy_term_vec(zeta, rho) + zeta * _rate_rademacher_vec(arg)
 
-    # coarse scan over the (t-dependent) feasible interval, then golden polish
-    span = hi - lo
     fractions = np.linspace(0.0, 1.0, _ZETA_GRID)
-    best = np.full(ts.shape, np.inf)
-    sbest = np.zeros_like(ts)
-    for s in fractions:
-        v = objective(lo + span * s)
-        better = v < best
-        best = np.where(better, v, best)
-        sbest = np.where(better, s, sbest)
+    best = np.empty_like(ts)
+    sbest = np.empty_like(ts)
+    rows = _ZETA_BLOCK // _ZETA_GRID
+    for start in range(0, ts.size, rows):
+        blk = slice(start, start + rows)
+        t_col, lo_col = ts[blk, None], lo[blk, None]
+        v = objective(lo_col + span[blk, None] * fractions, t_col, lo_col)
+        k = np.argmin(v, axis=1)
+        best[blk] = np.take_along_axis(v, k[:, None], axis=1)[:, 0]
+        sbest[blk] = fractions[k]
     a = lo + span * np.maximum(sbest - 1.0 / _ZETA_GRID, 0.0)
     b = lo + span * np.minimum(sbest + 1.0 / _ZETA_GRID, 1.0)
-    _, refined = golden_min_vec(objective, a, b, _ZETA_GOLDEN_ITERS)
+    _, refined = golden_min_vec(lambda zeta: objective(zeta, ts, lo), a, b, _ZETA_GOLDEN_ITERS)
     out = np.minimum(best, refined)
     # interval collapses at t = 1: the value is the collision entropy exactly
     out = np.where(ts >= 1.0, collision_entropy(SpikePrior.sparse(rho)), out)

@@ -3,7 +3,9 @@
 Golden-section search (scalar and array-parallel) and bisection, with the
 tolerances and residual reporting the callers assert on.  The array-parallel
 golden section refines many independent 1-D minimizations in lockstep, which
-is what makes batch evaluation of the sparse rate function cheap.
+is what makes batch evaluation of the sparse rate function cheap; with one
+problem it lets a caller polish with the same array function it scanned a
+grid with (lower_bound_lambda).
 """
 
 from __future__ import annotations

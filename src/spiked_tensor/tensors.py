@@ -117,9 +117,11 @@ class UnitVector:
         return self.coords.shape[0]
 
 
-# A table is n^d orbit numbers plus d indices and a scale per orbit; four keep a few
-# orders warm without letting a process keep every order it samples (one per bbp task).
-@lru_cache(maxsize=4)
+# A table is n^d orbit numbers plus d indices and a scale per orbit.  Six hold every
+# order of a run that cycles through (14..18, 3) and (8, 6), whose (8, 6) table takes
+# 25-40 ms to build, without letting a process keep every order it samples (one per
+# bbp task, up to 2.8 MB each at n = 450).
+@lru_cache(maxsize=6)
 def _orbit_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The orbit number of every entry (orbits in flat order of their sorted index),
     each orbit's sorted index as d rows, and the noise scale sqrt(2 / (n c)) of each

@@ -9,7 +9,9 @@ with the additional cap ``snr* <= 1`` at d=2 (local subgaussianity; see
 lower_bound_lambda).  For the spherical prior the infimum is the root of a
 closed tangency equation (spherical_tangency), which the reports use; the
 grid route lower_bound_lambda serves the discrete priors, and the tests
-cross-check it against the tangency root.
+cross-check it against the tangency root.  Its grid and its polish share
+one array objective, so it reads the rate only through
+RateFunction.eval_batch.
 
 Upper bounds: for discrete priors, exhaustive-search MLE gives 2*sqrt(c)
 with c the log-cardinality density.  Both priors are uniform on their
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import replica
 from .rates import RateFunction, collision_entropy, rate_function_for
-from .solvers import bisect_root, geometric_grid, golden_min
+from .solvers import INV_PHI, bisect_root, geometric_grid, golden_min, golden_min_vec
 from .tensors import SpikePrior
 
 GRID_POINTS = 10_000
@@ -55,6 +57,10 @@ class SpikedNormLowerBound(NamedTuple):
 def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
     """sqrt(2 inf (1+t^d)/t^d f(t)) on a boundary-refined grid + golden polish.
 
+    The polish is an array golden section on the grid's best bracket, with
+    the grid's own objective, run for as many steps as a scalar section
+    needs to reach the tolerance.
+
     Raises ValueError when the grid cannot hold the infimum: it is interior
     (infinite collision entropy, i.e. the spherical prior) but lies past the
     last grid point 1 - t = 1e-14, which happens from d ~ 10^13 on
@@ -72,12 +78,16 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
+
+    def objective(ts: np.ndarray) -> np.ndarray:
+        fvals = np.maximum(rate.eval_batch(ts), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            td = ts**d
+            return np.where(td > 0.0, (1.0 + td) / td * fvals, np.inf)
+
     # the grid starts at the rate's floor; below it the d=2 cap covers t -> 0 exactly
     ts = geometric_grid(GRID_POINTS, tmin=rate.t_floor)
-    fvals = np.maximum(rate.eval_batch(ts), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        td = ts**d
-        ratio = np.where(td > 0.0, (1.0 + td) / td * fvals, np.inf)
+    ratio = objective(ts)
     i = int(np.argmin(ratio))
     if not math.isfinite(ratio[i]) or (
         i == len(ts) - 1 and math.isinf(rate.collision_entropy)
@@ -86,24 +96,18 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
             f"d={d}: the infimum lies past the grid's last point "
             f"1 - t = {1.0 - float(ts[-1]):.0e}; the grid cannot resolve this order"
         )
-
-    def objective(t: float) -> float:
-        td = t**d
-        if td <= 0.0:
-            return math.inf
-        return (1.0 + td) / td * max(rate.eval(t), 0.0)
-
     a = float(ts[max(0, i - 1)])
     b = float(ts[min(len(ts) - 1, i + 1)])
     # near t = 1 the objective is set by 1 - t, so resolve t to 1e-3 of
     # 1 - t there, and no finer than a few ulps so the section cannot stall
     tol = max(min(1e-10, 1e-3 * (1.0 - b)), 4.0 * math.ulp(b))
-    _t, refined = golden_min(objective, a, b, tol=tol)
+    iterations = max(0, math.ceil(math.log(tol / (b - a)) / math.log(INV_PHI)))
+    (t_polished,), (refined,) = golden_min_vec(objective, [a], [b], iterations)
     # the objective tends to 2F as t -> 1 (F the collision entropy), so the
     # infimum is at most 2F; near t = 1 the grid's (1+t^d)/t^d ~ 2 + d(1-t)
     # overshoots that limit once d(1-t) is no longer negligible
-    best = min(refined, float(ratio[i]), 2.0 * rate.collision_entropy)
-    t_star = _t if refined <= ratio[i] else float(ts[i])
+    best = min(float(refined), float(ratio[i]), 2.0 * rate.collision_entropy)
+    t_star = float(t_polished) if refined <= ratio[i] else float(ts[i])
     value = math.sqrt(2.0 * best)
     capped = d == 2 and value > 1.0
     if capped:

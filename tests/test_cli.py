@@ -280,6 +280,11 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
     [
         ["simulate", "tails", "--prior", "rademacher", "--n", "10", "--trials", "5",
          "--tgrid", "1.5"],
+        # past the exact oracle's n <= 200 the t grid is still checked
+        ["simulate", "tails", "--prior", "rademacher", "--n", "300", "--trials", "100",
+         "--tgrid", "1.5"],
+        ["simulate", "tails", "--prior", "spherical", "--n", "10", "--trials", "5",
+         "--tgrid", "0.5,1"],
         ["ratefn", "--prior", "rademacher", "--tmax", "1.5"],
         # past d ~ 10^4 the root scan's 4000-point grid cannot resolve the high branch
         ["thresholds", "--prior", "spherical", "--d", "30000", "--replica"],
@@ -353,7 +358,7 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["simulate", "detect", "--prior", "rademacher", "--n", "6", "--d", "3", "--lambda", "1",
          "--trials", "2", "--records", "/dev/null/r.csv"],
     ],
-    ids=["tails_tgrid", "ratefn_tmax", "spherical_replica_d30000", "detect_nan_snr",
+    ids=["tails_tgrid", "tails_tgrid_past_exact_cap", "tails_spherical_tgrid_1", "ratefn_tmax", "spherical_replica_d30000", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
          "ratefn_n_negative", "ratefn_n_0", "tails_n_0", "tails_trials_0", "bbp_trials_0",
          "norms_max_iters_0", "norms_tol_negative", "norms_tol_nan", "norms_tol_inf",

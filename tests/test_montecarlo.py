@@ -21,6 +21,7 @@ from spiked_tensor import (
     mle_statistic,
     overlap_tail_experiment,
     rank_one,
+    rate_function_for,
     rank_one_inner,
     recovery_experiment,
     sample_spike,
@@ -485,6 +486,29 @@ def test_overlap_tail_sparse_rate_inequality():
         fitted_c = row.exact_tail / (n**1.5 * math.exp(-n * row.rate_value))
         assert fitted_c < 2.0
         assert row.exact_rate >= row.rate_value - (math.log(max(fitted_c, 1e-9)) + 1.5 * math.log(n)) / n - 1e-12
+
+
+def test_overlap_tail_rate_values_are_the_scalar_rate():
+    for prior in (SpikePrior.rademacher(), SpikePrior.sparse(0.3), SpikePrior.spherical()):
+        grid = [0.0, 0.1, 0.35, 0.5, 0.999] + ([] if prior.kind == "spherical" else [1.0])
+        rows = overlap_tail_experiment(prior, 12, 100, grid, RngSeed(5))
+        rate = rate_function_for(prior)
+        assert [row.rate_value for row in rows] == [rate.eval(t) for t in grid]
+
+
+@pytest.mark.parametrize("prior, n, t", [
+    (SpikePrior.rademacher(), 300, 1.5),
+    (SpikePrior.sparse(0.3), 300, -0.1),
+    (SpikePrior.spherical(), 10, 1.0),
+    (SpikePrior.rademacher(), 10, math.nan),
+])
+def test_overlap_tail_grid_is_checked_before_sampling(prior, n, t, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before the t grid was checked")
+
+    monkeypatch.setattr(montecarlo, "sample_spike_batch", refuse)
+    with pytest.raises(ValueError, match="tail points"):
+        overlap_tail_experiment(prior, n, 100, [0.2, t], RngSeed(1))
 
 
 def test_overlap_tail_deterministic_per_seed():

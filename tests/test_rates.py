@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,9 @@ from spiked_tensor import (
     rate_spherical,
     upper_bound_cardinality,
 )
+from spiked_tensor import rates
 from spiked_tensor.rates import EXACT_TAIL_MAX_N, tail_rate
+from spiked_tensor.solvers import geometric_grid, golden_min_vec
 from spiked_tensor.tensors import round_half_up
 
 LOG2 = math.log(2.0)
@@ -113,6 +116,54 @@ def test_batch_matches_scalar():
         batch = rate.eval_batch(grid)
         scalars = np.array([rate.eval(float(t)) for t in grid])
         assert np.array_equal(batch, scalars)
+
+
+def _sparse_rate_per_fraction(ts: np.ndarray, rho: float) -> np.ndarray:
+    """The sparse rate with its zeta scan written as one vector step per grid
+    fraction and a running minimum: the reference for the blocked scan."""
+    lo = np.maximum(np.maximum(rho * ts, 2.0 * rho - 1.0), 0.0)
+    hi = np.full_like(ts, rho)
+
+    def objective(zeta):
+        zeta = np.minimum(np.maximum(zeta, lo), hi)
+        arg = np.minimum(rho * ts / np.maximum(zeta, 1e-300), 1.0)
+        return rates._entropy_term_vec(zeta, rho) + zeta * rates._rate_rademacher_vec(arg)
+
+    span = hi - lo
+    best = np.full(ts.shape, np.inf)
+    sbest = np.zeros_like(ts)
+    for s in np.linspace(0.0, 1.0, rates._ZETA_GRID):
+        v = objective(lo + span * s)
+        better = v < best
+        best = np.where(better, v, best)
+        sbest = np.where(better, s, sbest)
+    a = lo + span * np.maximum(sbest - 1.0 / rates._ZETA_GRID, 0.0)
+    b = lo + span * np.minimum(sbest + 1.0 / rates._ZETA_GRID, 1.0)
+    _, refined = golden_min_vec(objective, a, b, rates._ZETA_GOLDEN_ITERS)
+    out = np.where(ts >= 1.0, collision_entropy(SpikePrior.sparse(rho)), np.minimum(best, refined))
+    return np.maximum(out, 0.0)
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.1445439770745928, 0.3, 0.6666666666666666, 0.8912509381337456])
+def test_sparse_scan_matches_per_fraction_loop(rho):
+    # about 2,000 points, uniform and boundary-refined; their count is not a
+    # multiple of a block's rows, so the last block is a partial one
+    ts = np.concatenate([np.linspace(0.0, 1.0, 999), geometric_grid(800, tmin=1e-6)])
+    assert ts.size % (rates._ZETA_BLOCK // rates._ZETA_GRID) != 0
+    assert np.array_equal(rates._rate_sparse_batch(ts, rho), _sparse_rate_per_fraction(ts, rho))
+
+
+def test_sparse_scan_never_allocates_the_whole_grid():
+    ts = np.linspace(0.0, 1.0, 5000)
+    rates._rate_sparse_batch(ts[:2], 0.3)
+    tracemalloc.start()
+    try:
+        rates._rate_sparse_batch(ts, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one temporary of the whole (t, zeta) grid would be 5000 * 1000 * 8 B = 40 MB
+    assert peak < 4 * 2**20
 
 
 def test_collision_entropy_values():
