@@ -10,8 +10,9 @@ same lines.  To compare against another checkout, run this script twice
 with ``PYTHONPATH`` pointing at each checkout's ``src/`` and diff the
 outputs.  Each seeded ``simulate`` argv also runs at ``--threads 2``; the
 last line says whether those digests equal the ``--threads 1`` ones.  The
-``thresholds`` argv and the ``SIMULATE_JSON`` ones also run with
-``--format json``, which pins the JSON cells of their rows.
+``thresholds`` and ``replica`` argv and the ``SIMULATE_JSON`` ones (one per
+``simulate`` kind) also run with ``--format json``, which pins the JSON
+cells of every table the CLI writes.
 Takes about a minute.
 """
 
@@ -108,7 +109,8 @@ SIMULATE = [
      "--d", "4", "--lambda", "2", "--trials", "8", "--seed", "3", "--records", RECORDS],
 ]
 
-SIMULATE_JSON = [SIMULATE[0], SIMULATE[10]]  # detect --test mle --records; bbp
+# one argv per simulate kind: detect --records, bbp, norms, tails, recover --records
+SIMULATE_JSON = [SIMULATE[0], SIMULATE[10], SIMULATE[5], SIMULATE[8], SIMULATE[3]]
 
 
 def _sha(data: bytes) -> str:
@@ -130,7 +132,7 @@ def digest(argv: list[str], tmpdir: str) -> str:
 
 
 def run() -> bool:
-    as_json = [argv + ["--format", "json"] for argv in THRESHOLDS]
+    as_json = [argv + ["--format", "json"] for argv in THRESHOLDS + REPLICA]
     threaded = [argv + ["--threads", "2"] for argv in SIMULATE]
     simulate_json = [argv + ["--format", "json"] for argv in SIMULATE_JSON]
     lines = {}

@@ -9,6 +9,10 @@ Subcommands emit CSV (default) or JSON tables:
 * ``simulate``   - seeded Monte Carlo runs: detect | recover | tails |
   norms | bbp.
 
+A ``NaN`` cell marks a value that does not apply to the row; in a
+``--records`` file an empty ``decision`` cell marks a recover arm, which
+makes no decision.
+
 Every command is deterministic given its flags and seed; output ordering is
 fixed.  Every command runs on the caller's thread; ``--threads`` is checked
 but changes no work.  Exit codes
@@ -22,14 +26,15 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import montecarlo, replica, thresholds
-from .montecarlo import ExperimentConfig, PowerIterationSettings
+from .montecarlo import ExperimentConfig, PowerIterationSettings, TrialRecord
 from .output import OutputSpec, write_table
 from .parallel import MAX_THREADS, check_threads
-from .rates import exact_overlap_tail, rate_function_for, tail_rate
+from .rates import check_overlap_point, exact_overlap_tail, rate_function_for, tail_rate
 from .rng import RngSeed
 from .solvers import BracketError
 from .tensors import SpikePrior
@@ -74,9 +79,20 @@ def _prior_from_args(parser: argparse.ArgumentParser, args) -> SpikePrior:
     return SpikePrior.sparse(args.rho)
 
 
-def _nan_if_none(value):
-    """Table cell for an optional value: NaN where the value does not apply."""
-    return math.nan if value is None else value
+# a record field whose column takes another name
+_COLUMN_NAMES = {"snr": "lambda", "replica_prediction": "replica", "value": "estimate"}
+
+
+def _row(*records, **cells) -> dict:
+    """Table row of result records: every field under its column name, NaN
+    for a field that is None (the value does not apply), then ``cells``.
+    A later record overrides an earlier one; the table's columns pick."""
+    row = {}
+    for record in records:
+        for name, value in vars(record).items():
+            row[_COLUMN_NAMES.get(name, name)] = math.nan if value is None else value
+    row.update(cells)
+    return row
 
 
 def _output_spec(args) -> OutputSpec:
@@ -168,19 +184,10 @@ def cmd_thresholds(parser, args) -> int:
         columns.append("replica")
     if args.asymptotics:
         columns += ["asymptotic_lower", "asymptotic_upper"]
-    rows = []
-    for rep in reports:
-        row = {
-            "d": rep.d,
-            "lambda_lower": rep.lambda_lower,
-            "lambda_upper": rep.lambda_upper,
-            "mu_d": _nan_if_none(rep.mu_d),
-            "replica": _nan_if_none(rep.replica_prediction),
-            "asymptotic_lower": _nan_if_none(rep.asymptotic_lower),
-            "asymptotic_upper": _nan_if_none(rep.asymptotic_upper),
-        }
-        rows.append(row)
-    write_table(columns, rows, _output_spec(args), {"command": "thresholds", "prior": prior.label()})
+    write_table(
+        columns, [_row(rep) for rep in reports], _output_spec(args),
+        {"command": "thresholds", "prior": prior.label()},
+    )
     return 0
 
 
@@ -188,18 +195,16 @@ def cmd_ratefn(parser, args) -> int:
     prior = _prior_from_args(parser, args)
     if not 2 <= args.grid <= MAX_GRID:
         raise ValueError(f"--grid must be in 2..{MAX_GRID}, got {args.grid}")
-    rate = rate_function_for(prior)
     tmax = args.tmax
     if tmax is None:
         tmax = 1.0 - 1e-9 if prior.kind == "spherical" else 1.0
-    if not (0.0 <= tmax < 1.0 if prior.kind == "spherical" else 0.0 <= tmax <= 1.0):
-        raise ValueError(f"--tmax must lie in [0, 1] ([0, 1) for the spherical prior), got {tmax}")
+    check_overlap_point(prior, tmax, "--tmax")
     ts = np.linspace(0.0, tmax, args.grid)
     columns = ["t", "rate"]
     if args.n is not None:
         columns += ["exact_tail", "exact_rate"]
     rows = []
-    for t, f in zip(ts.tolist(), rate.eval_batch(ts).tolist()):
+    for t, f in zip(ts.tolist(), rate_function_for(prior).eval_batch(ts).tolist()):
         row = {"t": t, "rate": f}
         if args.n is not None:
             row["exact_tail"] = tail = exact_overlap_tail(prior, args.n, t)
@@ -216,56 +221,25 @@ def cmd_replica(parser, args) -> int:
     ds = _parse_d_range(args.d)
     spec = _output_spec(args)
     if args.thresholds:
-        rows = []
-        for d in ds:
-            l1, l2 = replica.replica_thresholds(prior, d)
-            rows.append({"d": d, "lambda1": l1, "lambda2": l2})
-        write_table(
-            ["d", "lambda1", "lambda2"], rows, spec,
-            {"command": "replica_thresholds", "prior": prior.label()},
-        )
+        columns = ["d", "lambda1", "lambda2"]
+        rows = [dict(zip(columns, (d, *replica.replica_thresholds(prior, d)))) for d in ds]
+        write_table(columns, rows, spec, {"command": "replica_thresholds", "prior": prior.label()})
         return 0
     if args.snr is None:
         parser.error("replica branch tables require --lambda (or use --thresholds)")
     if len(ds) != 1:
         parser.error("branch tables take a single --d")
     d = ds[0]
-    rows = []
-    for snr in _parse_lambda_list(args.snr, "--lambda"):
-        for s in replica.fixed_points(prior, d, snr):
-            rows.append(
-                {
-                    "lambda": snr,
-                    "branch": s.branch,
-                    "q": s.q,
-                    "mu": s.mu,
-                    "free_energy": s.free_energy,
-                    "residual": s.residual,
-                }
-            )
+    rows = [
+        _row(s)
+        for snr in _parse_lambda_list(args.snr, "--lambda")
+        for s in replica.fixed_points(prior, d, snr)
+    ]
     write_table(
         ["lambda", "branch", "q", "mu", "free_energy", "residual"], rows, spec,
         {"command": "replica", "prior": prior.label(), "d": d},
     )
     return 0
-
-
-def _write_records(path: str, result, precision: int) -> None:
-    rows = [
-        {
-            "trial": r.trial,
-            "arm": r.arm,
-            "statistic": r.statistic,
-            "decision": r.decision,
-            "overlap": r.overlap,
-        }
-        for r in result.records
-    ]
-    write_table(
-        ["trial", "arm", "statistic", "decision", "overlap"],
-        rows,
-        OutputSpec(format="csv", path=path, precision=precision),
-    )
 
 
 def cmd_simulate(parser, args) -> int:
@@ -276,16 +250,11 @@ def cmd_simulate(parser, args) -> int:
 
     if args.subkind == "bbp":
         summary = montecarlo.bbp_reference_experiment(args.n, args.snr, args.trials, seed)
-        row = {
-            "n": summary.n,
-            "lambda": summary.snr,
-            "trials": summary.trials,
-            "mean_top_eigenvalue": summary.mean_top_eigenvalue,
-            "predicted_top_eigenvalue": summary.predicted_top_eigenvalue,
-            "mean_alignment_sq": summary.mean_alignment_sq,
-            "predicted_alignment_sq": summary.predicted_alignment_sq,
-        }
-        write_table(list(row), [row], spec, {"command": "simulate_bbp"})
+        columns = [
+            "n", "lambda", "trials", "mean_top_eigenvalue", "predicted_top_eigenvalue",
+            "mean_alignment_sq", "predicted_alignment_sq",
+        ]
+        write_table(columns, [_row(summary)], spec, {"command": "simulate_bbp"})
         return 0
 
     prior = _prior_from_args(parser, args)
@@ -297,21 +266,11 @@ def cmd_simulate(parser, args) -> int:
             if args.tgrid is not None
             else [round(0.05 * i, 2) for i in range(13)]
         )
-        rows_out = montecarlo.overlap_tail_experiment(prior, args.n, args.trials, t_grid, seed)
-        rows = [
-            {
-                "t": r.t,
-                "empirical_tail": r.empirical_tail,
-                "empirical_rate": r.empirical_rate,
-                "rate_value": r.rate_value,
-                "exact_tail": _nan_if_none(r.exact_tail),
-                "exact_rate": _nan_if_none(r.exact_rate),
-            }
-            for r in rows_out
-        ]
+        rows = montecarlo.overlap_tail_experiment(prior, args.n, args.trials, t_grid, seed)
         write_table(
             ["t", "empirical_tail", "empirical_rate", "rate_value", "exact_tail", "exact_rate"],
-            rows, spec, {"command": "simulate_tails", "prior": prior.label(), "n": args.n},
+            [_row(r) for r in rows], spec,
+            {"command": "simulate_tails", "prior": prior.label(), "n": args.n},
         )
         return 0
 
@@ -319,12 +278,9 @@ def cmd_simulate(parser, args) -> int:
         estimates = montecarlo.injective_norm_experiment(
             prior, args.n, d, args.snr, args.trials, seed, settings
         )
-        rows = [
-            {"trial": k, "estimate": est.value, "converged": est.converged}
-            for k, est in enumerate(estimates)
-        ]
         write_table(
-            ["trial", "estimate", "converged"], rows, spec,
+            ["trial", "estimate", "converged"],
+            [_row(est, trial=k) for k, est in enumerate(estimates)], spec,
             {"command": "simulate_norms", "prior": prior.label(), "n": args.n, "d": d},
         )
         return 0
@@ -334,28 +290,25 @@ def cmd_simulate(parser, args) -> int:
         prior=prior, n=args.n, d=d, snr=args.snr, trials=args.trials,
         seed=seed, test=args.test, epsilon=args.epsilon, power_iter=settings,
     )
-
+    columns = ["test", "n", "d", "lambda", "trials"]
     if args.subkind == "detect":
         result = montecarlo.detection_experiment(config)
-        row = {
-            "test": args.test, "n": args.n, "d": d, "lambda": args.snr, "trials": args.trials,
-            # the injective test thresholds at the arms' midpoint; no margin applies
-            "epsilon": config.threshold_margin if args.test == "mle" else math.nan,
-            "threshold": result.threshold, "accuracy": result.accuracy,
-            "type_i_rate": result.type_i_rate, "type_ii_rate": result.type_ii_rate,
-            "mean_abs_overlap": result.mean_abs_overlap,
-        }
+        columns += [
+            "epsilon", "threshold", "accuracy", "type_i_rate", "type_ii_rate", "mean_abs_overlap",
+        ]
     else:
         result = montecarlo.recovery_experiment(config)
-        row = {
-            "test": args.test, "n": args.n, "d": d, "lambda": args.snr,
-            "trials": args.trials,
-            "mean_abs_overlap": result.mean_abs_overlap,
-            "mean_overlap_pow_d": result.mean_overlap_pow_d,
-        }
+        columns += ["mean_abs_overlap", "mean_overlap_pow_d"]
     if args.records:  # first, so that an unwritable path leaves stdout empty
-        _write_records(args.records, result, args.precision)
-    write_table(list(row), [row], spec, {"command": f"simulate_{args.subkind}"})
+        # vars, not _row: a recover arm's decision=None stays an empty cell
+        write_table(
+            [f.name for f in fields(TrialRecord)], [vars(r) for r in result.records],
+            OutputSpec(format="csv", path=args.records, precision=args.precision),
+        )
+    # the injective test thresholds at the arms' midpoint; no margin applies
+    epsilon = config.threshold_margin if args.test == "mle" else math.nan
+    row = _row(config, result, epsilon=epsilon)
+    write_table(columns, [row], spec, {"command": f"simulate_{args.subkind}"})
     return 0
 
 

@@ -41,7 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rates import exact_overlap_tail, rate_function_for, tail_rate, EXACT_TAIL_MAX_N
+from .rates import (
+    EXACT_TAIL_MAX_N, check_overlap_point, exact_overlap_tail, rate_function_for, tail_rate,
+)
 from .rng import RESTART_SUBSTREAM, RngSeed
 from .tensors import (
     MEMORY_CAP,
@@ -550,12 +552,8 @@ def overlap_tail_experiment(
         raise ValueError(f"n must be >= 1, got {n}")
     check_trials(trials)
     t_grid = [float(t) for t in t_grid]
-    spherical = prior.kind == "spherical"
     for t in t_grid:
-        if not (0.0 <= t < 1.0 if spherical else 0.0 <= t <= 1.0):
-            raise ValueError(
-                f"tail points t must lie in [0, 1] ([0, 1) for the spherical prior), got {t}"
-            )
+        check_overlap_point(prior, t, "tail points t")
     block = 2 * min(trials, _TAIL_CHUNK) * n
     if block > MEMORY_CAP:
         raise ValueError(
@@ -572,7 +570,7 @@ def overlap_tail_experiment(
         return np.einsum("ij,ij->i", rows[0::2], rows[1::2])
 
     overlaps = np.concatenate([run_chunk(c) for c in range(n_chunks)])
-    exact_available = spherical or n <= EXACT_TAIL_MAX_N
+    exact_available = prior.kind == "spherical" or n <= EXACT_TAIL_MAX_N
     out = []
     for t, rate_value in zip(t_grid, rate.eval_batch(np.asarray(t_grid)).tolist()):
         tail = float(np.mean(overlaps >= t))

@@ -186,8 +186,17 @@ def rate_function_for(prior: SpikePrior) -> RateFunction:
 
 
 def tail_rate(p: float, n: int) -> float:
-    """-log(p) / n, the exponent of a tail probability p at size n; inf at p = 0."""
-    return -math.log(p) / n if p > 0 else math.inf
+    """-log(p) / n, the exponent of a tail probability p at size n; inf at p = 0
+    and +0.0 at p = 1, where -log(p) / n would be -0.0 and print as -0."""
+    return 0.0 - math.log(p) / n if p > 0 else math.inf
+
+
+def check_overlap_point(prior: SpikePrior, t: float, name: str) -> None:
+    """Raise ValueError, naming ``name``, for an overlap t outside the prior's
+    domain: [0, 1) for the spherical prior, whose rate is infinite at t = 1,
+    and [0, 1] for the discrete priors."""
+    if not (0.0 <= t < 1.0 if prior.kind == "spherical" else 0.0 <= t <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1] ([0, 1) for the spherical prior), got {t}")
 
 
 # ---------------------------------------------------------------------------

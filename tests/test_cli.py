@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -396,6 +397,28 @@ def test_empty_value_list_names_the_flag(flag, argv, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["ratefn", "--prior", "spherical", "--tmax", "1"], "--tmax"),
+    (["simulate", "tails", "--prior", "spherical", "--n", "5", "--trials", "10", "--tgrid", "1"],
+     "tail points t"),
+])
+def test_overlap_domain_errors_name_their_input(argv, name, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"spiked-tensor: error: {name} must lie in [0, 1] ([0, 1) for the spherical prior), "
+        "got 1.0\n"
+    )
+
+
+def test_sure_empirical_tail_prints_a_zero_rate(capsys):
+    # at n = 3 a sparse pair rarely shares a support point, so every overlap is >= 0
+    code, out = run_cli(["simulate", "tails", "--prior", "sparse", "--rho", "0.3", "--n", "3",
+                         "--trials", "5"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert (rows[0]["t"], rows[0]["empirical_tail"], rows[0]["empirical_rate"]) == ("0", "1", "0")
+
+
 def test_precision_is_checked_before_any_row(monkeypatch, capsys):
     def no_rows(*args, **kwargs):
         raise AssertionError("a row was computed")
@@ -524,3 +547,59 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True, timeout=60)
     assert proc.stdout.strip() == "False"
+
+
+
+# One argv per table kind: the sha256 (first 16 hex digits) of stdout and of
+# the --records file were recorded before the tables were built from the
+# result records, and no byte of either may move.
+RECORDS = "{records}"  # replaced by a temporary path
+PINNED_ARGV = {
+    "thresholds": ["thresholds", "--prior", "spherical", "--d", "3..4", "--replica",
+                   "--asymptotics"],
+    "replica_branches": ["replica", "--prior", "rademacher", "--d", "3", "--lambda", "1.5,2"],
+    "replica_thresholds": ["replica", "--prior", "spherical", "--d", "3", "--thresholds"],
+    "ratefn": ["ratefn", "--prior", "rademacher", "--n", "20", "--grid", "5"],
+    "detect": ["simulate", "detect", "--prior", "rademacher", "--n", "8", "--d", "3",
+               "--lambda", "3", "--trials", "4", "--seed", "7", "--records", RECORDS],
+    "recover": ["simulate", "recover", "--prior", "rademacher", "--n", "8", "--d", "3",
+                "--lambda", "2", "--trials", "4", "--seed", "11", "--records", RECORDS],
+    "tails": ["simulate", "tails", "--prior", "sparse", "--rho", "0.3", "--n", "300",
+              "--trials", "200", "--seed", "1", "--tgrid", "0.1,0.4,1"],
+    "norms": ["simulate", "norms", "--prior", "spherical", "--n", "6", "--d", "3",
+              "--trials", "2", "--seed", "4", "--restarts", "3"],
+    "bbp": ["simulate", "bbp", "--n", "40", "--lambda", "2", "--trials", "2", "--seed", "7"],
+}
+PINNED_DIGESTS = {
+    ("thresholds", "csv"): ["95feac94058d8947"],
+    ("thresholds", "json"): ["88b02d35e4074028"],
+    ("replica_branches", "csv"): ["80b5c539c7a76628"],
+    ("replica_branches", "json"): ["a403dfa3ce48d011"],
+    ("replica_thresholds", "csv"): ["05b8b38b9872a221"],
+    ("replica_thresholds", "json"): ["110c374faececdea"],
+    ("ratefn", "csv"): ["6ab465d3600d39f1"],
+    ("ratefn", "json"): ["a641b93403773b5a"],
+    ("detect", "csv"): ["f6aa2144c2f0110c", "08a1d6f7f0a7b4dd"],
+    ("detect", "json"): ["d8df0720ff05fef3", "08a1d6f7f0a7b4dd"],
+    ("recover", "csv"): ["6cb0d33a4ec02b0e", "c039d6537ab6af15"],
+    ("recover", "json"): ["35d237d814794e4a", "c039d6537ab6af15"],
+    ("tails", "csv"): ["d38b7fab36113848"],
+    ("tails", "json"): ["95cf92ca441b5c2d"],
+    ("norms", "csv"): ["3eb8daa3d76696db"],
+    ("norms", "json"): ["e08d277c45fffc7c"],
+    ("bbp", "csv"): ["5a827cdaf898d215"],
+    ("bbp", "json"): ["0828a67cae3d6f02"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", list(PINNED_ARGV))
+def test_table_bytes_are_pinned(kind, fmt, tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    argv = [str(records) if a == RECORDS else a for a in PINNED_ARGV[kind]]
+    code, out = run_cli(argv + ["--format", fmt], capsys)
+    assert code == 0
+    digests = [hashlib.sha256(out.encode()).hexdigest()[:16]]
+    if records.exists():
+        digests.append(hashlib.sha256(records.read_bytes()).hexdigest()[:16])
+    assert digests == PINNED_DIGESTS[kind, fmt]

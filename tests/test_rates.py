@@ -337,6 +337,23 @@ def test_sparse_tail_sandwich():
     assert tail_rate(0.0, 200) == math.inf
 
 
+def test_tail_rate_of_a_sure_tail_is_positive_zero():
+    # -log(1) / n is -0.0, which a table would print as -0
+    assert math.copysign(1.0, tail_rate(1.0, 3)) == 1.0
+
+
+def test_overlap_domain_is_half_open_only_on_the_sphere():
+    sphere, rade = SpikePrior.spherical(), SpikePrior.rademacher()
+    for prior in (sphere, rade, SpikePrior.sparse(0.3)):
+        rates.check_overlap_point(prior, 0.0, "t")
+    rates.check_overlap_point(rade, 1.0, "t")
+    rates.check_overlap_point(SpikePrior.sparse(0.3), 1.0, "t")
+    message = r"^t must lie in \[0, 1\] \(\[0, 1\) for the spherical prior\), got "
+    for prior, t in ((sphere, 1.0), (rade, 1.5), (rade, -0.1), (sphere, math.nan)):
+        with pytest.raises(ValueError, match=message):
+            rates.check_overlap_point(prior, t, "t")
+
+
 def test_spherical_tail_against_betainc():
     # on S^(n-1), (1 + <x,x'>)/2 is Beta((n-1)/2, (n-1)/2)
     prior = SpikePrior.spherical()
