@@ -61,6 +61,15 @@ REPLICA = [
     ["replica", "--prior", "rademacher", "--d", "10", "--lambda", "1.2,1.6,3"],
     ["replica", "--prior", "spherical", "--d", "40", "--lambda", "3.2,3.5"],
 ]
+# Rademacher mu scans at 17 digits: the largest orders over the whole snr
+# range, and d = 2 either side of snr = 1/sqrt(2), where phi's screen starts
+# to keep points of the small-mu end of the grid
+RADEMACHER_LAMBDAS = "1e-6,1e-4,0.01,0.1,0.5,1,1.5,1.7,2,10,100,1e4,1e6"
+REPLICA += [
+    ["replica", "--prior", "rademacher", "--d", d, "--lambda", lam, "--precision", "17"]
+    for d, lam in (("1000", RADEMACHER_LAMBDAS), ("1000000", RADEMACHER_LAMBDAS),
+                   ("2", "0.70710678,0.7071067811861,0.7071067811866,0.70710679"))
+]
 
 RATEFN = [
     ["ratefn", "--prior", "rademacher", "--n", "60", "--grid", "40"],

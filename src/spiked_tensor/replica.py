@@ -133,10 +133,27 @@ def _phi(d: int, snr: float):
 
     phi < 0 at the mu grid's last point (d q^(d-1) <= d < 20 d), so nonzero
     solutions exist iff the grid has a root cell.
+
+    An array of mu > 0 is screened: the quadrature runs only where the bound
+    q(mu) <= min(mu, 1) (1 + 1e-12) (tested in tests/test_replica.py) leaves
+    d q_max^(d-1) >= mu / snr^2.  Everywhere else the unscreened value is
+    below -mu / snr^2, and the screened one, with q taken as 0, is
+    -2 mu / snr^2: both negative, so each grid point keeps its sign and the
+    root cells do not move.  The test is written in logs, so no power over-
+    or underflows.  A float mu, which the bisection polishes at, is never
+    screened.
     """
 
     def phi(mu):
-        return d * q_of_mu_rademacher(mu) ** (d - 1) - 2.0 * mu / snr**2
+        if isinstance(mu, np.ndarray):
+            log_mu = np.log(mu)
+            log_q_max = np.minimum(log_mu, 0.0) + math.log1p(1e-12)
+            keep = math.log(d) + (d - 1) * log_q_max >= log_mu - 2.0 * math.log(snr)
+            q = np.zeros(mu.shape)
+            q[keep] = q_of_mu_rademacher(mu[keep])
+        else:
+            q = q_of_mu_rademacher(mu)
+        return d * q ** (d - 1) - 2.0 * mu / snr**2
 
     return phi
 
@@ -154,7 +171,9 @@ def rademacher_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
 
     Nonzero roots are the sign changes of phi(mu) (see _phi) on a
     log+linear mu grid, polished by bisection; the one with the largest mu
-    is the high branch.
+    is the high branch.  On the grid q(mu) is not evaluated where a bound on
+    q proves phi < 0 (see _phi); those points keep their sign, so the cells,
+    and the roots polished on the unscreened float path, are unchanged.
     """
     _check(d, snr)
     roots = _scan_roots(_mu_grid(d, snr), _phi(d, snr), 1e-13)

@@ -14,6 +14,7 @@ from spiked_tensor import (
     rademacher_free_energy,
     rademacher_replica_thresholds,
     rate_function_for,
+    replica,
     spherical_appearance_snr,
     spherical_fixed_points,
     spherical_replica_threshold,
@@ -23,9 +24,13 @@ from spiked_tensor import (
 from spiked_tensor.cli import main
 from spiked_tensor.replica import (
     NODES,
+    SNR_RANGE,
     THRESHOLD_TOL,
     WEIGHTS,
     _crossing,
+    _mu_grid,
+    _phi,
+    _root_cells,
     fixed_points,
     replica_thresholds,
 )
@@ -82,12 +87,60 @@ def test_q_of_mu_float_and_array_agree():
         assert abs(q_of_mu_rademacher(float(mu)) - q) <= 1e-15
 
 
+def test_q_of_mu_below_min_of_mu_and_one():
+    # the bound the mu-grid screen of replica._phi rests on, on both paths
+    mus = np.geomspace(1e-8, 1e6, 20001)
+    bound = np.minimum(mus, 1.0) * (1.0 + 1e-12)
+    assert np.all(q_of_mu_rademacher(mus) <= bound)
+    assert all(q_of_mu_rademacher(float(mu)) <= b for mu, b in zip(mus, bound))
+
+
+def _unscreened_phi(d, snr):
+    return lambda mu: d * q_of_mu_rademacher(mu) ** (d - 1) - 2.0 * mu / snr**2
+
+
+RADEMACHER_SCREEN_CASES = [
+    (d, float(snr)) for d in (2, 3, 4, 10, 30, 100, 1000, 10**6)
+    for snr in np.geomspace(*SNR_RANGE, 25)
+] + [
+    # either side of the pinned lambda1 of d = 3 and d = 10
+    (d, lambda1 * (1.0 + s * 1e-7))
+    for d, lambda1 in ((3, 1.4671469569206237), (10, 1.1929114699363708)) for s in (-1, 1)
+]
+
+
+def test_screened_mu_scan_keeps_every_sign_and_root(monkeypatch):
+    skipped = total = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        screened_tables = [rademacher_fixed_points(d, snr) for d, snr in RADEMACHER_SCREEN_CASES]
+        for d, snr in RADEMACHER_SCREEN_CASES:
+            grid = _mu_grid(d, snr)
+            full = _unscreened_phi(d, snr)(grid)
+            vals = _phi(d, snr)(grid)
+            # a skipped point reads -2 mu / snr^2 (q taken as 0); a kept one
+            # can differ from the whole-grid value in the last bit, since the
+            # matrix product's kernel depends on the row count
+            skip = vals == -2.0 * grid / snr**2
+            assert np.all(full[skip] < 0.0)
+            assert np.array_equal(np.sign(vals), np.sign(full))
+            assert np.array_equal(_root_cells(vals), _root_cells(full))
+            skipped += int(skip.sum())
+            total += grid.size
+        monkeypatch.setattr(replica, "_phi", _unscreened_phi)
+        unscreened_tables = [rademacher_fixed_points(d, snr) for d, snr in RADEMACHER_SCREEN_CASES]
+    assert screened_tables == unscreened_tables
+    assert skipped > total // 2
+
+
 def test_threshold_values_pinned_to_the_bit():
     # full-precision values of the solvers as first committed; any change to
     # the scans, the polishing or the quadrature moves at least one of them
     assert rademacher_replica_thresholds(3) == (1.4671469569206237, 1.5351897678149715)
     assert rademacher_replica_thresholds(4) == (1.4740500330924988, 1.6210524579279557)
     assert rademacher_replica_thresholds(10) == (1.1929114699363708, 1.664758677292542)
+    assert rademacher_replica_thresholds(20) == (0.9422218084335326, 1.6651091059483258)
+    assert rademacher_replica_thresholds(30) == (0.8103132009506223, 1.6651090864687728)
     assert spherical_replica_threshold(3) == 1.7063273984090024
     assert spherical_replica_threshold(10) == 2.606619506958087
     assert spherical_replica_threshold(40) == 3.2384785070465005
