@@ -55,7 +55,6 @@ from .thresholds import (
     asymptotics,
     injective_norm_mu,
     lower_bound_lambda,
-    spherical_tangency,
     spiked_norm_lower_Ld,
     threshold_report,
     upper_bound_cardinality,

@@ -153,18 +153,15 @@ def collision_entropy(prior: SpikePrior) -> float:
 
 @dataclass(frozen=True)
 class RateFunction:
-    """Evaluable rate function plus its t->1 limit and the smallest t at
-    which its values are more than cancellation noise."""
+    """Evaluable rate function plus its t->1 limit."""
 
     prior: SpikePrior
     eval: Callable[[float], float]
     eval_batch: Callable[[np.ndarray], np.ndarray]
     collision_entropy: float
-    t_floor: float
 
 
 def rate_function_for(prior: SpikePrior) -> RateFunction:
-    t_floor = 1e-9
     if prior.kind == "spherical":
         fn, fb = rate_spherical, _rate_spherical_vec
     elif prior.kind == "rademacher":
@@ -173,15 +170,8 @@ def rate_function_for(prior: SpikePrior) -> RateFunction:
         rho = prior.rho
         fn = lambda t: rate_sparse_rademacher(t, rho)
         fb = lambda ts: _rate_sparse_batch(np.asarray(ts, dtype=float), rho)
-        # below ~1e-6 the sparse rate evaluates as a difference of O(1)
-        # entropies and is cancellation noise
-        t_floor = 1e-6
     return RateFunction(
-        prior=prior,
-        eval=fn,
-        eval_batch=fb,
-        collision_entropy=collision_entropy(prior),
-        t_floor=t_floor,
+        prior=prior, eval=fn, eval_batch=fb, collision_entropy=collision_entropy(prior)
     )
 
 

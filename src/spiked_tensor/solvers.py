@@ -1,11 +1,11 @@
-"""One-dimensional solvers shared by the threshold and replica modules.
+"""One-dimensional solvers shared by the threshold, rate and replica modules.
 
-Golden-section search (scalar and array-parallel) and bisection, with the
-tolerances and residual reporting the callers assert on.  The array-parallel
-golden section refines many independent 1-D minimizations in lockstep, which
-is what makes batch evaluation of the sparse rate function cheap; with one
-problem it lets a caller polish with the same array function it scanned a
-grid with (lower_bound_lambda).
+Bisection (the lower bounds' tangency roots, mu_d, replica fixed points) and
+golden-section search, scalar and array-parallel, with the tolerances and
+residual reporting the callers assert on.  The array-parallel section refines
+many independent 1-D minimizations in lockstep, which makes batch evaluation
+of the sparse rate cheap, and polishes the sparse lower bound's grid with the
+grid's own array objective.
 """
 
 from __future__ import annotations

@@ -6,12 +6,12 @@ largest snr with ``snr^2/2 * t^d/(1+t^d) <= f(t)`` on (0,1), i.e.
     snr* = sqrt(2 * inf_t (1+t^d)/t^d * f(t)),
 
 with the additional cap ``snr* <= 1`` at d=2 (local subgaussianity; see
-lower_bound_lambda).  For the spherical prior the infimum is the root of a
-closed tangency equation (spherical_tangency), which the reports use; the
-grid route lower_bound_lambda serves the discrete priors, and the tests
-cross-check it against the tangency root.  Its grid and its polish share
-one array objective, so it reads the rate only through
-RateFunction.eval_batch.
+lower_bound_lambda).  Setting the derivative to zero gives one tangency
+equation for every prior, t (1+t^d) f'(t) = d f(t).  The spherical and
+Rademacher bounds bisect it in a variable that keeps 1 - t exact.  The
+sparse slope is not in closed form, so its bound scans a grid in t and
+polishes the best point with the grid's own array objective, reading the
+rate only through RateFunction.eval_batch.
 
 Upper bounds: for discrete priors, exhaustive-search MLE gives 2*sqrt(c)
 with c the log-cardinality density.  Both priors are uniform on their
@@ -40,12 +40,7 @@ class LowerBoundResult(NamedTuple):
     value: float
     t_star: float
     capped_by_sigma: bool
-
-
-class TangencyResult(NamedTuple):
-    t_star: float
-    value: float
-    residual: float
+    residual: float  # |equation| at the tangency root; NaN where no root is solved
 
 
 class SpikedNormLowerBound(NamedTuple):
@@ -55,29 +50,38 @@ class SpikedNormLowerBound(NamedTuple):
 
 
 def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
-    """sqrt(2 inf (1+t^d)/t^d f(t)) on a boundary-refined grid + golden polish.
+    """sqrt(2 inf_t (1+t^-d) f(t)), the second-moment lower bound.
 
-    The polish is an array golden section on the grid's best bracket, with
-    the grid's own objective, run for as many steps as a scalar section
-    needs to reach the tolerance.
+    Spherical and Rademacher: the root of t (1+t^d) f'(t) = d f(t), unique
+    where it exists, bisected in a variable that keeps 1 - t exact; with no
+    sign change on the bracket the infimum is the t -> 1 limit 2F.  Sparse
+    (f' not in closed form): a boundary-refined grid, its best bracket
+    polished by an array golden section with the grid's objective; raises
+    ValueError if t^d underflows on the whole grid (d >~ 10^17).
 
-    Raises ValueError when the grid cannot hold the infimum: it is interior
-    (infinite collision entropy, i.e. the spherical prior) but lies past the
-    last grid point 1 - t = 1e-14, which happens from d ~ 10^13 on
-    (spherical_tangency covers those orders), or t^d underflows on the
-    whole grid (d >~ 10^17, any prior).
-
-    At d = 2 the value is capped at 1/sigma = 1, the spectral threshold,
-    where sigma^2 = 1/f''(0) is the small-deviation constant of the rate.
-    It is 1 for every prior.  f is the Legendre transform of the limiting
-    cumulant Lambda(s) = lim (1/n) log E exp(s n <x,x'>), so f''(0) =
-    1 / Lambda''(0) = 1 / lim n E<x,x'>^2.  For all three priors the
-    coordinates have E x_i x_j = 0 (i != j; sign or rotation symmetry) and,
-    being exchangeable with sum of squares 1, E x_i^2 = 1/n; so for
-    independent x, x', E<x,x'>^2 = sum_i (E x_i^2)^2 = 1/n exactly.
+    At d = 2 the value is capped at 1/sigma = 1, the spectral threshold:
+    f is the Legendre transform of Lambda(s) = lim (1/n) log E exp(s n <x,x'>),
+    so sigma^2 = 1/f''(0) = Lambda''(0) = lim n E<x,x'>^2, which is 1 for every
+    prior.  The coordinates are uncorrelated (sign or rotation symmetry) and
+    exchangeable with sum of squares 1, so E<x,x'>^2 = sum_i (E x_i^2)^2 = 1/n.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
+    if rate.prior.kind in ("spherical", "rademacher"):
+        if d == 2:
+            # Both sides of the equation are t^2 + O(t^4) near t = 0, where
+            # rounding would pick the sign.  Their difference is positive on
+            # (0, 1) (its series has no negative term for either prior), so the
+            # infimum is the t -> 0 limit f''(0)/2 = 1/2: the value is 1 exactly.
+            return LowerBoundResult(1.0, 0.0, False, math.nan)
+        spherical = rate.prior.kind == "spherical"
+        h, lo, hi, at_root = (_spherical_tangency if spherical else _rademacher_tangency)(d)
+        limit = 2.0 * math.sqrt(rate.collision_entropy)
+        if h(hi) < 0.0:
+            return LowerBoundResult(limit, 1.0, False, math.nan)
+        res = bisect_root(h, lo, hi, xtol=0.0, max_iter=200)
+        t_star, value = at_root(res.root)
+        return LowerBoundResult(min(value, limit), t_star, False, res.residual)
 
     def objective(ts: np.ndarray) -> np.ndarray:
         fvals = np.maximum(rate.eval_batch(ts), 0.0)
@@ -85,17 +89,13 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
             td = ts**d
             return np.where(td > 0.0, (1.0 + td) / td * fvals, np.inf)
 
-    # the grid starts at the rate's floor; below it the d=2 cap covers t -> 0 exactly
-    ts = geometric_grid(GRID_POINTS, tmin=rate.t_floor)
+    # below t = 1e-6 the sparse rate is a difference of O(1) entropies and
+    # cancellation noise; the d=2 cap covers t -> 0 exactly
+    ts = geometric_grid(GRID_POINTS, tmin=1e-6)
     ratio = objective(ts)
     i = int(np.argmin(ratio))
-    if not math.isfinite(ratio[i]) or (
-        i == len(ts) - 1 and math.isinf(rate.collision_entropy)
-    ):
-        raise ValueError(
-            f"d={d}: the infimum lies past the grid's last point "
-            f"1 - t = {1.0 - float(ts[-1]):.0e}; the grid cannot resolve this order"
-        )
+    if not math.isfinite(ratio[i]):
+        raise ValueError(f"d={d}: t^d underflows on the whole grid")
     a = float(ts[max(0, i - 1)])
     b = float(ts[min(len(ts) - 1, i + 1)])
     # near t = 1 the objective is set by 1 - t, so resolve t to 1e-3 of
@@ -110,29 +110,17 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
     t_star = float(t_polished) if refined <= ratio[i] else float(ts[i])
     value = math.sqrt(2.0 * best)
     capped = d == 2 and value > 1.0
-    if capped:
-        value = 1.0
-    return LowerBoundResult(value, t_star, capped)
+    return LowerBoundResult(1.0 if capped else value, t_star, capped, math.nan)
 
 
-def spherical_tangency(d: int) -> TangencyResult:
-    """Tangency point of the spherical criterion.
+def _spherical_tangency(d: int):
+    """Tangency equation, bracket and root -> (t, value) in s = -log(1-t^2).
 
-    Solves (2/d)(1+t^d) t^2/(1-t^2) + log(1-t^2) = 0 on (0,1) (unique root),
-    then value^2 = 2 (1+t^d)^2 / (d (1-t^2) t^(d-2)).  The root is bisected
-    in s = -log(1-t^2), where the equation reads (2/d)(1+t^d) expm1(s) = s
-    and t^p = exp((p/2) log1p(-e^-s)), so it stays accurate when 1 - t^2
-    is far below double resolution (1 - t^2 ~ 4/(d log d) at large d); the
-    value matches an 80-digit evaluation to < 1e-13 relative for d = 3 ..
-    10^300.  The residual is |h| at the root in the s form.
-
-    threshold_report takes the spherical lower bound from this root.
-    lower_bound_lambda solves the same infimum on a grid in t and agrees
-    with it within 1e-8 relative for d = 3 .. 10^12 (the tests' cross-check);
-    past that its grid cannot resolve 1 - t and it raises ValueError.
+    f' = t/(1-t^2): (2/d)(1+t^d) expm1(s) = s, t^p = exp((p/2) log1p(-e^-s))
+    stay accurate where 1 - t^2 (~ 4/(d log d)) is below double resolution;
+    value^2 = 2 (1+t^d)^2 / (d (1-t^2) t^(d-2)) at the root, within 1e-13
+    of an 80-digit evaluation for d = 3 .. 10^300.
     """
-    if d < 3:
-        raise ValueError(f"tangency route requires d >= 3, got {d}")
 
     def log_t_sq(s: float) -> float:
         return math.log1p(-math.exp(-s))
@@ -141,14 +129,39 @@ def spherical_tangency(d: int) -> TangencyResult:
         td = math.exp(0.5 * d * log_t_sq(s))
         return (2.0 / d) * (1.0 + td) * math.expm1(s) - s
 
+    def at_root(s: float) -> tuple[float, float]:
+        lt2 = log_t_sq(s)
+        td = math.exp(0.5 * d * lt2)
+        log_lam_sq = math.log(2.0) + 2.0 * math.log1p(td) + s - log_d - 0.5 * (d - 2) * lt2
+        return math.sqrt(-math.expm1(-s)), math.exp(0.5 * log_lam_sq)
+
     # h < 0 as s -> 0 (d >= 3); (2/d) expm1(s) > s at s = log d + log log d + 2
     log_d = math.log(d)
-    res = bisect_root(h, 1e-12, log_d + math.log(log_d) + 2.0, xtol=0.0, max_iter=200)
-    s = res.root
-    lt2 = log_t_sq(s)
-    td = math.exp(0.5 * d * lt2)
-    log_lam_sq = math.log(2.0) + 2.0 * math.log1p(td) + s - log_d - 0.5 * (d - 2) * lt2
-    return TangencyResult(math.sqrt(-math.expm1(-s)), math.exp(0.5 * log_lam_sq), res.residual)
+    return h, 1e-12, log_d + math.log(log_d) + 2.0, at_root
+
+
+def _rademacher_tangency(d: int):
+    """The same in y = atanh t: with e = exp(-2y), f' = y, 1 - t = 2e/(1+e),
+    log t = log1p(-e) - log1p(e) and f = log 2 - log1p(e) - 2ey/(1+e).
+
+    Near y = 0 the sides t y (1+t^d) and d f are y^2 and d y^2/2; at y = 1e-3
+    f's cancellation is far below that gap.  Past y = 25 the objective is
+    within 1e-20 of 2F, so a root beyond it (d >= 73) leaves the limit.
+    """
+
+    def parts(y: float) -> tuple[float, float]:
+        e = math.exp(-2.0 * y)
+        return math.log1p(-e) - math.log1p(e), math.log(2.0) - math.log1p(e) - 2.0 * e * y / (1.0 + e)
+
+    def h(y: float) -> float:
+        log_t, f = parts(y)
+        return math.exp(log_t) * y * (1.0 + math.exp(d * log_t)) - d * f
+
+    def at_root(y: float) -> tuple[float, float]:
+        log_t, f = parts(y)
+        return math.tanh(y), math.sqrt(2.0 * (1.0 + math.exp(-d * log_t)) * f)
+
+    return h, 1e-3, 25.0, at_root
 
 
 def _mu_characteristic(d: int, x: float) -> float:
@@ -290,9 +303,8 @@ def threshold_report(
 
     d=2 with the spherical or Rademacher prior is the exactly known case:
     both strong detection and weak recovery transition at snr = 1, so the
-    report pins both bounds there and runs no solver.  The spherical lower
-    bound at d >= 3 is the tangency root (spherical_tangency); the other
-    priors take theirs from lower_bound_lambda.
+    report pins both bounds there and runs no solver.  Every other lower
+    bound comes from lower_bound_lambda.
     """
     diagnostics: dict = {}
     mu = replica_prediction = None
@@ -301,20 +313,17 @@ def threshold_report(
     if d == 2 and prior.kind in ("spherical", "rademacher"):
         lam_lo = lam_hi = 1.0
         diagnostics["exact_d2_threshold"] = True
-    elif prior.kind == "spherical":
-        tang = spherical_tangency(d)
-        lam_lo = tang.value
-        diagnostics["lower_t_star"] = tang.t_star
-        diagnostics["tangency_residual"] = tang.residual
     else:
         lower = lower_bound_lambda(rate_function_for(prior), d)
         lam_lo = lower.value
         diagnostics["lower_t_star"] = lower.t_star
         diagnostics["lower_capped_by_sigma"] = lower.capped_by_sigma
-        lam_hi = upper_bound_cardinality(prior, d)
+        diagnostics["tangency_residual"] = lower.residual
+        if prior.kind != "spherical":
+            lam_hi = upper_bound_cardinality(prior, d)
         if prior.kind == "rademacher":
             asym_lower = asym_upper = lam_hi
-        elif prior.rho < 1.0:
+        elif prior.kind == "sparse_rademacher" and prior.rho < 1.0:
             asym_lower = asymptotics("sparse_rho_lower", prior.rho)
 
     if d > 2:

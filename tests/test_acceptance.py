@@ -31,7 +31,6 @@ from spiked_tensor import (
     recovery_experiment,
     spherical_fixed_points,
     spherical_replica_threshold,
-    spherical_tangency,
     threshold_report,
     upper_bound_cardinality,
 )
@@ -114,7 +113,7 @@ def test_criterion_4_asymptotic_convergence():
     ladder = [10**e for e in (3, 4, 6, 10, 20, 40, 100)]
     gaps_lower, gaps_mu = [], []
     for d in ladder:
-        lam = spherical_tangency(d).value
+        lam = lower_bound_lambda(rate_function_for(SpikePrior.spherical()), d).value
         gaps_lower.append(lam * lam - asymptotics("lower_sph_sq", d))
         mu = injective_norm_mu(d)
         gaps_mu.append(mu * mu - asymptotics("mu_sq", d))

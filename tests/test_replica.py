@@ -286,9 +286,7 @@ def test_spherical_threshold_large_d_gap():
 
 
 def spherical_tangency_value(d):
-    from spiked_tensor import spherical_tangency
-
-    return spherical_tangency(d).value
+    return lower_bound_lambda(rate_function_for(SpikePrior.spherical()), d).value
 
 
 def test_mu_reference_for_context():

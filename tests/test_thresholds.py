@@ -9,7 +9,6 @@ from spiked_tensor import (
     injective_norm_mu,
     lower_bound_lambda,
     rate_function_for,
-    spherical_tangency,
     spiked_norm_lower_Ld,
     threshold_report,
     upper_bound_cardinality,
@@ -37,18 +36,25 @@ def test_rademacher_lower_bound_monotone_and_capped():
 
 
 def test_solver_cross_validation_spherical():
+    # the tangency root against the objective (1+t^-d) f(t) read from the
+    # rate: at the root itself, and as the minimum of a scan in t
     rate = rate_function_for(SpikePrior.spherical())
+    ts = np.linspace(1e-3, 1.0 - 1e-6, 100_001)
+    fs = rate.eval_batch(ts)
     for d in range(3, 31):
-        generic = lower_bound_lambda(rate, d).value
-        tangent = spherical_tangency(d).value
-        assert abs(generic - tangent) < 1e-6
+        lb = lower_bound_lambda(rate, d)
+        direct = math.sqrt(2.0 * (1.0 + lb.t_star**-d) * rate.eval(lb.t_star))
+        assert direct == pytest.approx(lb.value, rel=1e-12)
+        scan = math.sqrt(2.0 * float(np.min((1.0 + ts**-d) * fs)))
+        assert 0.0 <= scan - lb.value < 1e-6
 
 
 def test_d2_known_threshold_via_generic_machinery():
-    # both closed-form priors give exactly 1 at d=2 (boundary value = 1/sigma cap)
+    # both closed-form priors give exactly 1 at d=2: the objective increases
+    # on (0, 1), so the infimum is its t -> 0 limit, the 1/sigma cap
     for prior in (SpikePrior.spherical(), SpikePrior.rademacher()):
         lb = lower_bound_lambda(rate_function_for(prior), 2)
-        assert abs(lb.value - 1.0) < 1e-6
+        assert lb.value == 1.0
 
 
 def test_sparse_lower_bound_sandwich():
@@ -67,25 +73,38 @@ def test_collision_entropy_cap_discrete():
             assert lower_bound_lambda(rate, d).value <= upper_bound_cardinality(prior, d) + 1e-9
 
 
+def spherical_lower(d):
+    return lower_bound_lambda(rate_function_for(SpikePrior.spherical()), d)
+
+
 def test_tangency_residual_and_large_d_location():
-    res = spherical_tangency(100)
+    res = spherical_lower(100)
     assert 0.99 < res.t_star < 1.0
     assert res.residual < 1e-12
-    with pytest.raises(ValueError):
-        spherical_tangency(2)
+    assert spherical_lower(2).value == 1.0
 
 
 def test_tangency_routes_agree_to_large_d():
-    # the tangency route is solved in s = -log(1-t^2), so it holds where
-    # 1 - t is far below double resolution; the grid route holds to d=10^12
-    # and raises past its last grid point instead of returning garbage
-    rate = rate_function_for(SpikePrior.spherical())
-    for d in (3, 10, 10**3, 10**6, 10**10, 10**12):
-        tangent = spherical_tangency(d).value
-        assert lower_bound_lambda(rate, d).value == pytest.approx(tangent, rel=1e-8)
-    assert spherical_tangency(10**100).residual < 1e-10
-    with pytest.raises(ValueError):
-        lower_bound_lambda(rate, 10**13)
+    # 50-digit mpmath solves of the tangency equation t (1+t^d) f'(t) = d f(t)
+    # with f = -log(1-t^2)/2; the root is bisected in s = -log(1-t^2), so it
+    # holds where 1 - t is far below double resolution
+    for d, value in ((3, "1.5846547078782847321"), (10, "2.476510204153723516"),
+                     (1000, "4.1660513622356976537")):
+        assert spherical_lower(d).value == pytest.approx(float(value), rel=1e-13, abs=0)
+    assert spherical_lower(10**13).residual < 1e-10
+    assert spherical_lower(10**100).residual < 1e-10
+
+
+@pytest.mark.parametrize(
+    "d, value",
+    [(3, "1.4552393539092344579"), (4, "1.5765079285546734048"), (10, "1.663932592525360426"),
+     (30, "1.6651092211967630891")],
+)
+def test_rademacher_lower_bound_high_precision(d, value):
+    # 50-digit mpmath solves of the tangency equation t (1+t^d) atanh(t) = d f(t),
+    # f(t) = log 2 - H((1+t)/2), with the value sqrt(2 (1+t^-d) f(t)) at the root
+    rate = rate_function_for(SpikePrior.rademacher())
+    assert lower_bound_lambda(rate, d).value == pytest.approx(float(value), rel=1e-14, abs=0)
 
 
 def test_tangency_asymptotic_gap_trend():
@@ -94,7 +113,7 @@ def test_tangency_asymptotic_gap_trend():
     # measured values
     gaps = []
     for d in (1000, 10_000, 100_000):
-        lam = spherical_tangency(d).value
+        lam = spherical_lower(d).value
         gaps.append(lam * lam - asymptotics("lower_sph_sq", d))
     assert gaps[0] == pytest.approx(0.4478, abs=2e-3)
     assert gaps[1] == pytest.approx(0.3932, abs=2e-3)
@@ -222,8 +241,8 @@ def test_asymptotics_kinds():
 def test_threshold_report_spherical():
     rep = threshold_report(SpikePrior.spherical(), 5)
     assert rep.lambda_lower < rep.lambda_upper < rep.mu_d
-    assert rep.lambda_lower == spherical_tangency(5).value
-    assert rep.diagnostics["lower_t_star"] == spherical_tangency(5).t_star
+    assert rep.lambda_lower == spherical_lower(5).value
+    assert rep.diagnostics["lower_t_star"] == spherical_lower(5).t_star
     assert rep.diagnostics["tangency_residual"] < 1e-10
     assert rep.diagnostics["mu_residual"] < 1e-8
     assert rep.diagnostics["upper_residual"] < 1e-6
@@ -231,20 +250,25 @@ def test_threshold_report_spherical():
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("this report must not take the generic route")
+    raise AssertionError("this report must not reach a refused solver")
 
 
 def test_threshold_report_one_route_per_bound(monkeypatch):
     from spiked_tensor import thresholds
 
-    monkeypatch.setattr(thresholds, "lower_bound_lambda", _refuse)
-    monkeypatch.setattr(thresholds, "rate_function_for", _refuse)
-    # the spherical lower bound is the tangency root, exactly
-    for d in (3, 4, 7, 30, 200, 10**4, 10**6):
-        rep = threshold_report(SpikePrior.spherical(), d)
-        assert rep.lambda_lower == spherical_tangency(d).value
+    # the spherical and Rademacher lower bounds are tangency roots and never
+    # reach the t grid; the sparse bound does
+    for name in ("geometric_grid", "golden_min_vec"):
+        monkeypatch.setattr(thresholds, name, _refuse)
+    for prior in (SpikePrior.spherical(), SpikePrior.rademacher()):
+        for d in range(3, 201):
+            rep = threshold_report(prior, d)
+            assert rep.lambda_lower == lower_bound_lambda(rate_function_for(prior), d).value
+    with pytest.raises(AssertionError, match="refused solver"):
+        threshold_report(SpikePrior.sparse(0.3), 3)
     # the exact d = 2 rows run no solver at all
-    for name in ("bisect_root", "golden_min", "spherical_tangency", "injective_norm_mu"):
+    for name in ("bisect_root", "golden_min", "lower_bound_lambda", "rate_function_for",
+                 "injective_norm_mu"):
         monkeypatch.setattr(thresholds, name, _refuse)
     for prior in (SpikePrior.spherical(), SpikePrior.rademacher()):
         rep = threshold_report(prior, 2, include_replica=True)
