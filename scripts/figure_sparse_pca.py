@@ -16,6 +16,8 @@ from spiked_tensor import SpikePrior, threshold_report
 from spiked_tensor.output import OutputSpec, write_table
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
+RHOS = np.unique(np.concatenate([10.0 ** np.linspace(-4, -0.05, 16), [2 / 3, 1.0]]))
+COLUMNS = ["rho", "lambda_lower", "lambda_upper", "asymptote", "capped_by_sigma"]
 
 
 def sweep(rhos) -> list[dict]:
@@ -28,7 +30,7 @@ def sweep(rhos) -> list[dict]:
                 "lambda_lower": rep.lambda_lower,
                 "lambda_upper": rep.lambda_upper,
                 "asymptote": math.nan if rep.asymptotic_lower is None else rep.asymptotic_lower,
-                "capped_by_sigma": rep.diagnostics["lower_capped_by_sigma"],
+                "capped_by_sigma": rep.lower.capped_by_sigma,
             }
         )
         print(f"rho={rho:.5f}: lower={rep.lambda_lower:.4f} upper={rep.lambda_upper:.4f}")
@@ -37,12 +39,7 @@ def sweep(rhos) -> list[dict]:
 
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
-    rhos = np.unique(np.concatenate([10.0 ** np.linspace(-4, -0.05, 16), [2 / 3, 1.0]]))
-    rows = sweep(rhos)
+    rows = sweep(RHOS)
     path = OUT / "sparse_pca_d2.csv"
-    write_table(
-        ["rho", "lambda_lower", "lambda_upper", "asymptote", "capped_by_sigma"],
-        rows,
-        OutputSpec(format="csv", path=str(path)),
-    )
+    write_table(COLUMNS, rows, OutputSpec(format="csv", path=str(path)))
     print(f"wrote {path}")

@@ -90,7 +90,11 @@ def bisect_root(
     xtol: float = 1e-12,
     max_iter: int = 300,
 ) -> RootResult:
-    """Bisection root of ``f`` on [lo, hi]; endpoints must bracket a sign change."""
+    """Bisection root of ``f`` on [lo, hi]; endpoints must bracket a sign change.
+
+    Stops at width ``xtol``, after ``max_iter`` steps, or once lo and hi are
+    adjacent floats and the midpoint can no longer split the bracket.
+    """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return RootResult(lo, 0.0, 0)
@@ -101,6 +105,8 @@ def bisect_root(
     it = 0
     while hi - lo > xtol and it < max_iter:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         fm = f(mid)
         it += 1
         if fm == 0.0:

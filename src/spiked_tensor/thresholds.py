@@ -23,7 +23,7 @@ once snr crosses the unique root of L_d(snr) = mu_d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +79,7 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
         limit = 2.0 * math.sqrt(rate.collision_entropy)
         if h(hi) < 0.0:
             return LowerBoundResult(limit, 1.0, False, math.nan)
-        res = bisect_root(h, lo, hi, xtol=0.0, max_iter=200)
+        res = bisect_root(h, lo, hi, xtol=0.0)
         t_star, value = at_root(res.root)
         return LowerBoundResult(min(value, limit), t_star, False, res.residual)
 
@@ -277,11 +277,11 @@ class ThresholdReport:
     d: int
     lambda_lower: float
     lambda_upper: float
+    lower: LowerBoundResult
     mu_d: float | None = None
     replica_prediction: float | None = None
     asymptotic_lower: float | None = None
     asymptotic_upper: float | None = None
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.lambda_lower > self.lambda_upper + 1e-9:
@@ -301,26 +301,19 @@ def threshold_report(
 ) -> ThresholdReport:
     """Aggregate lower/upper bounds, mu_d, replica prediction and asymptotics.
 
+    Every lower bound, with its t* and residual, comes from lower_bound_lambda.
     d=2 with the spherical or Rademacher prior is the exactly known case:
-    both strong detection and weak recovery transition at snr = 1, so the
-    report pins both bounds there and runs no solver.  Every other lower
-    bound comes from lower_bound_lambda.
+    both strong detection and weak recovery transition at snr = 1, where the
+    lower bound is exactly 1, so the report pins the upper bound there too.
     """
-    diagnostics: dict = {}
+    lower = lower_bound_lambda(rate_function_for(prior), d)
     mu = replica_prediction = None
     asym_lower = asym_upper = None
 
     if d == 2 and prior.kind in ("spherical", "rademacher"):
-        lam_lo = lam_hi = 1.0
-        diagnostics["exact_d2_threshold"] = True
-    else:
-        lower = lower_bound_lambda(rate_function_for(prior), d)
-        lam_lo = lower.value
-        diagnostics["lower_t_star"] = lower.t_star
-        diagnostics["lower_capped_by_sigma"] = lower.capped_by_sigma
-        diagnostics["tangency_residual"] = lower.residual
-        if prior.kind != "spherical":
-            lam_hi = upper_bound_cardinality(prior, d)
+        lam_hi = 1.0
+    elif prior.kind != "spherical":
+        lam_hi = upper_bound_cardinality(prior, d)
         if prior.kind == "rademacher":
             asym_lower = asym_upper = lam_hi
         elif prior.kind == "sparse_rademacher" and prior.rho < 1.0:
@@ -328,12 +321,8 @@ def threshold_report(
 
     if d > 2:
         mu = injective_norm_mu(d)
-        diagnostics["mu_residual"] = abs(_mu_characteristic(d, mu * math.sqrt(d / 2.0)))
         if prior.kind == "spherical":
             lam_hi = upper_bound_spherical(d, mu)
-            diagnostics["upper_residual"] = abs(
-                spiked_norm_lower_Ld(d, lam_hi).value - mu
-            )
             asym_lower = math.sqrt(asymptotics("lower_sph_sq", d))
             asym_upper = math.sqrt(asymptotics("upper_sph_sq", d))
         if include_replica and prior.kind in ("spherical", "rademacher"):
@@ -342,11 +331,11 @@ def threshold_report(
     return ThresholdReport(
         prior=prior,
         d=d,
-        lambda_lower=lam_lo,
+        lambda_lower=lower.value,
         lambda_upper=lam_hi,
+        lower=lower,
         mu_d=mu,
         replica_prediction=replica_prediction,
         asymptotic_lower=asym_lower,
         asymptotic_upper=asym_upper,
-        diagnostics=diagnostics,
     )

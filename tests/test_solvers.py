@@ -60,11 +60,35 @@ def test_bisect_root_cosine():
     res = bisect_root(math.cos, 1.0, 2.0, xtol=1e-14)
     assert abs(res.root - math.pi / 2) < 1e-12
     assert res.residual < 1e-12
+    # xtol = 0 asks for the narrowest bracket; the loop ends once the midpoint
+    # can no longer split it, long before max_iter
+    res = bisect_root(math.cos, 1.0, 2.0, xtol=0.0, max_iter=10_000)
+    assert abs(res.root - math.pi / 2) <= math.ulp(math.pi / 2)
+    assert res.iterations < 60
 
 
 def test_bisect_root_requires_bracket():
     with pytest.raises(BracketError):
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_spherical_tangency_bisection_steps(monkeypatch):
+    from spiked_tensor import SpikePrior, lower_bound_lambda, rate_function_for, thresholds
+
+    steps = []
+
+    def counted(*args, **kwargs):
+        res = bisect_root(*args, **kwargs)
+        steps.append(res.iterations)
+        return res
+
+    # xtol = 0: each root is bisected down to adjacent floats, about 50 steps
+    monkeypatch.setattr(thresholds, "bisect_root", counted)
+    rate = rate_function_for(SpikePrior.spherical())
+    for d in range(3, 201):
+        lower_bound_lambda(rate, d)
+    assert len(steps) == 198
+    assert max(steps) < 100
 
 
 def test_bisect_root_endpoint_root():

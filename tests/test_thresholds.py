@@ -14,6 +14,7 @@ from spiked_tensor import (
     upper_bound_cardinality,
     upper_bound_spherical,
 )
+from spiked_tensor.thresholds import _mu_characteristic
 
 TWO_SQRT_LOG2 = 2.0 * math.sqrt(math.log(2.0))
 
@@ -124,6 +125,11 @@ def test_mu3_matches_reference_value():
     assert abs(injective_norm_mu(3) - 2.3433) < 5e-4
 
 
+@pytest.mark.parametrize("d", [*range(3, 31), 100, 10**3, 10**4, 10**6])
+def test_mu_solves_its_characteristic_equation(d):
+    assert abs(_mu_characteristic(d, injective_norm_mu(d) * math.sqrt(d / 2.0))) < 1e-9
+
+
 def test_mu_monotone_in_d():
     mus = [injective_norm_mu(d) for d in range(3, 51)]
     assert all(b > a for a, b in zip(mus, mus[1:]))
@@ -174,7 +180,7 @@ def test_spiked_norm_increasing_in_snr():
 
 def test_upper_bound_spherical_ordering():
     rate = rate_function_for(SpikePrior.spherical())
-    for d in range(3, 11):
+    for d in [*range(3, 31), 10**3, 10**6]:
         mu = injective_norm_mu(d)
         upper = upper_bound_spherical(d, mu)
         lower = lower_bound_lambda(rate, d).value
@@ -242,10 +248,8 @@ def test_threshold_report_spherical():
     rep = threshold_report(SpikePrior.spherical(), 5)
     assert rep.lambda_lower < rep.lambda_upper < rep.mu_d
     assert rep.lambda_lower == spherical_lower(5).value
-    assert rep.diagnostics["lower_t_star"] == spherical_lower(5).t_star
-    assert rep.diagnostics["tangency_residual"] < 1e-10
-    assert rep.diagnostics["mu_residual"] < 1e-8
-    assert rep.diagnostics["upper_residual"] < 1e-6
+    assert rep.lower.t_star == spherical_lower(5).t_star
+    assert rep.lower.residual < 1e-10
     assert rep.asymptotic_lower is not None and rep.asymptotic_upper is not None
 
 
@@ -267,7 +271,7 @@ def test_threshold_report_one_route_per_bound(monkeypatch):
     with pytest.raises(AssertionError, match="refused solver"):
         threshold_report(SpikePrior.sparse(0.3), 3)
     # the exact d = 2 rows run no solver at all
-    for name in ("bisect_root", "golden_min", "lower_bound_lambda", "rate_function_for",
+    for name in ("bisect_root", "golden_min", "golden_min_vec", "geometric_grid",
                  "injective_norm_mu"):
         monkeypatch.setattr(thresholds, name, _refuse)
     for prior in (SpikePrior.spherical(), SpikePrior.rademacher()):
@@ -280,7 +284,8 @@ def test_threshold_report_d2_exact_cases():
         rep = threshold_report(prior, 2)
         assert rep.lambda_lower == 1.0 and rep.lambda_upper == 1.0
         assert rep.mu_d is None
-        assert rep.diagnostics["exact_d2_threshold"]
+        assert rep.lower == lower_bound_lambda(rate_function_for(prior), 2)
+        assert rep.lower.value == 1.0
 
 
 def test_threshold_report_sparse():
