@@ -64,6 +64,7 @@ REPLICA = [
     ["replica", "--prior", "rademacher", "--d", "6..8", "--thresholds"],
     ["replica", "--prior", "rademacher", "--d", "10", "--lambda", "1.2,1.6,3"],
     ["replica", "--prior", "spherical", "--d", "40", "--lambda", "3.2,3.5"],
+    ["replica", "--prior", "sparse", "--rho", "0.2", "--d", "3", "--lambda", "1.0"],  # exits 2
 ]
 # Rademacher mu scans at 17 digits: the largest orders over the whole snr
 # range, and d = 2 either side of snr = 1/sqrt(2), where phi's screen starts
@@ -120,6 +121,8 @@ SIMULATE = [
     ["simulate", "bbp", "--n", "400", "--lambda", "0.5", "--trials", "2"],
     ["simulate", "recover", "--prior", "spherical", "--test", "injective_norm", "--n", "12",
      "--d", "4", "--lambda", "2", "--trials", "8", "--seed", "3", "--records", RECORDS],
+    ["simulate", "recover", "--prior", "rademacher", "--n", "6", "--d", "3", "--lambda", "-1",
+     "--trials", "2"],  # exits 2
 ]
 
 # one argv per simulate kind: detect --records, bbp, norms, tails, recover --records

@@ -20,12 +20,8 @@ from .rates import (
     RateFunction,
     binary_entropy,
     collision_entropy,
-    entropy_term_G,
     exact_overlap_tail,
     rate_function_for,
-    rate_rademacher,
-    rate_sparse_rademacher,
-    rate_spherical,
 )
 from .replica import (
     ReplicaSolution,

@@ -215,9 +215,7 @@ def cmd_ratefn(parser, args) -> int:
 
 
 def cmd_replica(parser, args) -> int:
-    prior = _prior_from_args(parser, args)
-    if prior.kind == "sparse_rademacher":
-        parser.error("replica solvers cover the spherical and rademacher priors only")
+    prior = _prior_from_args(parser, args)  # the replica functions reject a sparse prior
     ds = _parse_d_range(args.d)
     spec = _output_spec(args)
     if args.thresholds:

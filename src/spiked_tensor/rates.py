@@ -15,6 +15,11 @@ minimum over zeta is a grid scan in blocks of t, then an array-parallel
 golden section (_rate_sparse_batch).
 All logarithms are natural.  0 * log 0 = 0 at entropy boundaries.
 
+rate_function_for(prior) is the one rate entry: its ``eval_batch`` is the
+prior's array function, and its ``eval`` checks a single t against the
+prior's domain (check_overlap_point) and reads one value off that array
+function.  The t -> 1 limit F is collision_entropy(prior).
+
 The exact oracles are independent of the rate functions: discrete priors use
 the integer law of k<x,x'> on the lattice -k..k (Rademacher is k = n); for the
 spherical prior (1 + <x,x'>)/2 is Beta((n-1)/2, (n-1)/2), whose tail is a
@@ -48,20 +53,8 @@ def binary_entropy(p: float) -> float:
     return float(special.entr(p) + special.entr(1.0 - p))
 
 
-def rate_spherical(t: float) -> float:
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must lie in [0, 1); the rate diverges at 1 (got {t})")
-    return float(_rate_spherical_vec(t))
-
-
 def _rate_spherical_vec(ts) -> np.ndarray:
     return -0.5 * np.log1p(-np.square(np.asarray(ts, dtype=float)))
-
-
-def rate_rademacher(t: float) -> float:
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    return float(_rate_rademacher_vec(t))
 
 
 def _rate_rademacher_vec(t: np.ndarray) -> np.ndarray:
@@ -70,30 +63,14 @@ def _rate_rademacher_vec(t: np.ndarray) -> np.ndarray:
     return 0.5 * special.xlog1py(1.0 + t, t) + 0.5 * special.xlog1py(1.0 - t, -t)
 
 
-def entropy_term_G(zeta: float, rho: float) -> float:
-    """Exponential cost of a support-overlap fraction zeta; zero at zeta = rho^2."""
-    lo, hi = max(0.0, 2.0 * rho - 1.0), rho
-    if not lo - 1e-12 <= zeta <= hi + 1e-12:
-        raise ValueError(f"zeta={zeta} outside feasible [{lo}, {hi}] for rho={rho}")
-    zeta = min(max(zeta, lo), hi)
-    return float(_entropy_term_vec(np.asarray(zeta), rho))
-
-
 def _entropy_term_vec(zeta: np.ndarray, rho: float) -> np.ndarray:
+    """Exponential cost G of a support-overlap fraction zeta; zero at zeta = rho^2."""
     ent = (
         special.entr(zeta)
         + 2.0 * special.entr(rho - zeta)
         + special.entr(1.0 - 2.0 * rho + zeta)
     )
     return -ent + 2.0 * binary_entropy(rho)
-
-
-def rate_sparse_rademacher(t: float, rho: float) -> float:
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    return float(_rate_sparse_batch(np.asarray([t]), rho)[0])
 
 
 def _rate_sparse_batch(ts: np.ndarray, rho: float) -> np.ndarray:
@@ -153,26 +130,29 @@ def collision_entropy(prior: SpikePrior) -> float:
 
 @dataclass(frozen=True)
 class RateFunction:
-    """Evaluable rate function plus its t->1 limit."""
+    """A prior's rate function: ``eval`` checks one overlap t and reads its
+    value off ``eval_batch``, the array function over t in the domain."""
 
     prior: SpikePrior
     eval: Callable[[float], float]
     eval_batch: Callable[[np.ndarray], np.ndarray]
-    collision_entropy: float
 
 
 def rate_function_for(prior: SpikePrior) -> RateFunction:
+    """The one rate entry for every prior: see RateFunction."""
     if prior.kind == "spherical":
-        fn, fb = rate_spherical, _rate_spherical_vec
+        fb = _rate_spherical_vec
     elif prior.kind == "rademacher":
-        fn, fb = rate_rademacher, _rate_rademacher_vec
+        fb = _rate_rademacher_vec
     else:
         rho = prior.rho
-        fn = lambda t: rate_sparse_rademacher(t, rho)
         fb = lambda ts: _rate_sparse_batch(np.asarray(ts, dtype=float), rho)
-    return RateFunction(
-        prior=prior, eval=fn, eval_batch=fb, collision_entropy=collision_entropy(prior)
-    )
+
+    def fn(t: float) -> float:
+        check_overlap_point(prior, t, "t")
+        return float(fb(np.asarray([t], dtype=float))[0])
+
+    return RateFunction(prior=prior, eval=fn, eval_batch=fb)
 
 
 def tail_rate(p: float, n: int) -> float:

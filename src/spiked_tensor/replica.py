@@ -106,7 +106,8 @@ def _mu_grid(d: int, snr: float) -> np.ndarray:
 def _root_cells(vals: np.ndarray) -> np.ndarray:
     """Grid indices i, ascending, with vals[i] == 0 or a sign change on [i, i+1]."""
     left = vals[:-1]
-    return np.flatnonzero((left == 0.0) | (left * vals[1:] < 0))
+    # signs, not products: a product of two values below ~1e-162 underflows to 0
+    return np.flatnonzero((left == 0.0) | (np.sign(left) * np.sign(vals[1:]) < 0))
 
 
 def _scan_roots(grid: np.ndarray, f, xtol: float) -> list[float]:

@@ -76,7 +76,7 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
             return LowerBoundResult(1.0, 0.0, False, math.nan)
         spherical = rate.prior.kind == "spherical"
         h, lo, hi, at_root = (_spherical_tangency if spherical else _rademacher_tangency)(d)
-        limit = 2.0 * math.sqrt(rate.collision_entropy)
+        limit = 2.0 * math.sqrt(collision_entropy(rate.prior))
         if h(hi) < 0.0:
             return LowerBoundResult(limit, 1.0, False, math.nan)
         res = bisect_root(h, lo, hi, xtol=0.0)
@@ -106,7 +106,7 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
     # the objective tends to 2F as t -> 1 (F the collision entropy), so the
     # infimum is at most 2F; near t = 1 the grid's (1+t^d)/t^d ~ 2 + d(1-t)
     # overshoots that limit once d(1-t) is no longer negligible
-    best = min(float(refined), float(ratio[i]), 2.0 * rate.collision_entropy)
+    best = min(float(refined), float(ratio[i]), 2.0 * collision_entropy(rate.prior))
     t_star = float(t_polished) if refined <= ratio[i] else float(ts[i])
     value = math.sqrt(2.0 * best)
     capped = d == 2 and value > 1.0
@@ -186,7 +186,7 @@ def injective_norm_mu(d: int) -> float:
         raise ValueError(f"mu_d is computed for d >= 3, got {d}")
     lo = 2.0 * math.sqrt(d - 1.0) + 1e-12
     hi = math.sqrt(d * (2.0 * math.log(d) + 2.0 * math.log(math.log(d)) + 4.0))
-    res = bisect_root(lambda x: _mu_characteristic(d, x), lo, hi, xtol=1e-10, max_iter=300)
+    res = bisect_root(lambda x: _mu_characteristic(d, x), lo, hi, xtol=1e-10)
     return res.root * math.sqrt(2.0 / d)
 
 
@@ -240,7 +240,7 @@ def upper_bound_spherical(d: int, mu: float | None = None) -> float:
     return golden_min(snr_at, 0.0, 1.0 / d, tol=1e-10 / d)[1]
 
 
-def upper_bound_cardinality(prior: SpikePrior, d: int) -> float:
+def upper_bound_cardinality(prior: SpikePrior) -> float:
     """MLE union-bound threshold 2 sqrt(c), c = F the log-support density."""
     if not prior.is_discrete:
         raise ValueError("cardinality bound requires a discrete prior")
@@ -313,7 +313,7 @@ def threshold_report(
     if d == 2 and prior.kind in ("spherical", "rademacher"):
         lam_hi = 1.0
     elif prior.kind != "spherical":
-        lam_hi = upper_bound_cardinality(prior, d)
+        lam_hi = upper_bound_cardinality(prior)
         if prior.kind == "rademacher":
             asym_lower = asym_upper = lam_hi
         elif prior.kind == "sparse_rademacher" and prior.rho < 1.0:

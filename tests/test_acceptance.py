@@ -26,8 +26,6 @@ from spiked_tensor import (
     lower_bound_lambda,
     rademacher_replica_thresholds,
     rate_function_for,
-    rate_rademacher,
-    rate_sparse_rademacher,
     recovery_experiment,
     spherical_fixed_points,
     spherical_replica_threshold,
@@ -146,7 +144,7 @@ def test_criterion_5_sparse_limits():
     for rho in (0.1, 1 / 3, 2 / 3, 1.0):
         h = -rho * math.log(rho) - (1 - rho) * math.log1p(-rho) if rho < 1 else 0.0
         target = h + rho * math.log(2.0)
-        err = abs(rate_sparse_rademacher(1.0, rho) - target)
+        err = abs(rate_function_for(SpikePrior.sparse(rho)).eval(1.0) - target)
         ok = ok and err <= 1e-8
     rho = 1e-4
     lam = lower_bound_lambda(rate_function_for(SpikePrior.sparse(rho)), 2).value
@@ -219,17 +217,18 @@ def test_criterion_8_bbp_reference():
 def test_criterion_9_oracle_equivalence():
     t0 = time.perf_counter()
     prior = SpikePrior.rademacher()
+    rate = rate_function_for(prior)
     chernoff_ok = True
     for n in range(1, 65):
         for t in np.linspace(0.0, 0.999, 50):
             tail = exact_overlap_tail(prior, n, float(t))
-            if tail > math.exp(-n * rate_rademacher(float(t))) * (1 + 1e-12):
+            if tail > math.exp(-n * rate.eval(float(t))) * (1 + 1e-12):
                 chernoff_ok = False
     sparse_ok = True
     errs = []
     for t in (0.2, 0.4, 0.6):
         emp = -math.log(exact_overlap_tail(SpikePrior.sparse(0.3), 200, t)) / 200
-        errs.append(abs(emp - rate_sparse_rademacher(t, 0.3)))
+        errs.append(abs(emp - rate_function_for(SpikePrior.sparse(0.3)).eval(t)))
         sparse_ok = sparse_ok and errs[-1] <= 0.05
     elapsed = time.perf_counter() - t0
     ok = chernoff_ok and sparse_ok

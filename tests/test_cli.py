@@ -143,12 +143,6 @@ def test_replica_branch_table_residuals(capsys):
     assert all(float(r["residual"]) < 1e-9 for r in rows)
 
 
-def test_replica_rejects_sparse(capsys):
-    code = main(["replica", "--prior", "sparse", "--rho", "0.2", "--d", "3", "--lambda", "1.0"])
-    capsys.readouterr()
-    assert code != 0
-
-
 def test_simulate_detect_summary(capsys):
     code, out = run_cli(
         [
@@ -358,6 +352,9 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["thresholds", "--prior", "spherical", "--d", "3", "--out", "/dev/null/t.csv"],
         ["simulate", "detect", "--prior", "rademacher", "--n", "6", "--d", "3", "--lambda", "1",
          "--trials", "2", "--records", "/dev/null/r.csv"],
+        ["replica", "--prior", "sparse", "--rho", "0.2", "--d", "3", "--lambda", "1.0"],
+        ["simulate", "recover", "--prior", "rademacher", "--n", "6", "--d", "3", "--lambda", "-1",
+         "--trials", "2"],
     ],
     ids=["tails_tgrid", "tails_tgrid_past_exact_cap", "tails_spherical_tgrid_1", "ratefn_tmax", "spherical_replica_d30000", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
@@ -374,7 +371,7 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "ratefn_grid_over_cap", "norms_restarts_huge", "detect_support_over_cap",
          "detect_spherical_mle", "ratefn_n_over_exact_cap", "replica_empty_lambda",
          "tails_empty_tgrid", "norms_huge_snr", "detect_injective_huge_snr", "bbp_huge_snr",
-         "out_unwritable", "records_unwritable"],
+         "out_unwritable", "records_unwritable", "sparse_replica", "recover_negative_snr"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)

@@ -228,6 +228,17 @@ def test_power_iteration_needs_a_start():
     assert est.value == pytest.approx(2.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("spike", [False, True])
+def test_power_iteration_stops_at_a_stationary_point(d, spike):
+    # on the zero tensor every step is zero: each row ends where it starts, converged
+    T = SymmetricTensor(5, d, np.zeros((5,) * d))
+    start = sample_spike(SpikePrior.spherical(), 5, RngSeed(3)) if spike else None
+    est = injective_norm_estimate(T, PowerIterationSettings(restarts=2), RngSeed(3), start)
+    assert est.value == 0.0
+    assert est.converged is True
+
+
 @pytest.mark.parametrize("d, n", [(2, 12), (3, 9), (4, 6), (5, 5), (6, 4)])
 def test_norm_estimate_value_is_its_vectors_objective(d, n):
     # the ascent reads f(y) off the contraction it keeps as the next direction

@@ -13,12 +13,8 @@ from spiked_tensor import (
     SpikePrior,
     binary_entropy,
     collision_entropy,
-    entropy_term_G,
     exact_overlap_tail,
     rate_function_for,
-    rate_rademacher,
-    rate_sparse_rademacher,
-    rate_spherical,
     upper_bound_cardinality,
 )
 from spiked_tensor import rates
@@ -49,6 +45,7 @@ def test_binary_entropy_values():
 # ---------------------------------------------------------------------------
 
 def test_rate_spherical_values():
+    rate_spherical = rate_function_for(SpikePrior.spherical()).eval
     assert rate_spherical(0.0) == 0.0
     assert abs(rate_spherical(0.5) - 0.14384103622589045) < 1e-14
     # divergence proxy near t=1: -log(2e-6 - 1e-12)/2
@@ -59,6 +56,7 @@ def test_rate_spherical_values():
 
 
 def test_rate_rademacher_values():
+    rate_rademacher = rate_function_for(SpikePrior.rademacher()).eval
     assert rate_rademacher(0.0) == 0.0
     assert abs(rate_rademacher(1.0) - LOG2) < 1e-15
     assert abs(rate_rademacher(0.5) - 0.13081203594113694) < 1e-14
@@ -68,36 +66,32 @@ def test_rate_rademacher_values():
 
 def test_entropy_term_zero_at_product_measure():
     for rho in (0.1, 0.3, 0.5, 0.9):
-        assert abs(entropy_term_G(rho**2, rho)) < 1e-12
+        assert abs(rates._entropy_term_vec(rho**2, rho)) < 1e-12
 
 
 def test_entropy_term_full_overlap():
-    assert abs(entropy_term_G(0.3, 0.3) - binary_entropy(0.3)) < 1e-12
-    assert abs(entropy_term_G(0.3, 0.3) - 0.6108643020548935) < 1e-12
+    assert abs(rates._entropy_term_vec(0.3, 0.3) - binary_entropy(0.3)) < 1e-12
+    assert abs(rates._entropy_term_vec(0.3, 0.3) - 0.6108643020548935) < 1e-12
 
 
 def test_entropy_term_strictly_positive_off_minimum():
-    assert entropy_term_G(0.09 + 0.01, 0.3) > 1e-5
-    assert entropy_term_G(0.09 - 0.01, 0.3) > 1e-5
-
-
-def test_entropy_term_domain():
-    with pytest.raises(ValueError):
-        entropy_term_G(0.31, 0.3)
-    with pytest.raises(ValueError):
-        entropy_term_G(0.2, 0.7)  # below 2*rho - 1 = 0.4
+    assert rates._entropy_term_vec(0.09 + 0.01, 0.3) > 1e-5
+    assert rates._entropy_term_vec(0.09 - 0.01, 0.3) > 1e-5
 
 
 def test_sparse_rate_boundaries():
     for rho in (0.1, 1 / 3, 2 / 3, 1.0):
-        assert rate_sparse_rademacher(0.0, rho) == 0.0
+        rate = rate_function_for(SpikePrior.sparse(rho))
+        assert rate.eval(0.0) == 0.0
         limit = binary_entropy(rho) + rho * LOG2
-        assert abs(rate_sparse_rademacher(1.0, rho) - limit) < 1e-8
+        assert abs(rate.eval(1.0) - limit) < 1e-8
 
 
 def test_sparse_rate_dense_reduction():
+    dense = rate_function_for(SpikePrior.sparse(1.0))
+    rade = rate_function_for(SpikePrior.rademacher())
     for t in np.linspace(0.0, 0.99, 34):
-        assert abs(rate_sparse_rademacher(t, 1.0) - rate_rademacher(t)) < 1e-10
+        assert abs(dense.eval(t) - rade.eval(t)) < 1e-10
 
 
 def test_rate_functions_monotone_and_zero_at_origin():
@@ -175,7 +169,7 @@ def test_collision_entropy_values():
 def test_collision_entropy_consistent_with_rate_limit():
     for prior in (SpikePrior.rademacher(), SpikePrior.sparse(0.4)):
         rate = rate_function_for(prior)
-        assert abs(rate.eval(1 - 1e-9) - rate.collision_entropy) < 1e-6
+        assert abs(rate.eval(1 - 1e-9) - collision_entropy(prior)) < 1e-6
 
 
 def test_collision_entropy_accurate_at_tiny_rho():
@@ -185,7 +179,7 @@ def test_collision_entropy_accurate_at_tiny_rho():
     f = collision_entropy(prior)
     assert f == pytest.approx(2.9324168296487993518e-11, rel=1e-14, abs=0.0)
     for p in (prior, SpikePrior.sparse(0.3), SpikePrior.sparse(1.0), SpikePrior.rademacher()):
-        assert upper_bound_cardinality(p, 3) == 2 * math.sqrt(collision_entropy(p))
+        assert upper_bound_cardinality(p) == 2 * math.sqrt(collision_entropy(p))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +302,11 @@ def test_tail_at_zero_at_least_half():
 
 def test_chernoff_domination_sampled_n():
     prior = SpikePrior.rademacher()
+    rate = rate_function_for(prior)
     for n in range(1, 65, 7):
         for t in np.linspace(0.0, 0.999, 50):
             tail = exact_overlap_tail(prior, n, float(t))
-            assert tail <= math.exp(-n * rate_rademacher(float(t))) * (1 + 1e-12)
+            assert tail <= math.exp(-n * rate.eval(float(t))) * (1 + 1e-12)
 
 
 def test_sparse_tail_sandwich():
@@ -319,7 +314,7 @@ def test_sparse_tail_sandwich():
     rho = 0.3
     prior = SpikePrior.sparse(rho)
     ts = (0.2, 0.4, 0.6)
-    rates = {t: rate_sparse_rademacher(t, rho) for t in ts}
+    rates = {t: rate_function_for(prior).eval(t) for t in ts}
 
     def prefactor(n, t):
         return exact_overlap_tail(prior, n, t) / (n**1.5 * math.exp(-n * rates[t]))

@@ -133,6 +133,11 @@ def test_screened_mu_scan_keeps_every_sign_and_root(monkeypatch):
     assert skipped > total // 2
 
 
+def test_root_cells_read_signs_of_tiny_values():
+    # the product of the two ends underflows to -0.0, which is not below 0
+    assert _root_cells(np.array([-1e-200, 1e-200])).tolist() == [0]
+
+
 def test_threshold_values_pinned_to_the_bit():
     # full-precision values of the solvers as first committed; any change to
     # the scans, the polishing or the quadrature moves at least one of them
@@ -212,7 +217,7 @@ def test_rademacher_thresholds_frozen_and_ordered():
         l1, l2 = rademacher_replica_thresholds(d)
         assert l1 < l2
         lower = lower_bound_lambda(rate_function_for(SpikePrior.rademacher()), d).value
-        upper = upper_bound_cardinality(SpikePrior.rademacher(), d)
+        upper = upper_bound_cardinality(SpikePrior.rademacher())
         assert lower <= l2 <= upper + 1e-9
 
 

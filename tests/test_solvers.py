@@ -61,8 +61,8 @@ def test_bisect_root_cosine():
     assert abs(res.root - math.pi / 2) < 1e-12
     assert res.residual < 1e-12
     # xtol = 0 asks for the narrowest bracket; the loop ends once the midpoint
-    # can no longer split it, long before max_iter
-    res = bisect_root(math.cos, 1.0, 2.0, xtol=0.0, max_iter=10_000)
+    # can no longer split it
+    res = bisect_root(math.cos, 1.0, 2.0, xtol=0.0)
     assert abs(res.root - math.pi / 2) <= math.ulp(math.pi / 2)
     assert res.iterations < 60
 
@@ -70,6 +70,15 @@ def test_bisect_root_cosine():
 def test_bisect_root_requires_bracket():
     with pytest.raises(BracketError):
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_bisect_root_reads_signs_of_tiny_values():
+    # a product of two values below ~1e-162 underflows to 0 and loses the signs
+    with pytest.raises(BracketError):
+        bisect_root(lambda x: 1e-200, 0.0, 1.0)
+    res = bisect_root(lambda x: x - 1e-300, 0.0, 1.0, xtol=0.0)
+    assert res.root == pytest.approx(1e-300, rel=1e-15)
+    assert res.iterations < 1100
 
 
 def test_spherical_tangency_bisection_steps(monkeypatch):

@@ -27,7 +27,7 @@ def test_rademacher_lower_bound_large_d_limit():
 
 def test_rademacher_lower_bound_monotone_and_capped():
     rate = rate_function_for(SpikePrior.rademacher())
-    cap = upper_bound_cardinality(SpikePrior.rademacher(), 3)
+    cap = upper_bound_cardinality(SpikePrior.rademacher())
     prev = 0.0
     for d in range(3, 51):
         lb = lower_bound_lambda(rate, d).value
@@ -62,7 +62,7 @@ def test_sparse_lower_bound_sandwich():
     prior = SpikePrior.sparse(0.1)
     lb = lower_bound_lambda(rate_function_for(prior), 2).value
     lo = asymptotics("sparse_rho_lower", 0.1)
-    hi = upper_bound_cardinality(prior, 2)
+    hi = upper_bound_cardinality(prior)
     assert lo < lb < hi
 
 
@@ -71,7 +71,7 @@ def test_collision_entropy_cap_discrete():
     for prior in (SpikePrior.rademacher(), SpikePrior.sparse(0.3)):
         rate = rate_function_for(prior)
         for d in (3, 10, 50, 10**6, 10**9, 10**12):
-            assert lower_bound_lambda(rate, d).value <= upper_bound_cardinality(prior, d) + 1e-9
+            assert lower_bound_lambda(rate, d).value <= upper_bound_cardinality(prior) + 1e-9
 
 
 def spherical_lower(d):
@@ -208,17 +208,17 @@ def test_upper_bound_spherical_asymptotic_gap():
 
 
 def test_cardinality_and_entropy_bounds():
-    assert upper_bound_cardinality(SpikePrior.rademacher(), 3) == pytest.approx(
+    assert upper_bound_cardinality(SpikePrior.rademacher()) == pytest.approx(
         TWO_SQRT_LOG2, abs=1e-12
     )
-    assert upper_bound_cardinality(SpikePrior.sparse(2 / 3), 3) == pytest.approx(
+    assert upper_bound_cardinality(SpikePrior.sparse(2 / 3)) == pytest.approx(
         2.0 * math.sqrt(math.log(3.0)), abs=1e-12
     )
-    assert upper_bound_cardinality(SpikePrior.sparse(1.0), 3) == pytest.approx(
+    assert upper_bound_cardinality(SpikePrior.sparse(1.0)) == pytest.approx(
         TWO_SQRT_LOG2, abs=1e-12
     )
     with pytest.raises(ValueError):
-        upper_bound_cardinality(SpikePrior.spherical(), 3)
+        upper_bound_cardinality(SpikePrior.spherical())
 
 
 def test_asymptotics_kinds():
@@ -291,7 +291,7 @@ def test_threshold_report_d2_exact_cases():
 def test_threshold_report_sparse():
     rep = threshold_report(SpikePrior.sparse(0.1), 3)
     assert rep.lambda_upper == pytest.approx(
-        upper_bound_cardinality(SpikePrior.sparse(0.1), 3)
+        upper_bound_cardinality(SpikePrior.sparse(0.1))
     )
     assert rep.mu_d is not None
     assert rep.lambda_lower <= rep.lambda_upper
@@ -340,7 +340,6 @@ def test_grid_vs_refined_brute_force_spot_checks():
         assert abs(res.value - float(np.nanmax(vals))) < 1e-6
 
     # zeta-optimum of the sparse rate, three (t, rho) tuples
-    from spiked_tensor import rate_sparse_rademacher
 
     def ent(a):
         return np.where(a > 1e-300, -a * np.log(np.maximum(a, 1e-300)), 0.0)
@@ -353,4 +352,4 @@ def test_grid_vs_refined_brute_force_spot_checks():
         arg = np.minimum(rho * t / np.maximum(zs, 1e-300), 1.0)
         f_r = math.log(2.0) - (ent((1 + arg) / 2) + ent((1 - arg) / 2))
         brute = max(float(np.min(big_g + zs * f_r)), 0.0)
-        assert abs(rate_sparse_rademacher(t, rho) - brute) < 1e-6
+        assert abs(rate_function_for(SpikePrior.sparse(rho)).eval(t) - brute) < 1e-6
