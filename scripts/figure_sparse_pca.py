@@ -3,8 +3,8 @@
 
 Writes results/sparse_pca_d2.csv with the noise-conditioning lower bound,
 the exhaustive-search upper bound and the rho -> 0 asymptote on a log-spaced
-rho grid.  Takes about half a minute: each lower bound is a fresh 2-D
-optimization.
+rho grid.  Takes about 3 s on a 2-core x86 machine: each lower bound is a
+fresh 2-D optimization.
 """
 
 import math

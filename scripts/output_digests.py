@@ -13,7 +13,7 @@ last line says whether those digests equal the ``--threads 1`` ones.  The
 ``thresholds`` and ``replica`` argv and the ``SIMULATE_JSON`` ones (one per
 ``simulate`` kind) also run with ``--format json``, which pins the JSON
 cells of every table the CLI writes.
-Takes about a minute.
+Takes about 12 s on a 2-core x86 machine.
 """
 
 import contextlib
@@ -51,6 +51,9 @@ THRESHOLDS = [
 NOISE_RHOS = ["0.1445439770745928", "0.26505337179010824", "0.4860340175990221",
               "0.6666666666666666", "0.8912509381337456"]
 THRESHOLDS += [["thresholds", "--prior", "sparse", "--d", "2", "--rho", rho] for rho in NOISE_RHOS]
+# 17 digits guard the bits of the sparse rate's zeta search at a tiny rho
+THRESHOLDS += [["thresholds", "--prior", "sparse", "--rho", "0.0001", "--d", "2..4",
+                "--precision", "17"]]
 
 REPLICA = [
     ["replica", "--prior", "spherical", "--d", "3", "--lambda", "1.5,2,2.5,3,5"],
@@ -82,6 +85,8 @@ RATEFN = [
     ["ratefn", "--prior", "spherical", "--n", "30", "--grid", "40"],
     ["ratefn", "--prior", "rademacher", "--n", "201", "--grid", "3"],
     ["ratefn", "--prior", "sparse", "--rho", "0.5", "--n", "200", "--grid", "2000"],
+    ["ratefn", "--prior", "sparse", "--rho", "0.0001", "--grid", "2000", "--precision", "17"],
+    ["ratefn", "--prior", "sparse", "--rho", "0.32", "--grid", "3"],  # f(0) = 0 exactly
 ]
 
 SIMULATE = [

@@ -11,8 +11,9 @@ For two independent spikes x, x' the rate function f(t) captures
 
 zeta is the fraction of coordinates where both supports hit; it is
 hypergeometric at finite n, which is what the exact oracle sums over.  The
-minimum over zeta is a grid scan in blocks of t, then an array-parallel
-golden section (_rate_sparse_batch).
+objective is convex in zeta, so the minimum over zeta is a bisection for the
+first rise on a fixed zeta grid, then an array-parallel golden section
+within one grid step (_rate_sparse_batch).
 All logarithms are natural.  0 * log 0 = 0 at entropy boundaries.
 
 rate_function_for(prior) is the one rate entry: its ``eval_batch`` is the
@@ -41,8 +42,7 @@ from .solvers import golden_min_vec
 from .tensors import SpikePrior
 
 EXACT_TAIL_MAX_N = 200  # combinatorial oracles stay exact and fast below this
-_ZETA_GRID = 1000       # coarse scan guarding the golden-section basin
-_ZETA_BLOCK = 2**13     # scalars in one (t, zeta) block of that scan; larger ran slower
+_ZETA_GRID = 1000       # zeta grid whose first minimum brackets the golden section
 _ZETA_GOLDEN_ITERS = 52  # INV_PHI**52 < 1e-11: refine zeta to ~1e-10 absolute
 
 
@@ -76,10 +76,13 @@ def _entropy_term_vec(zeta: np.ndarray, rho: float) -> np.ndarray:
 def _rate_sparse_batch(ts: np.ndarray, rho: float) -> np.ndarray:
     """Vectorized inner minimization over zeta, one problem per t.
 
-    A coarse scan over _ZETA_GRID fractions of each t's feasible interval
-    finds the basin: one (t, zeta) array per block of t rows, at most
-    _ZETA_BLOCK scalars each, minimized along zeta.  Golden section then
-    polishes within one grid step either side of the best fraction.
+    The objective is convex in zeta (G is a KL divergence of a table affine
+    in zeta; zeta f_rade(rho t / zeta) is the perspective of f_rade), so its
+    values on _ZETA_GRID fractions of each t's feasible interval fall, then
+    rise.  A bisection over the grid index finds, for every t at once, the
+    first k with v[k+1] >= v[k]: the grid's first minimum, in
+    ceil(log2 _ZETA_GRID) passes of two evaluations each.  Golden section
+    then polishes within one grid step either side of that fraction.
     """
     ts = np.asarray(ts, dtype=float)
     lo = np.maximum(rho * ts, 2.0 * rho - 1.0)
@@ -93,22 +96,30 @@ def _rate_sparse_batch(ts: np.ndarray, rho: float) -> np.ndarray:
         return _entropy_term_vec(zeta, rho) + zeta * _rate_rademacher_vec(arg)
 
     fractions = np.linspace(0.0, 1.0, _ZETA_GRID)
-    best = np.empty_like(ts)
-    sbest = np.empty_like(ts)
-    rows = _ZETA_BLOCK // _ZETA_GRID
-    for start in range(0, ts.size, rows):
-        blk = slice(start, start + rows)
-        t_col, lo_col = ts[blk, None], lo[blk, None]
-        v = objective(lo_col + span[blk, None] * fractions, t_col, lo_col)
-        k = np.argmin(v, axis=1)
-        best[blk] = np.take_along_axis(v, k[:, None], axis=1)[:, 0]
-        sbest[blk] = fractions[k]
+
+    def grid_value(k: np.ndarray) -> np.ndarray:
+        return objective(lo + span * fractions[k], ts, lo)
+
+    # invariant: the first k where the values stop falling (not v[k+1] < v[k])
+    # lies in [left, right]; the last index counts as stopped, and so does
+    # every k of a NaN row, which therefore ends at 0 as np.argmin would
+    left = np.zeros(ts.shape, dtype=np.intp)
+    right = np.full(ts.shape, _ZETA_GRID - 1, dtype=np.intp)
+    for _ in range((_ZETA_GRID - 1).bit_length()):
+        mid = (left + right) // 2
+        falling = grid_value(np.minimum(mid + 1, _ZETA_GRID - 1)) < grid_value(mid)
+        left = np.where(falling, mid + 1, left)
+        right = np.where(falling, right, mid)
+    best = grid_value(left)
+    sbest = fractions[left]
     a = lo + span * np.maximum(sbest - 1.0 / _ZETA_GRID, 0.0)
     b = lo + span * np.minimum(sbest + 1.0 / _ZETA_GRID, 1.0)
     _, refined = golden_min_vec(lambda zeta: objective(zeta, ts, lo), a, b, _ZETA_GOLDEN_ITERS)
     out = np.minimum(best, refined)
-    # interval collapses at t = 1: the value is the collision entropy exactly
+    # interval collapses at t = 1: the value is the collision entropy exactly;
+    # at t = 0, zeta = rho^2 costs nothing and the overlap term vanishes
     out = np.where(ts >= 1.0, collision_entropy(SpikePrior.sparse(rho)), out)
+    out = np.where(ts <= 0.0, 0.0, out)
     return np.maximum(out, 0.0)
 
 

@@ -3,9 +3,9 @@
 Bisection (the lower bounds' tangency roots, mu_d, replica fixed points) and
 golden-section search, scalar and array-parallel, with the tolerances and
 residual reporting the callers assert on.  The array-parallel section refines
-many independent 1-D minimizations in lockstep, which makes batch evaluation
-of the sparse rate cheap, and polishes the sparse lower bound's grid with the
-grid's own array objective.
+many independent 1-D minimizations in lockstep: it polishes the sparse rate's
+zeta-grid minimum for every t of a batch at once, and the sparse lower
+bound's grid with the grid's own array objective.
 """
 
 from __future__ import annotations

@@ -62,11 +62,11 @@ PRIORS = st.sampled_from(
     [["--prior", "spherical"], ["--prior", "rademacher"], ["--prior", "sparse"], []]
     + [["--prior", "sparse", "--rho", rho] for rho in ["0.3", "0.5", "1", "1e-12"] + BAD_RHOS]
 )
-# a sparse threshold report costs seconds (a 10^4-point rate grid), so only
-# the seed corpus below asks for one; generated sparse rhos are rejected
+# a sparse threshold report costs a fraction of a second per order (a
+# 10^4-point rate grid), so generated sparse rows cover valid rhos too
 THRESHOLD_PRIORS = st.sampled_from(
     [["--prior", "spherical"], ["--prior", "rademacher"]]
-    + [["--prior", "sparse", "--rho", rho] for rho in BAD_RHOS]
+    + [["--prior", "sparse", "--rho", rho] for rho in ["0.3", "1", "1e-12"] + BAD_RHOS]
 )
 
 def _flatten(parts) -> list[str]:

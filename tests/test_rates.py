@@ -96,7 +96,10 @@ def test_sparse_rate_dense_reduction():
 
 def test_rate_functions_monotone_and_zero_at_origin():
     grid = np.linspace(0.0, 1.0 - 1e-6, 10_000)
-    for prior in (SpikePrior.spherical(), SpikePrior.rademacher(), SpikePrior.sparse(0.3)):
+    priors = [SpikePrior.spherical(), SpikePrior.rademacher()]
+    # rho = 0.3 gives 0 at t = 0 by luck of rounding; 0.05, 0.32 and 0.8 do not
+    priors += [SpikePrior.sparse(rho) for rho in (0.05, 0.3, 0.32, 0.8)]
+    for prior in priors:
         rate = rate_function_for(prior)
         vals = rate.eval_batch(grid)
         assert vals[0] == 0.0
@@ -114,7 +117,8 @@ def test_batch_matches_scalar():
 
 def _sparse_rate_per_fraction(ts: np.ndarray, rho: float) -> np.ndarray:
     """The sparse rate with its zeta scan written as one vector step per grid
-    fraction and a running minimum: the reference for the blocked scan."""
+    fraction and a running minimum: the reference for the bisection on the
+    grid's forward difference."""
     lo = np.maximum(np.maximum(rho * ts, 2.0 * rho - 1.0), 0.0)
     hi = np.full_like(ts, rho)
 
@@ -135,16 +139,36 @@ def _sparse_rate_per_fraction(ts: np.ndarray, rho: float) -> np.ndarray:
     b = lo + span * np.minimum(sbest + 1.0 / rates._ZETA_GRID, 1.0)
     _, refined = golden_min_vec(objective, a, b, rates._ZETA_GOLDEN_ITERS)
     out = np.where(ts >= 1.0, collision_entropy(SpikePrior.sparse(rho)), np.minimum(best, refined))
+    out = np.where(ts <= 0.0, 0.0, out)
     return np.maximum(out, 0.0)
 
 
-@pytest.mark.parametrize("rho", [1.0, 0.1445439770745928, 0.3, 0.6666666666666666, 0.8912509381337456])
+@pytest.mark.parametrize(
+    "rho", [1e-4, 0.01, 0.1445439770745928, 0.3, 0.5, 0.6666666666666666, 0.8912509381337456, 1.0])
 def test_sparse_scan_matches_per_fraction_loop(rho):
-    # about 2,000 points, uniform and boundary-refined; their count is not a
-    # multiple of a block's rows, so the last block is a partial one
-    ts = np.concatenate([np.linspace(0.0, 1.0, 999), geometric_grid(800, tmin=1e-6)])
-    assert ts.size % (rates._ZETA_BLOCK // rates._ZETA_GRID) != 0
-    assert np.array_equal(rates._rate_sparse_batch(ts, rho), _sparse_rate_per_fraction(ts, rho))
+    # about 2,000 points, uniform and boundary-refined, and one NaN
+    ts = np.concatenate([np.linspace(0.0, 1.0, 999), geometric_grid(800, tmin=1e-6), [np.nan]])
+    got = rates._rate_sparse_batch(ts, rho)
+    assert np.array_equal(got, _sparse_rate_per_fraction(ts, rho), equal_nan=True)
+    assert np.isnan(got[-1])
+    assert rates._rate_sparse_batch(np.empty(0), rho).shape == (0,)
+
+
+def test_sparse_rate_evaluation_count(monkeypatch):
+    # 21 zeta evaluations per t for the bisection (two per pass, ten passes,
+    # and the minimum's value) and 54 for the golden polish (two probes and
+    # one per iteration); a full scan of the zeta grid would cost 1000 more
+    evaluated = []
+    entropy_term = rates._entropy_term_vec
+
+    def counting(zeta, rho):
+        evaluated.append(np.size(zeta))
+        return entropy_term(zeta, rho)
+
+    monkeypatch.setattr(rates, "_entropy_term_vec", counting)
+    ts = np.linspace(0.0, 1.0, 777)
+    rates._rate_sparse_batch(ts, 0.3)
+    assert 0 < sum(evaluated) <= 80 * ts.size
 
 
 def test_sparse_scan_never_allocates_the_whole_grid():
