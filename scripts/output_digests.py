@@ -36,8 +36,11 @@ THRESHOLDS = [
     ["thresholds", "--prior", "rademacher", "--d", "13..60"],
     ["thresholds", "--prior", "rademacher", "--d", "61..200"],
     ["thresholds", "--prior", "rademacher", "--d", "1000000"],
-    # 17 digits guard the bits of the spherical tangency root
+    # 17 digits guard the bits of the spherical tangency root, and of mu_d and
+    # the upper bound's root on the spiked-norm branch up to d = 10^6
     ["thresholds", "--prior", "spherical", "--d", "3..30", "--precision", "17"],
+    ["thresholds", "--prior", "spherical", "--d", "190..200", "--precision", "17"],
+    ["thresholds", "--prior", "spherical", "--d", "1000000", "--precision", "17"],
     ["thresholds", "--prior", "sparse", "--rho", "0.3", "--d", "2..3", "--asymptotics"],
     # a 9-digit print of a figure-grid rho; not a frozen row (see NOISE_RHOS)
     ["thresholds", "--prior", "sparse", "--rho", "0.144543977", "--d", "2"],

@@ -1,11 +1,11 @@
 """One-dimensional solvers shared by the threshold, rate and replica modules.
 
-Bisection (the lower bounds' tangency roots, mu_d, replica fixed points) and
-golden-section search, scalar and array-parallel, with the tolerances and
-residual reporting the callers assert on.  The array-parallel section refines
-many independent 1-D minimizations in lockstep: it polishes the sparse rate's
-zeta-grid minimum for every t of a batch at once, and the sparse lower
-bound's grid with the grid's own array objective.
+Bisection (the lower bounds' tangency roots, mu_d, the roots on the spiked
+norm's branch, replica fixed points) with the tolerances and residual
+reporting the callers assert on, and an array-parallel golden section that
+refines many independent 1-D minimizations in lockstep: it polishes the
+sparse rate's zeta-grid minimum for every t of a batch at once, and the
+sparse lower bound's grid with the grid's own array objective.
 """
 
 from __future__ import annotations
@@ -28,26 +28,6 @@ class RootResult:
     root: float
     residual: float
     iterations: int
-
-
-def golden_min(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10):
-    """Minimize unimodal ``f`` on [a, b]; returns (x, f(x)) with |x - x*| <= tol."""
-    if b < a:
-        a, b = b, a
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = f(d)
-    x = c if fc < fd else d
-    return x, min(fc, fd)
 
 
 def golden_min_vec(

@@ -17,7 +17,8 @@ Upper bounds: for discrete priors, exhaustive-search MLE gives 2*sqrt(c)
 with c the log-cardinality density.  Both priors are uniform on their
 support, so c equals the collision entropy F = lim_{t->1} f(t); for the
 spherical prior, the spiked injective norm exceeds the unspiked limit mu_d
-once snr crosses the unique root of L_d(snr) = mu_d.
+once snr crosses the unique root of L_d(snr) = mu_d.  L_d and that root are
+each one bisection on the branch of L_d's maximizers, where snr is explicit.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import replica
 from .rates import RateFunction, collision_entropy, rate_function_for
-from .solvers import INV_PHI, bisect_root, geometric_grid, golden_min, golden_min_vec
-from .tensors import SpikePrior
+from .solvers import INV_PHI, bisect_root, geometric_grid, golden_min_vec
+from .tensors import SNR_MAX, SpikePrior
 
 GRID_POINTS = 10_000
 
@@ -186,58 +187,71 @@ def injective_norm_mu(d: int) -> float:
         raise ValueError(f"mu_d is computed for d >= 3, got {d}")
     lo = 2.0 * math.sqrt(d - 1.0) + 1e-12
     hi = math.sqrt(d * (2.0 * math.log(d) + 2.0 * math.log(math.log(d)) + 4.0))
-    res = bisect_root(lambda x: _mu_characteristic(d, x), lo, hi, xtol=1e-10)
+    res = bisect_root(lambda x: _mu_characteristic(d, x), lo, hi, xtol=0.0)
     return res.root * math.sqrt(2.0 / d)
+
+
+def _spiked_norm_branch(d: int):
+    """s = -log m -> (M, h, h') on the branch of L_d's maximizers.
+
+    L_d(snr) = max_s e^(-ds) (snr + h(s)), M = (d-1) expm1(2s) = (d-1)(1-m^2)/m^2,
+    h = c sqrt(M(1+M)), c = sqrt(2d/(d-1)).  Stationarity gives
+    snr(s) = h'/d - h, where L = e^(-ds) h'/d.  snr(s) and log L(s) fall
+    strictly from s = 1e-300 to M = d (20,000 log-spaced s, d = 3 .. 10^9),
+    so every root on the branch is unique.
+    """
+    c = math.sqrt(2.0 * d / (d - 1.0))
+
+    def branch(s: float) -> tuple[float, float, float]:
+        big_m = (d - 1.0) * math.expm1(2.0 * s)
+        root = math.sqrt(big_m * (1.0 + big_m))
+        return big_m, c * root, c * (1.0 + 2.0 * big_m) * (big_m + d - 1.0) / root
+
+    return branch
 
 
 def spiked_norm_lower_Ld(d: int, snr: float) -> SpikedNormLowerBound:
     """Lower bound L_d(snr) on the spiked injective norm, with its maximizer.
 
-    Maximizes m^d (snr + sqrt(2d/(d-1)) sqrt(M(1+M))), M = (d-1)(1-m^2)/m^2,
-    over m in (0,1) by one golden section: the objective is unimodal (its
-    derivative changes sign once for snr in [0, mu_d], checked on scans for
-    d = 3..1000 and up to 10^6).  It falls steeply to snr at m = 1, so the
-    maximum is interior and L_d(snr) >= snr always.  Also reports the
-    matching deformation weight beta(m)=sqrt(1+m^2/((1-m^2)(d-1))).
+    One bisection of snr(s) = snr on _spiked_norm_branch over s = -log m in
+    [1e-300, log1p(d/(d-1))/2]; at the right end M = d and snr(s) < 0 for
+    d >= 3 (d^3 - 3d^2 + 1 > 0).  The objective falls steeply to snr at
+    m = 1, so the maximum is interior and L_d(snr) > snr.  Also reports m*
+    and the deformation weight sqrt(1 + m^2/((1-m^2)(d-1))) = sqrt(1 + 1/M).
     """
     if d < 3:
         raise ValueError(f"d must be >= 3, got {d}")
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
-    coef = math.sqrt(2.0 * d / (d - 1.0))
+    if not 0 <= snr <= SNR_MAX:
+        raise ValueError(f"snr must lie in [0, {SNR_MAX:g}], got {snr!r}")
+    branch = _spiked_norm_branch(d)
 
-    def neg_value(m: float) -> float:
-        big_m = (d - 1.0) * (1.0 - m * m) / (m * m)
-        return -(m**d * (snr + coef * math.sqrt(big_m * (1.0 + big_m))))
+    def excess(s: float) -> float:
+        _, h, dh = branch(s)
+        return dh / d - h - snr
 
-    m_star, neg = golden_min(neg_value, 0.0, 1.0, tol=1e-12)
-    beta = math.sqrt(1.0 + m_star**2 / ((1.0 - m_star**2) * (d - 1.0)))
-    return SpikedNormLowerBound(-neg, m_star, beta)
+    s = bisect_root(excess, 1e-300, 0.5 * math.log1p(d / (d - 1.0)), xtol=0.0).root
+    big_m, h, _ = branch(s)
+    return SpikedNormLowerBound(math.exp(-d * s) * (snr + h), math.exp(-s),
+                                math.sqrt(1.0 + 1.0 / big_m))
 
 
-def upper_bound_spherical(d: int, mu: float | None = None) -> float:
+def upper_bound_spherical(d: int) -> float:
     """Spherical detection upper bound: the unique snr with L_d(snr) = mu_d.
 
-    L_d(snr) = max_m m^d (snr + h(m)), h = sqrt(2d/(d-1)) sqrt(M(1+M)) as in
-    spiked_norm_lower_Ld, increases in snr, so the root is
-    snr* = min_m [mu_d m^-d - h(m)]: one golden section, taken in s = -log m
-    on [0, 1/d], where m^-d = exp(d s) and M = (d-1) expm1(2s) keep full
-    precision as m -> 1.  The minimum lies at d s = 0.02 .. 0.36 for
-    d = 3 .. 10^9, where the slope changes sign once (scans for d = 3..300
-    and up to 10^9).  At a given mu the value matches a 50-digit evaluation
-    to < 1e-15 relative (d = 3 .. 10^4); the bound carries mu_d's error.
+    L_d increases in snr, so the bound is snr(s) = h'/d - h at the point of
+    _spiked_norm_branch where L = e^(-ds) h'/d = mu_d: one bisection of
+    log h' - d s - log(d mu_d) on [1e-300, 1/d].  The root lies at
+    d s = 0.02 .. 0.36 for d = 3 .. 10^9; the bound is within 1.2e-15 of
+    60-digit values for d = 3 .. 10^6.
     """
     if d < 3:
         raise ValueError(f"d must be >= 3, got {d}")
-    if mu is None:
-        mu = injective_norm_mu(d)
-    coef = math.sqrt(2.0 * d / (d - 1.0))
-
-    def snr_at(s: float) -> float:
-        big_m = (d - 1.0) * math.expm1(2.0 * s)
-        return mu * math.exp(d * s) - coef * math.sqrt(big_m * (1.0 + big_m))
-
-    return golden_min(snr_at, 0.0, 1.0 / d, tol=1e-10 / d)[1]
+    branch = _spiked_norm_branch(d)
+    log_target = math.log(d * injective_norm_mu(d))
+    res = bisect_root(lambda s: math.log(branch(s)[2]) - d * s - log_target, 1e-300, 1.0 / d,
+                      xtol=0.0)
+    _, h, dh = branch(res.root)
+    return dh / d - h
 
 
 def upper_bound_cardinality(prior: SpikePrior) -> float:
@@ -322,7 +336,7 @@ def threshold_report(
     if d > 2:
         mu = injective_norm_mu(d)
         if prior.kind == "spherical":
-            lam_hi = upper_bound_spherical(d, mu)
+            lam_hi = upper_bound_spherical(d)
             asym_lower = math.sqrt(asymptotics("lower_sph_sq", d))
             asym_upper = math.sqrt(asymptotics("upper_sph_sq", d))
         if include_replica and prior.kind in ("spherical", "rademacher"):

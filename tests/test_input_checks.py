@@ -46,6 +46,9 @@ CALLS = {
     "mu_d2": lambda: injective_norm_mu(2),
     "ld_d2": lambda: spiked_norm_lower_Ld(2, 1.0),
     "ld_negative_snr": lambda: spiked_norm_lower_Ld(3, -1.0),
+    "ld_nan_snr": lambda: spiked_norm_lower_Ld(3, float("nan")),
+    "ld_inf_snr": lambda: spiked_norm_lower_Ld(3, float("inf")),
+    "ld_snr_above_max": lambda: spiked_norm_lower_Ld(3, 1.5e6),
     "upper_spherical_d2": lambda: upper_bound_spherical(2),
     "tail_t_above_1": lambda: exact_overlap_tail(RADE, 10, 1.5),
     "replica_d1": lambda: replica.fixed_points(SPHERE, 1, 1.0),

@@ -2,38 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spiked_tensor.solvers import (
     BracketError,
     bisect_root,
     geometric_grid,
-    golden_min,
     golden_min_vec,
 )
 
 
-def test_golden_min_parabola():
-    # pure parabola: comparisons stay sharp all the way down
-    x, fx = golden_min(lambda t: (t - 0.3) ** 2, 0.0, 1.0, tol=1e-12)
-    assert abs(x - 0.3) < 1e-9
-    assert fx < 1e-18
-    # with an O(1) offset the minimizer is only sqrt(eps)-localizable,
-    # but the minimum VALUE is still eps-accurate
-    x, fx = golden_min(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0, tol=1e-12)
-    assert abs(x - 0.3) < 5e-8
-    assert abs(fx - 1.0) < 1e-15
-
-
-@given(st.floats(min_value=0.05, max_value=0.95))
-@settings(max_examples=25, deadline=None)
-def test_golden_min_recovers_shifted_minima(c):
-    x, _ = golden_min(lambda t: math.cosh(t - c), 0.0, 1.0, tol=1e-11)
-    assert abs(x - c) < 5e-8
-
-
-def test_golden_min_vec_matches_scalar():
+def test_golden_min_vec_recovers_parabola_minima():
     centers = np.linspace(0.1, 0.9, 37)
 
     def f(t):

@@ -125,6 +125,16 @@ def test_mu3_matches_reference_value():
     assert abs(injective_norm_mu(3) - 2.3433) < 5e-4
 
 
+@pytest.mark.parametrize(
+    "d, value",
+    [(3, "2.3433495585305767168"), (10, "3.0198604471971548308"),
+     (1000, "4.4968290708702547947"), (10**6, "5.9370860285730485942")],
+)
+def test_mu_high_precision(d, value):
+    # mpmath at mp.dps = 70: 400 bisection steps of _mu_characteristic
+    assert injective_norm_mu(d) == pytest.approx(float(value), rel=1e-15, abs=0)
+
+
 @pytest.mark.parametrize("d", [*range(3, 31), 100, 10**3, 10**4, 10**6])
 def test_mu_solves_its_characteristic_equation(d):
     assert abs(_mu_characteristic(d, injective_norm_mu(d) * math.sqrt(d / 2.0))) < 1e-9
@@ -151,6 +161,9 @@ def test_spiked_norm_lower_bound_basics():
         assert 0.0 < res.m_star < 1.0
         assert res.beta_star >= 1.0
     assert spiked_norm_lower_Ld(3, 0.0).value > 0.0
+    for d in (3, 30, 1000, 10**6):
+        for snr in (1e4, 1e5, 1e6):
+            assert spiked_norm_lower_Ld(d, snr).value > snr
 
 
 def test_spiked_norm_lower_bound_brute_force():
@@ -162,15 +175,42 @@ def test_spiked_norm_lower_bound_brute_force():
     assert abs(res.value - float(np.nanmax(vals))) < 1e-8
 
 
-@pytest.mark.parametrize("d", [3, 10, 1000, 10**6])
-def test_spiked_norm_golden_section_beats_log_scan(d):
-    # the maximizer nears m = 1 as d grows (1 - m* ~ 1e-7 at d = 10^6)
+@pytest.mark.parametrize("d", [3, 10, 1000])
+def test_spiked_norm_branch_beats_log_scan(d):
+    # the maximizer nears m = 1 as d grows; at d = 10^6 the scan's float m^d
+    # multiplies m's rounding by d and reads above the true maximum, so that
+    # order is pinned by test_spiked_norm_lower_bound_high_precision instead
     mu = injective_norm_mu(d)
     m = 1.0 - np.logspace(-16, -1e-6, 10**5)
     big = (d - 1.0) * (1.0 - m * m) / (m * m)
     for snr in (0.0, 0.5 * mu, mu):
         scan = m**d * (snr + math.sqrt(2.0 * d / (d - 1.0)) * np.sqrt(big * (1.0 + big)))
         assert spiked_norm_lower_Ld(d, snr).value >= float(scan.max())
+
+
+# L_d(0), L_d(mu_d/2), L_d(mu_d) and L_d(10^6) at the exact mu_d
+LD_REFERENCES = {
+    3: ("1.5196713713031850947", "1.9715282912492388963", "2.7772942327501967435",
+        "1000000.0000010000000000002"),
+    10: ("1.3451050024354957548", "2.1566694002207416851", "3.3608427102182640799",
+         "1000000.0000010000000000004"),
+    1000: ("1.2965670620928138843", "2.7078554939250028014", "4.7239288730600794992",
+           "1000000.0000010000000000005"),
+    10**6: ("1.2961193425431827802", "3.3174525937171150968", "6.1077299498859138056",
+            "1000000.0000010000000000005"),
+}
+
+
+@pytest.mark.parametrize("d", LD_REFERENCES)
+def test_spiked_norm_lower_bound_high_precision(d):
+    """L_d against 20 digits of mpmath values computed at mp.dps = 70 by
+    maximizing m^d (snr + sqrt(2d/(d-1)) sqrt(M(1+M))) directly in m: a scan
+    of 1 - m = 10^(-k/100), k = 1..3999, then 300 golden-section steps in
+    log10(1 - m) around the best k; mu_d by 400 bisection steps of
+    _mu_characteristic in the same arithmetic."""
+    mu = injective_norm_mu(d)
+    for snr, value in zip((0.0, 0.5 * mu, mu, 1e6), LD_REFERENCES[d]):
+        assert spiked_norm_lower_Ld(d, snr).value == pytest.approx(float(value), rel=1e-14, abs=0)
 
 
 def test_spiked_norm_increasing_in_snr():
@@ -182,11 +222,11 @@ def test_upper_bound_spherical_ordering():
     rate = rate_function_for(SpikePrior.spherical())
     for d in [*range(3, 31), 10**3, 10**6]:
         mu = injective_norm_mu(d)
-        upper = upper_bound_spherical(d, mu)
+        upper = upper_bound_spherical(d)
         lower = lower_bound_lambda(rate, d).value
         assert lower < upper < mu
         # root consistency: L_d at the bound equals mu
-        assert abs(spiked_norm_lower_Ld(d, upper).value - mu) < 1e-6
+        assert spiked_norm_lower_Ld(d, upper).value == pytest.approx(mu, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -197,7 +237,7 @@ def test_upper_bound_spherical_ordering():
 )
 def test_upper_bound_spherical_high_precision(d, value):
     # 60-digit values of min_m [mu_d m^-d - h(m)] at the exact mu_d
-    assert upper_bound_spherical(d) == pytest.approx(float(value), rel=1e-10, abs=0)
+    assert upper_bound_spherical(d) == pytest.approx(float(value), rel=3e-15, abs=0)
 
 
 def test_upper_bound_spherical_asymptotic_gap():
@@ -271,8 +311,7 @@ def test_threshold_report_one_route_per_bound(monkeypatch):
     with pytest.raises(AssertionError, match="refused solver"):
         threshold_report(SpikePrior.sparse(0.3), 3)
     # the exact d = 2 rows run no solver at all
-    for name in ("bisect_root", "golden_min", "golden_min_vec", "geometric_grid",
-                 "injective_norm_mu"):
+    for name in ("bisect_root", "golden_min_vec", "geometric_grid", "injective_norm_mu"):
         monkeypatch.setattr(thresholds, name, _refuse)
     for prior in (SpikePrior.spherical(), SpikePrior.rademacher()):
         rep = threshold_report(prior, 2, include_replica=True)
