@@ -23,6 +23,7 @@ one ``spiked-tensor: error: ...`` line), never statistical outcomes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -133,6 +134,9 @@ def _add_common(p: argparse.ArgumentParser, *, prior_required: bool = True) -> N
     p.add_argument("--precision", type=int, default=9)
 
 
+# Built once per process: building takes milliseconds (each add_argument makes a
+# HelpFormatter, which asks for the terminal size), and parse_args leaves it as it was.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spiked-tensor",

@@ -7,6 +7,12 @@ Trial k derives its own RNG stream (offset 2+k; paired designs use 2+2k and
 3+2k for the two arms), and aggregation is an ordered fold over per-trial
 records, so results are bit-identical across runs.
 
+Overlap tails of the discrete priors are counts on the lattice: each pair's
+overlap is the exact integer s = k<x,x'> computed from the sign draws (no
+float spike row is formed), and Pr[<x,x'> >= t] counts s >= lattice_cut(t, k),
+the cut exact_overlap_tail uses, so the empirical and exact columns of a row
+agree on which lattice points a t counts.  Spherical overlaps are floats.
+
 There is no separate MAP test: both discrete priors are uniform on their
 support, so the MAP statistic is the MLE statistic shifted by the constant
 -2 log|supp| / (n snr), its threshold moves by the same constant, and it
@@ -42,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rates import (
-    EXACT_TAIL_MAX_N, check_overlap_point, exact_overlap_tail, rate_function_for, tail_rate,
+    EXACT_TAIL_MAX_N, check_overlap_point, exact_overlap_tail, lattice_cut, rate_function_for,
+    tail_rate,
 )
 from .rng import RESTART_SUBSTREAM, RngSeed
 from .tensors import (
@@ -53,6 +60,7 @@ from .tensors import (
     contract,
     contract_leading,
     rank_one_inner,
+    sample_sign_draws,
     sample_spike_batch,
     sample_spiked,
     sample_wigner,
@@ -538,6 +546,21 @@ class TailRow:
     exact_rate: float | None
 
 
+def _pair_overlaps(prior: SpikePrior, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The overlaps of ``count`` spike pairs, rows 2i and 2i+1 of one draw of 2 count
+    spikes on ``rng``.  Spherical: <x,x'> in floats.  Discrete: the exact integer
+    s = k<x,x'> from the sign draws, with no float row formed."""
+    if not prior.is_discrete:
+        rows = sample_spike_batch(prior, n, 2 * count, rng)
+        return np.einsum("ij,ij->i", rows[0::2], rows[1::2])
+    support, bits = sample_sign_draws(prior, n, 2 * count, rng)
+    if support is None:  # both spikes are nonzero everywhere: s = agreements - disagreements
+        return 2 * np.count_nonzero(bits[0::2] == bits[1::2], axis=1) - bits.shape[1]
+    rows = np.zeros((2 * count, n), dtype=np.int8)
+    np.put_along_axis(rows, support, (2 * bits - 1).astype(np.int8), axis=1)
+    return (rows[0::2] * rows[1::2]).sum(axis=1)  # int8 products of 0 and +-1, summed in int64
+
+
 def overlap_tail_experiment(
     prior: SpikePrior,
     n: int,
@@ -561,18 +584,17 @@ def overlap_tail_experiment(
         )
     rate = rate_function_for(prior)
     n_chunks = (trials + _TAIL_CHUNK - 1) // _TAIL_CHUNK
-
-    def run_chunk(c: int) -> np.ndarray:
-        count = min(_TAIL_CHUNK, trials - c * _TAIL_CHUNK)
-        rng = seed.offset(2 + c).generator(0)
-        rows = sample_spike_batch(prior, n, 2 * count, rng)
-        return np.einsum("ij,ij->i", rows[0::2], rows[1::2])
-
-    overlaps = np.concatenate([run_chunk(c) for c in range(n_chunks)])
+    overlaps = np.concatenate([
+        _pair_overlaps(prior, n, min(_TAIL_CHUNK, trials - c * _TAIL_CHUNK),
+                       seed.offset(2 + c).generator(0))
+        for c in range(n_chunks)
+    ])
+    k = prior.nonzeros(n) if prior.is_discrete else None
     exact_available = prior.kind == "spherical" or n <= EXACT_TAIL_MAX_N
     out = []
     for t, rate_value in zip(t_grid, rate.eval_batch(np.asarray(t_grid)).tolist()):
-        tail = float(np.mean(overlaps >= t))
+        # a discrete overlap is s/k: count s at or above the exact tail's cut
+        tail = float(np.mean(overlaps >= (t if k is None else lattice_cut(t, k))))
         exact = exact_overlap_tail(prior, n, t) if exact_available else None
         exact_rate = None if exact is None else tail_rate(exact, n)
         out.append(TailRow(t, tail, tail_rate(tail, n), rate_value, exact, exact_rate))

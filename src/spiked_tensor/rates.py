@@ -184,6 +184,14 @@ def check_overlap_point(prior: SpikePrior, t: float, name: str) -> None:
 # exact finite-n overlap tails
 # ---------------------------------------------------------------------------
 
+def lattice_cut(t: float, k: int) -> int:
+    """The least s counted in Pr[<x,x'> >= t] for a discrete prior with k nonzeros,
+    whose overlaps are the lattice points s/k: ceil(t k), guarded by 2e-9 so that
+    a t on the lattice whose float product t k falls just above s still counts s.
+    The exact and the empirical tails both cut here."""
+    return math.ceil(t * k - 2e-9)
+
+
 @lru_cache(maxsize=256)
 def _lattice_tails(n: int, k: int) -> tuple[float, ...]:
     """Pr[k<x,x'> >= s] at index s + k, s = -k..k+1, for k nonzeros of +-1/sqrt(k).
@@ -215,8 +223,7 @@ def exact_overlap_tail(prior: SpikePrior, n: int, t: float) -> float:
             f"exact combinatorics capped at n <= {EXACT_TAIL_MAX_N} for discrete priors"
         )
     k = prior.nonzeros(n)
-    s = math.ceil(t * k - 2e-9)  # guarded against float lattice ties
-    return _lattice_tails(n, k)[min(s, k + 1) + k]
+    return _lattice_tails(n, k)[min(lattice_cut(t, k), k + 1) + k]
 
 
 def _spherical_tail(n: int, t: float) -> float:

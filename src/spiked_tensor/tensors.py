@@ -210,18 +210,31 @@ def sample_spike(prior: SpikePrior, n: int, seed: RngSeed) -> UnitVector:
 def sample_spike_batch(
     prior: SpikePrior, n: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(count, n) array of spikes drawn in one stream; rows follow the prior."""
+    """(count, n) array of spikes drawn in one stream; rows follow the prior.
+    A discrete row is its sample_sign_draws draws as +-1/sqrt(k) on its support."""
     if prior.kind == "spherical":
         g = rng.standard_normal((count, n))
         return g / np.linalg.norm(g, axis=1, keepdims=True)
-    k = prior.nonzeros(n)  # Rademacher is k = n: no support to draw
-    support = None if k == n else np.argsort(rng.random((count, n)), axis=1)[:, :k]
-    signs = (2.0 * rng.integers(0, 2, size=(count, k)) - 1.0) / math.sqrt(k)
+    support, bits = sample_sign_draws(prior, n, count, rng)
+    signs = (2.0 * bits - 1.0) / math.sqrt(bits.shape[1])
     if support is None:
         return signs
     rows = np.zeros((count, n))
     np.put_along_axis(rows, support, signs, axis=1)
     return rows
+
+
+def sample_sign_draws(
+    prior: SpikePrior, n: int, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The draws behind ``count`` spikes of a discrete prior: each row's k support
+    coordinates as a (count, k) array (None when k = n, as for Rademacher: no
+    support is drawn) and its (count, k) int64 sign draws, 1 for +1/sqrt(k) and
+    0 for -1/sqrt(k).  The support comes first on the stream, from one uniform per
+    coordinate; the signs follow."""
+    k = prior.nonzeros(n)
+    support = None if k == n else np.argsort(rng.random((count, n)), axis=1)[:, :k]
+    return support, rng.integers(0, 2, size=(count, k))
 
 
 def sample_spiked(

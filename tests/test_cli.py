@@ -547,6 +547,27 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
 
 
 
+def test_a_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    # the parser is built once per process: a rejected argv, then a valid one,
+    # in one process print the bytes each prints in an interpreter of its own
+    argvs = [
+        ["simulate", "tails", "--prior", "uniform", "--n", "10"],
+        ["simulate", "tails", "--prior", "rademacher", "--n", "10", "--trials", "300"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys; from spiked_tensor.cli import main; sys.exit(main(sys.argv[1:]))"
+    codes = []
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                               text=True, timeout=60)
+        here = main(argv)
+        captured = capsys.readouterr()
+        assert (here, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(here)
+    assert codes == [2, 0]
+
+
 # One argv per table kind: the sha256 (first 16 hex digits) of stdout and of
 # the --records file were recorded before the tables were built from the
 # result records, and no byte of either may move.

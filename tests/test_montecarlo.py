@@ -473,13 +473,52 @@ def test_recovery_null_overlap_scale():
 
 
 def test_overlap_tail_experiment_matches_exact():
-    for prior, n in ((SpikePrior.rademacher(), 64), (SpikePrior.spherical(), 20)):
+    # n = 40 puts t = 0.25 on the lattice (s = 10) with 1/sqrt(40) inexact, so a
+    # float overlap of that tie can sum to just below t; 1/sqrt(64) is exact
+    for prior, n in ((SpikePrior.rademacher(), 64), (SpikePrior.rademacher(), 40),
+                     (SpikePrior.spherical(), 20)):
         rows = overlap_tail_experiment(prior, n, 1_000_000, [0.25], RngSeed(23))
         row = rows[0]
         exact = exact_overlap_tail(prior, n, 0.25)
         se = math.sqrt(exact * (1 - exact) / 1_000_000)
         assert abs(row.empirical_tail - exact) <= 3 * se
         assert row.exact_tail == pytest.approx(exact)
+
+
+DEFAULT_TAIL_GRID = [round(0.05 * i, 2) for i in range(13)]  # simulate tails' default --tgrid
+
+
+def test_rademacher_empirical_tail_is_within_4_se_of_exact():
+    # n = 20 has lattice ties at t = 0, 0.1, 0.2, ... (s = 0, 2, 4, ...)
+    trials = 20_000
+    rows = overlap_tail_experiment(SpikePrior.rademacher(), 20, trials, DEFAULT_TAIL_GRID,
+                                   RngSeed(1))
+    for row in rows:
+        se = math.sqrt(row.exact_tail * (1 - row.exact_tail) / trials)
+        assert abs(row.empirical_tail - row.exact_tail) <= 4 * se, row
+
+
+@pytest.mark.parametrize("prior, n", [
+    (SpikePrior.rademacher(), 8),
+    (SpikePrior.rademacher(), 20),
+    (SpikePrior.rademacher(), 30),
+    (SpikePrior.sparse(0.3), 20),
+])
+def test_empirical_tail_counts_the_lattice_overlap_of_the_sampled_spikes(prior, n):
+    # recount from sample_spike_batch's float rows on the same streams (chunk c
+    # on stream 2 + c), rounding k<x,x'> to its lattice point and cutting as the
+    # exact tail does
+    trials, seed, k = montecarlo._TAIL_CHUNK + 2000, RngSeed(7), prior.nonzeros(n)
+    grid = DEFAULT_TAIL_GRID + [1 / 3, 0.7, 1.0]
+    lattice = []
+    for c, start in enumerate(range(0, trials, montecarlo._TAIL_CHUNK)):
+        count = min(montecarlo._TAIL_CHUNK, trials - start)
+        rows = montecarlo.sample_spike_batch(prior, n, 2 * count, seed.offset(2 + c).generator(0))
+        lattice.append(np.rint(k * np.einsum("ij,ij->i", rows[0::2], rows[1::2])))
+    lattice = np.concatenate(lattice)
+    expected = [float(np.mean(lattice >= math.ceil(t * k - 2e-9))) for t in grid]
+    rows = overlap_tail_experiment(prior, n, trials, grid, seed)
+    assert [row.empirical_tail for row in rows] == expected
 
 
 def test_overlap_tail_symmetry_floor():
@@ -518,6 +557,7 @@ def test_overlap_tail_grid_is_checked_before_sampling(prior, n, t, monkeypatch):
         raise AssertionError("sampled before the t grid was checked")
 
     monkeypatch.setattr(montecarlo, "sample_spike_batch", refuse)
+    monkeypatch.setattr(montecarlo, "sample_sign_draws", refuse)
     with pytest.raises(ValueError, match="tail points"):
         overlap_tail_experiment(prior, n, 100, [0.2, t], RngSeed(1))
 

@@ -26,6 +26,7 @@ from spiked_tensor.tensors import (
     _orbit_table,
     check_memory_cap,
     round_half_up,
+    sample_sign_draws,
     sample_spike_batch,
 )
 
@@ -143,6 +144,28 @@ def test_rademacher_is_the_sparse_prior_at_k_equals_n():
         rade = sample_spike_batch(SpikePrior.rademacher(), n, count, np.random.default_rng(seed))
         assert np.array_equal(sparse, rade)
         assert SpikePrior.sparse(1.0).support_size(n) == 2**n
+
+
+def test_discrete_rows_are_the_sign_draws_on_their_support():
+    # the draws are random((count, n)) for the support (only when k < n), then
+    # integers(0, 2, (count, k)); a row holds them as +-1/sqrt(k) on its support
+    for prior in (SpikePrior.rademacher(), SpikePrior.sparse(0.3), SpikePrior.sparse(1.0)):
+        for n, count, seed in ((4, 3, 0), (7, 5, 3), (40, 64, 9)):
+            k = prior.nonzeros(n)
+            stream = np.random.default_rng(seed)
+            uniforms = stream.random((count, n)) if k < n else None
+            signs = stream.integers(0, 2, size=(count, k))
+            support, bits = sample_sign_draws(prior, n, count, np.random.default_rng(seed))
+            assert bits.dtype == np.int64 and np.array_equal(bits, signs)
+            if uniforms is None:
+                assert support is None
+                support = np.broadcast_to(np.arange(n), (count, n))
+            else:
+                assert np.array_equal(support, np.argsort(uniforms, axis=1)[:, :k])
+            rows = sample_spike_batch(prior, n, count, np.random.default_rng(seed))
+            expected = np.zeros((count, n))
+            np.put_along_axis(expected, support, (2.0 * bits - 1.0) / math.sqrt(k), axis=1)
+            assert np.array_equal(rows, expected)
 
 
 def test_spherical_spike_symmetry():
