@@ -13,11 +13,13 @@ A ``NaN`` cell marks a value that does not apply to the row; in a
 ``--records`` file an empty ``decision`` cell marks a recover arm, which
 makes no decision.
 
-Every command is deterministic given its flags and seed; output ordering is
-fixed.  Every command runs on the caller's thread; ``--threads`` is checked
-but changes no work.  Exit codes
-report execution health only (0 = completed, 2 = rejected input, printed as
-one ``spiked-tensor: error: ...`` line), never statistical outcomes.
+Each command, and each ``simulate`` kind, takes only the flags it reads
+(``_COMMANDS``, drawn from the one flag table ``_FLAGS``).  Every command is
+deterministic given its flags and seed; output ordering is fixed.  Every
+command runs on the caller's thread; ``--threads`` is checked but changes no
+work.  Exit codes report execution health only (0 = completed, 2 = rejected
+input, printed as one ``spiked-tensor: error: ...`` line, after argparse's
+usage line for a malformed flag), never statistical outcomes.
 """
 
 from __future__ import annotations
@@ -68,16 +70,9 @@ def _parse_lambda_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _prior_from_args(parser: argparse.ArgumentParser, args) -> SpikePrior:
-    if args.prior is None:
-        parser.error("--prior is required for this command")
-    if args.prior == "spherical":
-        return SpikePrior.spherical()
-    if args.prior == "rademacher":
-        return SpikePrior.rademacher()
-    if args.rho is None:
-        parser.error("--prior sparse requires --rho")
-    return SpikePrior.sparse(args.rho)
+def _prior_from_args(args) -> SpikePrior:
+    """SpikePrior checks --rho: required for sparse, rejected for the others."""
+    return SpikePrior({"sparse": "sparse_rademacher"}.get(args.prior, args.prior), args.rho)
 
 
 # a record field whose column takes another name
@@ -117,70 +112,8 @@ def _check_writable(path: str | None) -> None:
         os.remove(path)
 
 
-def _add_common(p: argparse.ArgumentParser, *, prior_required: bool = True) -> None:
-    p.add_argument(
-        "--prior",
-        choices=["spherical", "rademacher", "sparse"],
-        required=prior_required,
-        default=None,
-    )
-    p.add_argument("--rho", type=float, default=None, help="sparsity for --prior sparse")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--threads", type=int, default=1, help=f"accepted, 1..{MAX_THREADS}; changes no work"
-    )
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--precision", type=int, default=9)
-
-
-# Built once per process: building takes milliseconds (each add_argument makes a
-# HelpFormatter, which asks for the terminal size), and parse_args leaves it as it was.
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spiked-tensor",
-        description="Phase-transition bounds and Monte Carlo checks for spiked Gaussian tensors",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("thresholds", help="per-d threshold bound table")
-    _add_common(p)
-    p.add_argument("--d", required=True, help="single order or range a..b")
-    p.add_argument("--replica", action="store_true", help="add the replica prediction column")
-    p.add_argument("--asymptotics", action="store_true", help="add asymptotic columns")
-
-    p = sub.add_parser("ratefn", help="(t, f(t)) table for a prior")
-    _add_common(p)
-    p.add_argument("--grid", type=int, default=100, help="number of t points, 2..10^5")
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--n", type=int, default=None, help="add exact finite-n tail columns")
-
-    p = sub.add_parser("replica", help="replica fixed points / thresholds")
-    _add_common(p)
-    p.add_argument("--d", required=True, help="single order or range a..b")
-    p.add_argument("--lambda", dest="snr", default=None, help="snr value or comma list")
-    p.add_argument("--thresholds", action="store_true", help="emit (lambda1, lambda2) per d")
-
-    p = sub.add_parser("simulate", help="seeded Monte Carlo experiments")
-    p.add_argument("subkind", choices=["detect", "recover", "tails", "norms", "bbp"])
-    _add_common(p, prior_required=False)  # bbp needs no prior; others check at dispatch
-    p.add_argument("--n", type=int, default=14)
-    p.add_argument("--d", default="3", help="one order")
-    p.add_argument("--lambda", dest="snr", type=float, default=0.0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--test", choices=list(montecarlo.TESTS), default="mle")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--tgrid", default=None, help="comma list of t values (tails)")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--records", default=None, help="write per-trial CSV to this path")
-    return parser
-
-
 def cmd_thresholds(parser, args) -> int:
-    prior = _prior_from_args(parser, args)
+    prior = _prior_from_args(args)
     ds = _parse_d_range(args.d)
     reports = [thresholds.threshold_report(prior, d, include_replica=args.replica) for d in ds]
     columns = ["d", "lambda_lower", "lambda_upper", "mu_d"]
@@ -196,7 +129,7 @@ def cmd_thresholds(parser, args) -> int:
 
 
 def cmd_ratefn(parser, args) -> int:
-    prior = _prior_from_args(parser, args)
+    prior = _prior_from_args(args)
     if not 2 <= args.grid <= MAX_GRID:
         raise ValueError(f"--grid must be in 2..{MAX_GRID}, got {args.grid}")
     tmax = args.tmax
@@ -219,7 +152,7 @@ def cmd_ratefn(parser, args) -> int:
 
 
 def cmd_replica(parser, args) -> int:
-    prior = _prior_from_args(parser, args)  # the replica functions reject a sparse prior
+    prior = SpikePrior(args.prior)
     ds = _parse_d_range(args.d)
     spec = _output_spec(args)
     if args.thresholds:
@@ -247,8 +180,6 @@ def cmd_replica(parser, args) -> int:
 def cmd_simulate(parser, args) -> int:
     seed = RngSeed(args.seed)
     spec = _output_spec(args)
-    # checked for every subkind, though bbp (an exact eigensolve) uses none of them
-    settings = PowerIterationSettings(args.restarts, args.max_iters, args.tol)
 
     if args.subkind == "bbp":
         summary = montecarlo.bbp_reference_experiment(args.n, args.snr, args.trials, seed)
@@ -259,15 +190,10 @@ def cmd_simulate(parser, args) -> int:
         write_table(columns, [_row(summary)], spec, {"command": "simulate_bbp"})
         return 0
 
-    prior = _prior_from_args(parser, args)
-    d = _parse_order(args.d)
+    prior = _prior_from_args(args)
 
     if args.subkind == "tails":
-        t_grid = (
-            _parse_lambda_list(args.tgrid, "--tgrid")
-            if args.tgrid is not None
-            else [round(0.05 * i, 2) for i in range(13)]
-        )
+        t_grid = _parse_lambda_list(args.tgrid, "--tgrid")
         rows = montecarlo.overlap_tail_experiment(prior, args.n, args.trials, t_grid, seed)
         write_table(
             ["t", "empirical_tail", "empirical_rate", "rate_value", "exact_tail", "exact_rate"],
@@ -275,6 +201,9 @@ def cmd_simulate(parser, args) -> int:
             {"command": "simulate_tails", "prior": prior.label(), "n": args.n},
         )
         return 0
+
+    settings = PowerIterationSettings(args.restarts, args.max_iters, args.tol)
+    d = _parse_order(args.d)
 
     if args.subkind == "norms":
         estimates = montecarlo.injective_norm_experiment(
@@ -289,8 +218,8 @@ def cmd_simulate(parser, args) -> int:
 
     _check_writable(args.records)  # detect and recover write it; before any trial runs
     config = ExperimentConfig(
-        prior=prior, n=args.n, d=d, snr=args.snr, trials=args.trials,
-        seed=seed, test=args.test, epsilon=args.epsilon, power_iter=settings,
+        prior=prior, n=args.n, d=d, snr=args.snr, trials=args.trials, seed=seed, test=args.test,
+        epsilon=args.epsilon if args.subkind == "detect" else None, power_iter=settings,
     )
     columns = ["test", "n", "d", "lambda", "trials"]
     if args.subkind == "detect":
@@ -314,23 +243,94 @@ def cmd_simulate(parser, args) -> int:
     return 0
 
 
+# Every flag, declared once.  Where a command reads a flag differently
+# (ratefn's --n, replica's --prior and --lambda, simulate's --d), it lists
+# the flag with keywords of its own.
+_FLAGS = {
+    "--prior": dict(choices=["spherical", "rademacher", "sparse"], required=True),
+    "--rho": dict(type=float, default=None, help="sparsity for --prior sparse"),
+    "--seed": dict(type=int, default=0),
+    "--d": dict(required=True, help="single order or range a..b"),
+    "--replica": dict(action="store_true", help="add the replica prediction column"),
+    "--asymptotics": dict(action="store_true", help="add asymptotic columns"),
+    "--grid": dict(type=int, default=100, help="number of t points, 2..10^5"),
+    "--tmax": dict(type=float, default=None),
+    "--thresholds": dict(action="store_true", help="emit (lambda1, lambda2) per d"),
+    "--n": dict(type=int, default=14),
+    "--lambda": dict(dest="snr", type=float, default=0.0),
+    "--trials": dict(type=int, default=100),
+    "--test": dict(choices=list(montecarlo.TESTS), default="mle"),
+    "--epsilon": dict(type=float, default=None),
+    "--tgrid": dict(default="0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6",
+                    help="comma list of t values"),
+    "--restarts": dict(type=int, default=20),
+    "--max-iters": dict(type=int, default=500),
+    "--tol": dict(type=float, default=1e-10),
+    "--records": dict(default=None, help="write per-trial CSV to this path"),
+    "--threads": dict(type=int, default=1, help=f"accepted, 1..{MAX_THREADS}; changes no work"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+    "--precision": dict(type=int, default=9),
+}
+_ORDER = ("--d", dict(default="3", help="one order"))
+_POWER = ("--restarts", "--max-iters", "--tol")
+_EXPERIMENT = ("--prior", "--rho", "--seed", "--n", _ORDER, "--lambda", "--trials", "--test")
+# the flags each command reads, besides the four that every command takes
+_COMMANDS = {
+    "thresholds": ("--prior", "--rho", "--d", "--replica", "--asymptotics"),
+    "ratefn": ("--prior", "--rho", "--grid", "--tmax",
+               ("--n", dict(type=int, default=None, help="add exact finite-n tail columns"))),
+    "replica": (("--prior", dict(choices=["spherical", "rademacher"], required=True)), "--d",
+                ("--lambda", dict(dest="snr", default=None, help="snr value or comma list")),
+                "--thresholds"),
+    "simulate detect": (*_EXPERIMENT, "--epsilon", *_POWER, "--records"),
+    "simulate recover": (*_EXPERIMENT, *_POWER, "--records"),
+    "simulate tails": ("--prior", "--rho", "--seed", "--n", "--trials", "--tgrid"),
+    "simulate norms": ("--prior", "--rho", "--seed", "--n", _ORDER, "--lambda", "--trials",
+                       *_POWER),
+    "simulate bbp": ("--seed", "--n", "--lambda", "--trials"),
+}
+# each command's help line and handler; cmd_simulate serves every simulate kind
+_HANDLERS = {
+    "thresholds": ("per-d threshold bound table", cmd_thresholds),
+    "ratefn": ("(t, f(t)) table for a prior", cmd_ratefn),
+    "replica": ("replica fixed points / thresholds", cmd_replica),
+    "simulate": ("seeded Monte Carlo experiments", cmd_simulate),
+}
+
+
+# Built once per process: building takes milliseconds (each add_argument makes a
+# HelpFormatter, which asks for the terminal size), and parse_args leaves it as it was.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="spiked-tensor",
+        description="Phase-transition bounds and Monte Carlo checks for spiked Gaussian tensors",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {name: sub.add_parser(name, help=text) for name, (text, _) in _HANDLERS.items()}
+    kinds = parsers["simulate"].add_subparsers(dest="subkind", required=True)
+    for name, flags in _COMMANDS.items():
+        command, _, kind = name.partition(" ")
+        p = kinds.add_parser(kind) if kind else parsers[command]
+        for flag in flags + ("--threads", "--out", "--format", "--precision"):
+            flag, keywords = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
+            p.add_argument(flag, **keywords)
+    return parser
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    dispatch = {
-        "thresholds": cmd_thresholds,
-        "ratefn": cmd_ratefn,
-        "replica": cmd_replica,
-        "simulate": cmd_simulate,
-    }
     try:
         check_threads(args.threads)  # before any command, though none uses it
         _output_spec(args)  # likewise --format and --precision, before any row is computed
         _check_writable(args.out)  # and the output path
-        return dispatch[args.command](parser, args)
+        _, run = _HANDLERS[args.command]
+        return run(parser, args)
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code or 0)
     # input the library rejects or cannot solve, or an --out/--records path it cannot open

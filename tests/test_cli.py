@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from spiked_tensor.cli import main
+from spiked_tensor.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
@@ -247,6 +249,7 @@ def test_help_exits_zero(capsys):
         ["ratefn", "--help"],
         ["replica", "--help"],
         ["simulate", "--help"],
+        *(["simulate", kind, "--help"] for kind in ("detect", "recover", "tails", "norms", "bbp")),
     ):
         assert main(args) == 0
         capsys.readouterr()
@@ -301,7 +304,6 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1", "--tol", "-1"],
         ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1", "--tol", "nan"],
         ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1", "--tol", "inf"],
-        ["simulate", "bbp", "--n", "20", "--lambda", "2", "--trials", "1", "--max-iters", "0"],
         ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "0"],
         ["simulate", "norms", "--prior", "spherical", "--n", "5", "--trials", "1",
          "--lambda", "nan"],
@@ -352,7 +354,9 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["thresholds", "--prior", "spherical", "--d", "3", "--out", "/dev/null/t.csv"],
         ["simulate", "detect", "--prior", "rademacher", "--n", "6", "--d", "3", "--lambda", "1",
          "--trials", "2", "--records", "/dev/null/r.csv"],
-        ["replica", "--prior", "sparse", "--rho", "0.2", "--d", "3", "--lambda", "1.0"],
+        # SpikePrior rejects --rho on a prior that has no sparsity
+        ["thresholds", "--prior", "spherical", "--d", "3", "--rho", "0.3"],
+        ["thresholds", "--prior", "rademacher", "--d", "3", "--rho", "0.3"],
         ["simulate", "recover", "--prior", "rademacher", "--n", "6", "--d", "3", "--lambda", "-1",
          "--trials", "2"],
     ],
@@ -360,7 +364,7 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
          "ratefn_n_negative", "ratefn_n_0", "tails_n_0", "tails_trials_0", "bbp_trials_0",
          "norms_max_iters_0", "norms_tol_negative", "norms_tol_nan", "norms_tol_inf",
-         "bbp_max_iters_0", "norms_trials_0", "norms_nan_snr", "norms_negative_snr",
+         "norms_trials_0", "norms_nan_snr", "norms_negative_snr",
          "norms_inf_snr", "bbp_nan_snr", "bbp_inf_snr", "spherical_replica_nan_snr",
          "spherical_replica_inf_snr", "rademacher_replica_nan_snr",
          "rademacher_replica_inf_snr", "ratefn_grid_huge", "tails_trials_huge",
@@ -371,7 +375,8 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "ratefn_grid_over_cap", "norms_restarts_huge", "detect_support_over_cap",
          "detect_spherical_mle", "ratefn_n_over_exact_cap", "replica_empty_lambda",
          "tails_empty_tgrid", "norms_huge_snr", "detect_injective_huge_snr", "bbp_huge_snr",
-         "out_unwritable", "records_unwritable", "sparse_replica", "recover_negative_snr"],
+         "out_unwritable", "records_unwritable", "spherical_rho", "rademacher_rho",
+         "recover_negative_snr"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)
@@ -382,6 +387,91 @@ def test_library_errors_exit_2_with_one_line(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("spiked-tensor: error: ")
+
+
+# Each command, and each simulate kind, takes only the flags it reads, plus these.
+EVERY_COMMAND = {"--threads", "--out", "--format", "--precision"}
+READS = {
+    "thresholds": "--prior --rho --d --replica --asymptotics",
+    "ratefn": "--prior --rho --grid --tmax --n",
+    "replica": "--prior --d --lambda --thresholds",
+    "simulate detect": "--prior --rho --seed --n --d --lambda --trials --test --epsilon "
+                       "--restarts --max-iters --tol --records",
+    "simulate recover": "--prior --rho --seed --n --d --lambda --trials --test "
+                        "--restarts --max-iters --tol --records",
+    "simulate tails": "--prior --rho --seed --n --trials --tgrid",
+    "simulate norms": "--prior --rho --seed --n --d --lambda --trials --restarts --max-iters --tol",
+    "simulate bbp": "--seed --n --lambda --trials",
+}
+# the flags each command once accepted and never read
+UNREAD = {
+    "thresholds": "--seed",
+    "ratefn": "--seed",
+    "replica": "--seed --rho",
+    "simulate detect": "--tgrid",
+    "simulate recover": "--tgrid --epsilon",
+    "simulate tails": "--d --lambda --test --epsilon --restarts --max-iters --tol --records",
+    "simulate norms": "--test --epsilon --tgrid --records",
+    "simulate bbp": "--prior --rho --d --test --epsilon --tgrid --restarts --max-iters --tol "
+                    "--records",
+}
+# a valid argv per command, and a value per flag
+VALID = {
+    "thresholds": ["thresholds", "--prior", "spherical", "--d", "3"],
+    "ratefn": ["ratefn", "--prior", "rademacher", "--grid", "3"],
+    "replica": ["replica", "--prior", "spherical", "--d", "3", "--thresholds"],
+    "simulate detect": ["simulate", "detect", "--prior", "rademacher", "--n", "6", "--trials", "1"],
+    "simulate recover": ["simulate", "recover", "--prior", "rademacher", "--n", "6",
+                         "--trials", "1"],
+    "simulate tails": ["simulate", "tails", "--prior", "rademacher", "--n", "6", "--trials", "1"],
+    "simulate norms": ["simulate", "norms", "--prior", "spherical", "--n", "4", "--trials", "1"],
+    "simulate bbp": ["simulate", "bbp", "--n", "20", "--lambda", "2", "--trials", "1"],
+}
+VALUE = {"--seed": "1", "--rho": "0.2", "--tgrid": "0.5", "--epsilon": "0.7", "--d": "3",
+         "--lambda": "1", "--test": "mle", "--restarts": "2", "--max-iters": "0", "--tol": "1e-6",
+         "--records": "r.csv", "--prior": "rademacher"}
+
+
+def _leaf_parsers(parser, prefix=""):
+    """(command, parser) for each command and each simulate kind."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, f"{prefix}{name} ")
+            return
+    yield prefix.strip(), parser
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    accepted = {
+        command: {flag for action in p._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for command, p in _leaf_parsers(build_parser())
+    }
+    assert accepted == {command: set(flags.split()) | EVERY_COMMAND
+                        for command, flags in READS.items()}
+    assert sum(len(flags) for flags in accepted.values()) == 91
+    assert all(not set(UNREAD[c].split()) & accepted[c] for c in accepted)
+    assert sum(len(flags.split()) for flags in UNREAD.values()) == 29
+
+
+@pytest.mark.parametrize("argv, message", [
+    (VALID[command] + [flag, VALUE[flag]], f"unrecognized arguments: {flag} {VALUE[flag]}")
+    for command, flags in UNREAD.items() for flag in flags.split()
+] + [
+    (["replica", "--prior", "sparse", "--rho", "0.2", "--d", "3", "--lambda", "1.0"],
+     "argument --prior: invalid choice: 'sparse'"),
+], ids=[
+    f"{command.split()[-1]}_{flag[2:].replace('-', '_')}"
+    for command, flags in UNREAD.items() for flag in flags.split()
+] + ["sparse_replica"])
+def test_rejected_flags_exit_2_after_usage(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: spiked-tensor")
+    assert re.match(r"spiked-tensor( \w+){0,2}: error: ", lines[-1]) and message in lines[-1]
 
 
 @pytest.mark.parametrize("flag, argv", [

@@ -1,8 +1,10 @@
 """Generated CLI argument vectors: every accepted input gives a table or one error line.
 
 Each argv is drawn from a bounded domain of flag values, valid and invalid,
-kept small enough that every call is cheap.  The seed corpus is the probes
-quoted in ROADMAP.md and CHANGES.md.  For each call:
+kept small enough that every call is cheap.  Each ``simulate`` kind has a
+test of its own, which draws valid values of the kind's own flags and at
+most one fault: an invalid value, or a flag the kind does not read.  The
+seed corpus is the probes quoted in ROADMAP.md and CHANGES.md.  For each call:
 
 * the exit code is 0 or 2, and no exception escapes ``main``;
 * on exit 2, stdout is empty and the last stderr line is the program's
@@ -18,13 +20,14 @@ import json
 import re
 import time
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spiked_tensor.cli import main
 
 WALL_BUDGET_S = 20.0
-ERROR_LINE = re.compile(r"^spiked-tensor( \w+)?: error: ")
+ERROR_LINE = re.compile(r"^spiked-tensor( \w+){0,2}: error: ")
 
 THRESHOLD_COLUMNS = ["d", "lambda_lower", "lambda_upper", "mu_d"]
 TAIL_COLUMNS = ["t", "empirical_tail", "empirical_rate", "rate_value", "exact_tail", "exact_rate"]
@@ -75,7 +78,7 @@ def _flatten(parts) -> list[str]:
 
 COMMON = st.tuples(
     _opt("--format", ["csv", "json"]), _opt("--threads", ["1", "2", "0", "300"]),
-    _opt("--precision", ["1", "17", "0", "-2"]), _opt("--seed", ["3", "-1", str(2**70)]),
+    _opt("--precision", ["1", "17", "0", "-2"]),
 ).map(_flatten)
 
 
@@ -101,20 +104,56 @@ replica_argv = st.tuples(
     _switch("--thresholds"), COMMON,
 ).map(_flatten)
 
-simulate_argv = st.tuples(
-    st.sampled_from(list(SIMULATE_COLUMNS)).map(lambda kind: ["simulate", kind]), PRIORS,
-    _opt("--n", ["1", "2", "6", "10", "0", "-3"]),
-    _opt("--d", ["2", "3", "4", "3..4", "1"]),
-    _opt("--lambda", ["0", "1", "3", "-1", "nan", "inf", "1e200"]),
-    st.sampled_from(["1", "3", "0", "-2"]).map(lambda t: ["--trials", t]),
-    _opt("--test", ["mle", "injective_norm", "map"]),
-    _opt("--epsilon", ["0.1", "-1", "inf"]),
-    _opt("--tgrid", ["0,0.5,1", "0.25", ",", "1.5", "-0.5", "nan"]),
-    _opt("--restarts", ["0", "2", "-1"]),
-    _opt("--max-iters", ["0", "5", "30"]),
-    _opt("--tol", ["1e-6", "-1", "nan"]),
-    COMMON,
-).map(_flatten)
+# A simulate kind draws a valid value of each of its flags, then at most one
+# fault: an invalid value of one of its flags (argparse keeps a repeated
+# flag's last value) or a flag it does not read.
+SIMULATE_VALID = {
+    "--prior": [["--prior", "spherical"], ["--prior", "rademacher"]]
+    + [["--prior", "sparse", "--rho", rho] for rho in ["0.3", "0.5", "1"]],
+    "--n": [["--n", n] for n in ["2", "6", "10"]],
+    "--trials": [["--trials", "1"], ["--trials", "3"]],
+    "--restarts": [["--restarts", "1"], ["--restarts", "2"]],
+    "--seed": [[], ["--seed", "3"]],
+    "--d": [[], ["--d", "2"], ["--d", "3"], ["--d", "4"]],
+    "--lambda": [[], ["--lambda", "0"], ["--lambda", "1"], ["--lambda", "3"]],
+    "--test": [[], ["--test", "mle"], ["--test", "injective_norm"]],
+    "--epsilon": [[], ["--epsilon", "0.1"], ["--epsilon", "-1"]],
+    "--tgrid": [[], ["--tgrid", "0,0.5"], ["--tgrid", "0.25"]],
+    "--max-iters": [[], ["--max-iters", "5"], ["--max-iters", "30"]],
+    "--tol": [[], ["--tol", "1e-6"]],
+    "--format": [[], ["--format", "json"]],
+    "--threads": [[], ["--threads", "2"]],
+    "--precision": [[], ["--precision", "1"], ["--precision", "17"]],
+}
+SIMULATE_INVALID = [
+    ["--prior", "uniform"], ["--rho", "0"], ["--rho", "0.3"], ["--n", "0"], ["--n", "-3"],
+    ["--trials", "0"], ["--seed", "-1"], ["--d", "3..4"], ["--d", "1"], ["--lambda", "nan"],
+    ["--lambda", "-1"], ["--lambda", "inf"], ["--test", "map"], ["--epsilon", "inf"],
+    ["--tgrid", ","], ["--tgrid", "1.5"], ["--tgrid", "nan"], ["--restarts", "0"],
+    ["--max-iters", "0"], ["--tol", "nan"], ["--tol", "-1"], ["--threads", "0"],
+    ["--precision", "0"], ["--records", "/dev/null/r.csv"],
+]
+SIMULATE_READS = {
+    "detect": ["--prior", "--rho", "--n", "--trials", "--seed", "--d", "--lambda", "--test",
+               "--epsilon", "--restarts", "--max-iters", "--tol", "--records"],
+    "recover": ["--prior", "--rho", "--n", "--trials", "--seed", "--d", "--lambda", "--test",
+                "--restarts", "--max-iters", "--tol", "--records"],
+    "tails": ["--prior", "--rho", "--n", "--trials", "--seed", "--tgrid"],
+    "norms": ["--prior", "--rho", "--n", "--trials", "--seed", "--d", "--lambda", "--restarts",
+              "--max-iters", "--tol"],
+    "bbp": ["--n", "--trials", "--seed", "--lambda"],
+}
+SIMULATE_FLAGS = sorted({flag for reads in SIMULATE_READS.values() for flag in reads})
+
+
+def _kind_argv(kind: str):
+    reads = SIMULATE_READS[kind] + ["--format", "--threads", "--precision"]
+    valid = [st.sampled_from(SIMULATE_VALID[flag]) for flag in reads if flag in SIMULATE_VALID]
+    invalid = [pair for pair in SIMULATE_INVALID if pair[0] in reads]
+    unread = [[flag, "1"] for flag in SIMULATE_FLAGS if flag not in reads]
+    fault = st.one_of(st.sampled_from(invalid), st.sampled_from(unread))
+    return st.one_of(st.tuples(st.just(["simulate", kind]), *valid),
+                     st.tuples(st.just(["simulate", kind]), *valid, fault)).map(_flatten)
 
 
 def _expected_columns(argv: list[str]) -> list[str]:
@@ -159,9 +198,12 @@ def check_argv(argv: list[str]) -> None:
                 assert column in NON_FINITE_OK, (argv, column, row)
 
 
-@settings(max_examples=250, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(thresholds_argv, ratefn_argv, replica_argv, simulate_argv))
+FUZZ_SETTINGS = settings(derandomize=True, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(FUZZ_SETTINGS, max_examples=190)
+@given(st.one_of(thresholds_argv, ratefn_argv, replica_argv))
 # probes quoted in ROADMAP.md and CHANGES.md
 @example(["thresholds", "--prior", "spherical", "--d", "40", "--replica"])
 @example(["thresholds", "--prior", "rademacher", "--d", "1000000"])
@@ -193,3 +235,13 @@ def check_argv(argv: list[str]) -> None:
 @example(["simulate", "bbp", "--n", "8000", "--lambda", "2", "--trials", "1"])
 def test_generated_argv_give_a_table_or_one_error_line(argv):
     check_argv(argv)
+
+
+@pytest.mark.parametrize("kind", list(SIMULATE_READS))
+def test_generated_simulate_argv_give_a_table_or_one_error_line(kind):
+    @settings(FUZZ_SETTINGS, max_examples=30)
+    @given(_kind_argv(kind))
+    def check(argv):
+        check_argv(argv)
+
+    check()

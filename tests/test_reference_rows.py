@@ -6,7 +6,9 @@ perfbench judges its ``thresholds`` tasks against the reference tables in
 d = 2 at three exact rho of the figure grid, and asks perfbench's own
 ``check_output`` to accept each output.  The rho are passed as the exact
 floats the benchmark draws: the 9-digit rho printed in the table gives a
-different row.  perfbench/ is only read, never written.
+different row.  It also parses every argv of the benchmark's task lists, so
+that no change to the CLI's flags can break a benchmark run unnoticed.
+perfbench/ is only read, never written.
 """
 
 import csv
@@ -15,7 +17,7 @@ import pathlib
 
 import pytest
 
-from spiked_tensor.cli import main
+from spiked_tensor.cli import build_parser, main
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,3 +61,17 @@ def test_reference_row_reproduced(argv, capsys):
     code = main(list(argv))
     out = capsys.readouterr().out
     assert checks.check_output(argv, code, out, REFERENCE) is None
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_benchmark_argv_parse(workload):
+    # the task lists of seeds 1-5 at the default --seconds 20, and the thresholds probes
+    rounds = workloads.rounds_for(workload, 20)
+    argvs = [argv for seed in range(1, 6) for argv in workloads.make_tasks(workload, seed, rounds)]
+    if workload == "thresholds":
+        argvs += workloads.KNOWN_DEFECT_PROBE
+    for argv in argvs:
+        try:
+            build_parser().parse_args(list(argv))
+        except SystemExit:
+            pytest.fail(f"the CLI rejects benchmark argv {argv}")
