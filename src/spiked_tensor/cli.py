@@ -112,7 +112,7 @@ def _check_writable(path: str | None) -> None:
         os.remove(path)
 
 
-def cmd_thresholds(parser, args) -> int:
+def cmd_thresholds(args) -> int:
     prior = _prior_from_args(args)
     ds = _parse_d_range(args.d)
     reports = [thresholds.threshold_report(prior, d, include_replica=args.replica) for d in ds]
@@ -128,7 +128,7 @@ def cmd_thresholds(parser, args) -> int:
     return 0
 
 
-def cmd_ratefn(parser, args) -> int:
+def cmd_ratefn(args) -> int:
     prior = _prior_from_args(args)
     if not 2 <= args.grid <= MAX_GRID:
         raise ValueError(f"--grid must be in 2..{MAX_GRID}, got {args.grid}")
@@ -151,7 +151,7 @@ def cmd_ratefn(parser, args) -> int:
     return 0
 
 
-def cmd_replica(parser, args) -> int:
+def cmd_replica(args) -> int:
     prior = SpikePrior(args.prior)
     ds = _parse_d_range(args.d)
     spec = _output_spec(args)
@@ -161,9 +161,9 @@ def cmd_replica(parser, args) -> int:
         write_table(columns, rows, spec, {"command": "replica_thresholds", "prior": prior.label()})
         return 0
     if args.snr is None:
-        parser.error("replica branch tables require --lambda (or use --thresholds)")
+        raise ValueError("replica branch tables require --lambda (or use --thresholds)")
     if len(ds) != 1:
-        parser.error("branch tables take a single --d")
+        raise ValueError("branch tables take a single --d")
     d = ds[0]
     rows = [
         _row(s)
@@ -177,16 +177,14 @@ def cmd_replica(parser, args) -> int:
     return 0
 
 
-def cmd_simulate(parser, args) -> int:
+def cmd_simulate(args) -> int:
     seed = RngSeed(args.seed)
     spec = _output_spec(args)
 
     if args.subkind == "bbp":
         summary = montecarlo.bbp_reference_experiment(args.n, args.snr, args.trials, seed)
-        columns = [
-            "n", "lambda", "trials", "mean_top_eigenvalue", "predicted_top_eigenvalue",
-            "mean_alignment_sq", "predicted_alignment_sq",
-        ]
+        columns = ["n", "lambda", "trials", "mean_top_eigenvalue", "predicted_top_eigenvalue",
+                   "mean_alignment_sq", "predicted_alignment_sq"]
         write_table(columns, [_row(summary)], spec, {"command": "simulate_bbp"})
         return 0
 
@@ -290,12 +288,17 @@ _COMMANDS = {
                        *_POWER),
     "simulate bbp": ("--seed", "--n", "--lambda", "--trials"),
 }
-# each command's help line and handler; cmd_simulate serves every simulate kind
-_HANDLERS = {
-    "thresholds": ("per-d threshold bound table", cmd_thresholds),
-    "ratefn": ("(t, f(t)) table for a prior", cmd_ratefn),
-    "replica": ("replica fixed points / thresholds", cmd_replica),
-    "simulate": ("seeded Monte Carlo experiments", cmd_simulate),
+# each command's handler; cmd_simulate serves every simulate kind
+_HANDLERS = {"thresholds": cmd_thresholds, "ratefn": cmd_ratefn, "replica": cmd_replica,
+             "simulate": cmd_simulate}
+_HELP = {
+    "thresholds": "per-d threshold bound table", "ratefn": "(t, f(t)) table for a prior",
+    "replica": "replica fixed points / thresholds", "simulate": "seeded Monte Carlo experiments",
+    "simulate detect": "accuracy of a spike detection test",
+    "simulate recover": "overlap of the estimated spike with the planted one",
+    "simulate tails": "empirical overlap tails against the rate function",
+    "simulate norms": "injective-norm estimates by power iteration",
+    "simulate bbp": "d = 2 top eigenvalue against the BBP prediction",
 }
 
 
@@ -308,11 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phase-transition bounds and Monte Carlo checks for spiked Gaussian tensors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name, help=text) for name, (text, _) in _HANDLERS.items()}
+    parsers = {name: sub.add_parser(name, help=_HELP[name]) for name in _HANDLERS}
     kinds = parsers["simulate"].add_subparsers(dest="subkind", required=True)
     for name, flags in _COMMANDS.items():
         command, _, kind = name.partition(" ")
-        p = kinds.add_parser(kind) if kind else parsers[command]
+        p = kinds.add_parser(kind, help=_HELP[name]) if kind else parsers[command]
         for flag in flags + ("--threads", "--out", "--format", "--precision"):
             flag, keywords = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
             p.add_argument(flag, **keywords)
@@ -329,10 +332,7 @@ def main(argv=None) -> int:
         check_threads(args.threads)  # before any command, though none uses it
         _output_spec(args)  # likewise --format and --precision, before any row is computed
         _check_writable(args.out)  # and the output path
-        _, run = _HANDLERS[args.command]
-        return run(parser, args)
-    except SystemExit as exc:  # parser.error inside a command
-        return int(exc.code or 0)
+        return _HANDLERS[args.command](args)
     # input the library rejects or cannot solve, or an --out/--records path it cannot open
     except (ValueError, BracketError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

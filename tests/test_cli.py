@@ -255,6 +255,13 @@ def test_help_exits_zero(capsys):
         capsys.readouterr()
 
 
+def test_simulate_help_describes_each_kind(capsys):
+    assert main(["simulate", "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for kind in ("detect", "recover", "tails", "norms", "bbp"):
+        assert any(line.split()[:1] == [kind] and len(line.split()) > 1 for line in lines), kind
+
+
 def test_unknown_flag_exits_nonzero(capsys):
     assert main(["thresholds", "--prior", "rademacher", "--d", "2", "--bogus"]) != 0
     capsys.readouterr()
@@ -359,6 +366,8 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         ["thresholds", "--prior", "rademacher", "--d", "3", "--rho", "0.3"],
         ["simulate", "recover", "--prior", "rademacher", "--n", "6", "--d", "3", "--lambda", "-1",
          "--trials", "2"],
+        ["replica", "--prior", "spherical", "--d", "3"],
+        ["replica", "--prior", "spherical", "--d", "3..4", "--lambda", "1"],
     ],
     ids=["tails_tgrid", "tails_tgrid_past_exact_cap", "tails_spherical_tgrid_1", "ratefn_tmax", "spherical_replica_d30000", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
@@ -376,7 +385,7 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "detect_spherical_mle", "ratefn_n_over_exact_cap", "replica_empty_lambda",
          "tails_empty_tgrid", "norms_huge_snr", "detect_injective_huge_snr", "bbp_huge_snr",
          "out_unwritable", "records_unwritable", "spherical_rho", "rademacher_rho",
-         "recover_negative_snr"],
+         "recover_negative_snr", "replica_branch_no_lambda", "replica_branch_d_range"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)

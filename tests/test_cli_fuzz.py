@@ -2,9 +2,12 @@
 
 Each argv is drawn from a bounded domain of flag values, valid and invalid,
 kept small enough that every call is cheap.  Each ``simulate`` kind has a
-test of its own, which draws valid values of the kind's own flags and at
-most one fault: an invalid value, or a flag the kind does not read.  The
-seed corpus is the probes quoted in ROADMAP.md and CHANGES.md.  For each call:
+test of its own, which draws valid values of the flags ``build_parser``
+gives the kind and at most one fault: an invalid value, a flag the kind does
+not read, or a faulty prior; some draw must reach a table.  Each invalid
+value is also appended to one valid argv per kind, which it must turn into
+an exit 2.  The seed corpus is the probes quoted in ROADMAP.md and
+CHANGES.md.  For each call:
 
 * the exit code is 0 or 2, and no exception escapes ``main``;
 * on exit 2, stdout is empty and the last stderr line is the program's
@@ -14,6 +17,7 @@ seed corpus is the probes quoted in ROADMAP.md and CHANGES.md.  For each call:
 * the call finishes within ``WALL_BUDGET_S``.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -24,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spiked_tensor.cli import main
+from spiked_tensor.cli import build_parser, main
 
 WALL_BUDGET_S = 20.0
 ERROR_LINE = re.compile(r"^spiked-tensor( \w+){0,2}: error: ")
@@ -106,11 +110,12 @@ replica_argv = st.tuples(
 
 # A simulate kind draws a valid value of each of its flags, then at most one
 # fault: an invalid value of one of its flags (argparse keeps a repeated
-# flag's last value) or a flag it does not read.
+# flag's last value), a flag it does not read, or in place of the prior one of
+# PRIOR_FAULTS, since an appended fault cannot remove a flag.
 SIMULATE_VALID = {
     "--prior": [["--prior", "spherical"], ["--prior", "rademacher"]]
     + [["--prior", "sparse", "--rho", rho] for rho in ["0.3", "0.5", "1"]],
-    "--n": [["--n", n] for n in ["2", "6", "10"]],
+    "--n": [["--n", n] for n in ["1", "2", "6", "10"]],
     "--trials": [["--trials", "1"], ["--trials", "3"]],
     "--restarts": [["--restarts", "1"], ["--restarts", "2"]],
     "--seed": [[], ["--seed", "3"]],
@@ -118,42 +123,69 @@ SIMULATE_VALID = {
     "--lambda": [[], ["--lambda", "0"], ["--lambda", "1"], ["--lambda", "3"]],
     "--test": [[], ["--test", "mle"], ["--test", "injective_norm"]],
     "--epsilon": [[], ["--epsilon", "0.1"], ["--epsilon", "-1"]],
-    "--tgrid": [[], ["--tgrid", "0,0.5"], ["--tgrid", "0.25"]],
+    "--tgrid": [[], ["--tgrid", "0,0.5"], ["--tgrid", "0,0.5,1"], ["--tgrid", "0.25"]],
     "--max-iters": [[], ["--max-iters", "5"], ["--max-iters", "30"]],
     "--tol": [[], ["--tol", "1e-6"]],
-    "--format": [[], ["--format", "json"]],
-    "--threads": [[], ["--threads", "2"]],
+    "--format": [[], ["--format", "csv"], ["--format", "json"]],
+    "--threads": [[], ["--threads", "1"], ["--threads", "2"]],
     "--precision": [[], ["--precision", "1"], ["--precision", "17"]],
 }
+# no --prior, sparse without --rho, and rho = 1e-12 (an empty support at n <= 10)
+PRIOR_FAULTS = [[], ["--prior", "sparse"], ["--prior", "sparse", "--rho", "1e-12"]]
 SIMULATE_INVALID = [
-    ["--prior", "uniform"], ["--rho", "0"], ["--rho", "0.3"], ["--n", "0"], ["--n", "-3"],
-    ["--trials", "0"], ["--seed", "-1"], ["--d", "3..4"], ["--d", "1"], ["--lambda", "nan"],
-    ["--lambda", "-1"], ["--lambda", "inf"], ["--test", "map"], ["--epsilon", "inf"],
-    ["--tgrid", ","], ["--tgrid", "1.5"], ["--tgrid", "nan"], ["--restarts", "0"],
-    ["--max-iters", "0"], ["--tol", "nan"], ["--tol", "-1"], ["--threads", "0"],
-    ["--precision", "0"], ["--records", "/dev/null/r.csv"],
+    ["--prior", "uniform"], *(["--rho", rho] for rho in ["0.3"] + BAD_RHOS), ["--n", "0"],
+    ["--n", "-3"], ["--trials", "0"], ["--trials", "-2"], ["--seed", "-1"],
+    ["--seed", str(2**70)], ["--d", "3..4"], ["--d", "1"], ["--lambda", "nan"],
+    ["--lambda", "-1"], ["--lambda", "inf"], ["--lambda", "1e200"], ["--test", "map"],
+    ["--epsilon", "inf"], ["--tgrid", ","], ["--tgrid", "1.5"], ["--tgrid", "-0.5"],
+    ["--tgrid", "nan"], ["--restarts", "0"], ["--restarts", "-1"], ["--max-iters", "0"],
+    ["--tol", "nan"], ["--tol", "-1"], ["--threads", "0"], ["--threads", "300"],
+    ["--precision", "0"], ["--precision", "-2"], ["--records", "/dev/null/r.csv"],
 ]
+
+
+def _subcommands(parser) -> dict:
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+# each kind's flags as build_parser declares them
 SIMULATE_READS = {
-    "detect": ["--prior", "--rho", "--n", "--trials", "--seed", "--d", "--lambda", "--test",
-               "--epsilon", "--restarts", "--max-iters", "--tol", "--records"],
-    "recover": ["--prior", "--rho", "--n", "--trials", "--seed", "--d", "--lambda", "--test",
-                "--restarts", "--max-iters", "--tol", "--records"],
-    "tails": ["--prior", "--rho", "--n", "--trials", "--seed", "--tgrid"],
-    "norms": ["--prior", "--rho", "--n", "--trials", "--seed", "--d", "--lambda", "--restarts",
-              "--max-iters", "--tol"],
-    "bbp": ["--n", "--trials", "--seed", "--lambda"],
+    kind: [flag for action in p._actions for flag in action.option_strings
+           if flag not in ("-h", "--help")]
+    for kind, p in _subcommands(_subcommands(build_parser())["simulate"]).items()
 }
 SIMULATE_FLAGS = sorted({flag for reads in SIMULATE_READS.values() for flag in reads})
 
 
 def _kind_argv(kind: str):
-    reads = SIMULATE_READS[kind] + ["--format", "--threads", "--precision"]
-    valid = [st.sampled_from(SIMULATE_VALID[flag]) for flag in reads if flag in SIMULATE_VALID]
+    reads = SIMULATE_READS[kind]
+    valid = st.tuples(*(st.sampled_from(SIMULATE_VALID[flag])
+                        for flag in reads if flag in SIMULATE_VALID and flag != "--prior"))
     invalid = [pair for pair in SIMULATE_INVALID if pair[0] in reads]
     unread = [[flag, "1"] for flag in SIMULATE_FLAGS if flag not in reads]
-    fault = st.one_of(st.sampled_from(invalid), st.sampled_from(unread))
-    return st.one_of(st.tuples(st.just(["simulate", kind]), *valid),
-                     st.tuples(st.just(["simulate", kind]), *valid, fault)).map(_flatten)
+    priors = SIMULATE_VALID["--prior"] if "--prior" in reads else [[]]
+    prior, prior_fault = st.sampled_from(priors), st.sampled_from(PRIOR_FAULTS)
+    draws = [st.tuples(prior, valid, st.just([])),
+             st.tuples(prior, valid, st.sampled_from(invalid + unread))]
+    if "--prior" in reads:
+        draws.append(st.tuples(prior_fault, valid, st.just([])))
+    return st.one_of(*draws).map(
+        lambda draw: ["simulate", kind, *draw[0], *_flatten(draw[1]), *draw[2]])
+
+
+# one cheap valid argv per kind, for appending each fault to: a spherical
+# spike under the injective-norm test, so that detect and recover read the
+# power-iteration flags (an MLE reads none of them), and norms at lambda = 0,
+# so that --restarts 0 leaves it no start
+SIMULATE_POWER = ["--prior", "spherical", "--n", "6", "--trials", "1", "--restarts", "1",
+                  "--max-iters", "5"]
+SIMULATE_BASE = {
+    "detect": SIMULATE_POWER + ["--test", "injective_norm"],
+    "recover": SIMULATE_POWER + ["--test", "injective_norm"],
+    "tails": ["--prior", "rademacher", "--n", "6", "--trials", "1"],
+    "norms": SIMULATE_POWER,
+    "bbp": ["--n", "6", "--trials", "1"],
+}
 
 
 def _expected_columns(argv: list[str]) -> list[str]:
@@ -177,7 +209,7 @@ def _table(out: str, argv: list[str]) -> tuple[list[str], list[list[str]]]:
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
-def check_argv(argv: list[str]) -> None:
+def check_argv(argv: list[str]) -> int:
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -189,13 +221,14 @@ def check_argv(argv: list[str]) -> None:
     if code == 2:
         assert out.getvalue() == "", argv
         assert ERROR_LINE.match(err.getvalue().splitlines()[-1]), (argv, err.getvalue())
-        return
+        return code
     header, rows = _table(out.getvalue(), argv)
     assert header == _expected_columns(argv), argv
     for row in rows:
         for column, cell in zip(header, row):
             if cell in ("NaN", "nan", "inf", "-inf"):
                 assert column in NON_FINITE_OK, (argv, column, row)
+    return code
 
 
 FUZZ_SETTINGS = settings(derandomize=True, deadline=None,
@@ -239,9 +272,23 @@ def test_generated_argv_give_a_table_or_one_error_line(argv):
 
 @pytest.mark.parametrize("kind", list(SIMULATE_READS))
 def test_generated_simulate_argv_give_a_table_or_one_error_line(kind):
+    tables = []
+
     @settings(FUZZ_SETTINGS, max_examples=30)
     @given(_kind_argv(kind))
     def check(argv):
-        check_argv(argv)
+        tables.append(check_argv(argv) == 0)
 
     check()
+    assert any(tables), f"no generated simulate {kind} argv reached a table"
+
+
+@pytest.mark.parametrize("kind", list(SIMULATE_READS))
+def test_each_invalid_simulate_value_exits_2_with_one_error_line(kind):
+    assert check_argv(["simulate", kind, *SIMULATE_BASE[kind]]) == 0
+    faults = [pair for pair in SIMULATE_INVALID if pair[0] in SIMULATE_READS[kind]]
+    faults += PRIOR_FAULTS[1:] * ("--prior" in SIMULATE_READS[kind])
+    for fault in faults:
+        # norms at lambda = 0 samples no spike, so its support may be empty
+        expected = 0 if (kind, fault) == ("norms", PRIOR_FAULTS[2]) else 2
+        assert check_argv(["simulate", kind, *SIMULATE_BASE[kind], *fault]) == expected, fault
