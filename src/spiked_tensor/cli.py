@@ -316,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, flags in _COMMANDS.items():
         command, _, kind = name.partition(" ")
         p = kinds.add_parser(kind, help=_HELP[name]) if kind else parsers[command]
+        p.set_defaults(parser=p)  # reports a flag the command does not read, with its usage
         for flag in flags + ("--threads", "--out", "--format", "--precision"):
             flag, keywords = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
             p.add_argument(flag, **keywords)
@@ -325,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unread = parser.parse_known_args(argv)
+        if unread:
+            args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -125,7 +125,7 @@ SIMULATE_VALID = {
     "--epsilon": [[], ["--epsilon", "0.1"], ["--epsilon", "-1"]],
     "--tgrid": [[], ["--tgrid", "0,0.5"], ["--tgrid", "0,0.5,1"], ["--tgrid", "0.25"]],
     "--max-iters": [[], ["--max-iters", "5"], ["--max-iters", "30"]],
-    "--tol": [[], ["--tol", "1e-6"]],
+    "--tol": [[], ["--tol", "1e-6"], ["--tol", "0"]],
     "--format": [[], ["--format", "csv"], ["--format", "json"]],
     "--threads": [[], ["--threads", "1"], ["--threads", "2"]],
     "--precision": [[], ["--precision", "1"], ["--precision", "17"]],

@@ -296,6 +296,46 @@ def test_lockstep_rows_match_their_runs_alone(d, n):
         assert value[0] == pytest.approx(values[i], rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("n, d, seed", [(24, 3, 1), (12, 3, 4), (12, 4, 2), (20, 3, 7)])
+def test_ascent_never_lowers_the_value(n, d, seed, monkeypatch):
+    # a step is taken only if f does not fall, so every run ends at the best
+    # point it evaluated; one step that lowered f would leave a better point
+    # behind (as in all but 3 of these 16 runs under an ascent that takes
+    # steps lowering f by up to 1e-12 |f|)
+    T = sample_wigner(n, d, RngSeed(seed))
+    evaluated = []
+
+    def recorded(tensor, rows):
+        g = contract(tensor, rows)
+        f = float(np.einsum("ij,ij->i", g, rows)[0])
+        evaluated.append(abs(f) if d % 2 else f)  # odd d: the ascent flips x to -x when f < 0
+        return g
+
+    monkeypatch.setattr(montecarlo, "contract", recorded)
+    for start in RngSeed(seed).generator(RESTART_SUBSTREAM).standard_normal((4, n)):
+        evaluated.clear()
+        value, _, _ = _ascend(T, start[None], 300, 1e-10)
+        assert value[0] == max(evaluated)
+
+
+@pytest.mark.parametrize("n, d, seed", [(24, 3, 1), (24, 3, 3), (12, 4, 2), (12, 4, 3)])
+def test_most_restarts_converge(n, d, seed):
+    settings = PowerIterationSettings()
+    starts = RngSeed(seed).generator(RESTART_SUBSTREAM).standard_normal((settings.restarts, n))
+    _, _, converged = _ascend(sample_wigner(n, d, RngSeed(seed)), starts, settings.max_iters, settings.tol)
+    assert converged.sum() >= 15
+
+
+def test_stalled_start_ends_converged():
+    # at tol = 0 a start near its maximum stops ascending; 80 failed attempts
+    # in a row end it where it is instead of doubling its shift forever
+    settings = PowerIterationSettings(tol=0.0)
+    starts = RngSeed(4).generator(RESTART_SUBSTREAM).standard_normal((settings.restarts, 12))
+    values, _, converged = _ascend(sample_wigner(12, 3, RngSeed(4)), starts, settings.max_iters, 0.0)
+    assert np.isfinite(values).all()
+    assert converged.any()
+
+
 def test_chunked_starts_match_one_block(monkeypatch):
     # pure noise, where the best start's maximum is unique: starts that reach
     # one maximum tie to the ulp, and block rounding may break such a tie
