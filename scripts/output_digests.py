@@ -131,6 +131,12 @@ SIMULATE = [
      "--d", "4", "--lambda", "2", "--trials", "8", "--seed", "3", "--records", RECORDS],
     ["simulate", "recover", "--prior", "rademacher", "--n", "6", "--d", "3", "--lambda", "-1",
      "--trials", "2"],  # exits 2
+    # trial 1 ends on the Newton finish; power steps alone leave it unconverged
+    ["simulate", "norms", "--prior", "spherical", "--n", "24", "--d", "3", "--trials", "3",
+     "--seed", "3"],
+    # Newton steps through M = T x^(d-2) of order 3
+    ["simulate", "norms", "--prior", "spherical", "--n", "10", "--d", "5", "--trials", "2",
+     "--seed", "1"],
 ]
 
 # one argv per simulate kind: detect --records, bbp, norms, tails, recover --records

@@ -31,8 +31,15 @@ the gradient direction, with an adaptive positive shift.  A plain power step
 can decrease the objective on random tensors; whenever that happens the
 shift doubles and the step is retried, which restores guaranteed ascent
 (for a large enough shift the update is a small gradient step on the
-sphere).  Returned values are lower estimates of the true maximum, never a
-certified optimum.  All starts of one estimate ascend in lockstep: every
+sphere).  Two rules choose the step a start proposes.  A step that
+reverses the start's previous step raises its shift to f instead of halving
+it, which damps a mode the power map flips at each step; and once its steps
+move less than _NEWTON_TRIGGER, the start proposes a Riemannian Newton
+step, which converges quadratically, until one Newton proposal is rejected.
+Every proposal passes the same ascent test, so the objective still never
+falls.
+Returned values are lower estimates of the true maximum, never a certified
+optimum.  All starts of one estimate ascend in lockstep: every
 block step is one contraction of the (rows, n) block of starts still
 running, each row keeping its own shift and counts, and a row leaves the
 block when it stops.  The starts are drawn and run in chunks whose first
@@ -68,6 +75,9 @@ from .tensors import (
 
 MAX_ENUMERATION = 2**24  # support points; the half visited is 2^23 candidates
 _BLOCK_BUDGET = 1 << 22  # scalars in one block of candidate values, per side block, and per power-step block
+# a row whose last taken step moved less than this, with no failed attempt
+# since, proposes a Newton step (the power step's linear tail is then slow)
+_NEWTON_TRIGGER = 1e-3
 _TAIL_CHUNK = 10_000  # spike pairs per overlap-tail chunk; chunk c draws from stream 2+c
 
 TESTS = ("mle", "injective_norm")
@@ -313,6 +323,17 @@ def _ascend(
     stationary up to rounding), staying where it is; it leaves unconverged
     after ``max_iters`` steps.
 
+    Two rules choose the step a row proposes; neither changes the test a
+    step must pass, so f still never falls.  A taken step that reverses the
+    row's previous taken step (a negative inner product) sets the shift to
+    max(shift, f(x)) instead of halving it: the shifted map's linear ratio
+    along a mode is ((d-1) mu + shift) / (f + shift), which a shift of f
+    takes from about -1 to about 0 for (d-1) mu near -f.  Once the row's last
+    taken step moved less than _NEWTON_TRIGGER with no failed attempt since,
+    it proposes the tangent Newton step of ``_newton_steps`` instead of the
+    power step, where that step ascends to first order; after one rejected
+    Newton proposal the row stays on power steps.
+
     One contraction per point gives both f(x) = <g, x> and the next step's
     direction g.  For odd d, contract(T, -x) = contract(T, x) bit for bit
     (negation is exact), so a point flipped to -x keeps its g.
@@ -320,30 +341,47 @@ def _ascend(
     rows, n = starts.shape
     values, vectors, converged = np.empty(rows), np.empty((rows, n)), np.zeros(rows, dtype=bool)
     odd = tensor.d % 2 == 1
-    x = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    x = starts / _row_norms(starts)[:, None]
     g = contract(tensor, x)
     fx = np.einsum("ij,ij->i", g, x)
     if odd:
         _flip_negative(x, fx)
     shift = np.zeros(rows)
+    last = np.zeros((rows, n))  # each row's last taken step y - x
+    moved = np.full(rows, math.inf)  # its length
+    newton_ok = np.ones(rows, dtype=bool)
     steps, attempts, live = np.zeros(rows, dtype=int), np.zeros(rows, dtype=int), np.arange(rows)
     while live.size:
         step = g + shift[:, None] * x
-        norm = np.linalg.norm(step, axis=1)
+        newton = newton_ok & (attempts == 0) & (moved < _NEWTON_TRIGGER)
+        if newton.any():
+            delta, ascent = _newton_steps(tensor, x[newton], g[newton], fx[newton])
+            newton[newton] = ascent
+            step[newton] = x[newton] + delta[ascent]
+        norm = _row_norms(step)
         if norm.all():
             y = step / norm[:, None]
             gy = contract(tensor, y)
             fy = np.einsum("ij,ij->i", gy, y)
             if odd:
                 _flip_negative(y, fy)
-            failed = fy < fx
+            take = fy >= fx  # a NaN value fails
+            failed = ~take
             attempts += failed
-            take = ~failed
-            finished = (attempts == 80) | (take & (np.linalg.norm(y - x, axis=1) < tol))
-            x, g = np.where(take[:, None], y, x), np.where(take[:, None], gy, g)
-            fx = np.where(take, fy, fx)
-            shift = np.where(failed, 2.0 * shift + 1.0, shift)  # retry with a safer (more contractive) step
-            shift[take] *= 0.5  # relax toward the plain power step while it keeps ascending
+            newton_ok &= ~(newton & failed)
+            move = y - x
+            move_norm = _row_norms(move)
+            finished = (attempts == 80) | (take & (move_norm < tol))
+            reverses = np.einsum("ij,ij->i", move, last) < 0
+            np.copyto(x, y, where=take[:, None])
+            np.copyto(g, gy, where=take[:, None])
+            np.copyto(fx, fy, where=take)
+            np.copyto(last, move, where=take[:, None])
+            np.copyto(moved, move_norm, where=take)
+            # a failed attempt retries with a safer (more contractive) step; a
+            # taken one relaxes toward the plain power step, or damps a reversal
+            shift = np.where(failed, 2.0 * shift + 1.0,
+                             np.where(reverses, np.maximum(shift, fx), 0.5 * shift))
             steps += take
             attempts[take] = 0
             done = finished | (steps == max_iters)
@@ -353,10 +391,53 @@ def _ascend(
             converged[live[finished]] = True
             values[live[done]], vectors[live[done]] = fx[done], x[done]
             keep = ~done
-            x, g, fx, shift, steps, attempts, live = (
-                a[keep] for a in (x, g, fx, shift, steps, attempts, live)
+            x, g, fx, shift, last, moved, newton_ok, steps, attempts, live = (
+                a[keep] for a in (x, g, fx, shift, last, moved, newton_ok, steps, attempts, live)
             )
     return values, vectors, converged
+
+
+def _newton_steps(
+    tensor: SymmetricTensor, x: np.ndarray, g: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Riemannian Newton steps of f on the sphere at the unit rows of ``x``
+    (g = contract(T, x), f = <g, x>), and whether each ascends.
+
+    With M = T x^(d-2) (T itself at d = 2) and P = I - x x^T, the step delta
+    solves (P ((d-1) M - f I) P - x x^T) delta = -(g - f x), so it is tangent
+    (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
+    2008, sec. 6); it ascends to first order where delta . (g - f x) > 0.
+    For A = (d-1) M - f I, M x = g gives a = A x = (d-1) g - f x, and the
+    matrix is A - x b^T - b x^T with b = a - (x.a - 1) x / 2.  The matrices
+    go in batches of at most _BLOCK_BUDGET scalars (at least one row); a
+    batch with an exactly singular matrix proposes no step.
+    """
+    m, n = x.shape
+    d = tensor.d
+    residual = g - f[:, None] * x
+    delta = np.zeros((m, n))
+    batch = max(1, _BLOCK_BUDGET // (n * n))
+    for lo in range(0, m, batch):
+        rows = slice(lo, lo + batch)
+        xs, fs = x[rows], f[rows, None]
+        if d == 2:
+            mats = np.repeat(tensor.entries[None], len(xs), axis=0)
+        else:
+            mats = (d - 1) * contract_leading(tensor.entries, xs, d - 2).reshape(-1, n, n)
+        mats[:, np.arange(n), np.arange(n)] -= fs
+        a = (d - 1) * g[rows] - fs * xs
+        b = a - 0.5 * (np.einsum("ij,ij->i", xs, a) - 1.0)[:, None] * xs
+        mats -= xs[:, :, None] * b[:, None, :] + b[:, :, None] * xs[:, None, :]
+        try:
+            delta[rows] = np.linalg.solve(mats, -residual[rows, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # delta stays 0, which does not ascend
+            pass
+    return delta, np.einsum("ij,ij->i", delta, residual) > 0
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of ``a``: np.linalg.norm(a, axis=1) bit for bit."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
 def _flip_negative(points: np.ndarray, values: np.ndarray) -> None:
@@ -376,7 +457,9 @@ def injective_norm_estimate(
     """Best ascent value over random restarts (plus optional spike start).
 
     A heuristic LOWER estimate of max <T, x^{(x)d}> over the sphere; the
-    objective value is nondecreasing along every run by construction.
+    objective value is nondecreasing along every run by construction: each
+    run is ``_ascend``'s, whose shifted power steps, reversal damping and
+    Newton finish all pass one test, f(y) >= f(x), before they are taken.
 
     The starts are the spike (when given) followed by ``restarts`` standard
     normal rows of the restart stream.  Ties go to the first best start.
