@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Sparse PCA (d=2) bounds as a function of the sparsity rho.
 
-Writes results/sparse_pca_d2.csv with the noise-conditioning lower bound,
-the exhaustive-search upper bound and the rho -> 0 asymptote on a log-spaced
-rho grid.  Takes about 3 s on a 2-core x86 machine: each lower bound is a
-fresh 2-D optimization.
+Writes sparse_pca_d2.csv with the noise-conditioning lower bound, the
+exhaustive-search upper bound and the rho -> 0 asymptote on a log-spaced
+rho grid, into --out-dir (default results/).  Takes about 3 s on a 2-core
+x86 machine: each lower bound is a fresh 2-D optimization.
 """
 
+import argparse
 import math
 import pathlib
 
@@ -37,9 +38,14 @@ def sweep(rhos) -> list[dict]:
     return rows
 
 
-if __name__ == "__main__":
-    OUT.mkdir(exist_ok=True)
-    rows = sweep(RHOS)
-    path = OUT / "sparse_pca_d2.csv"
-    write_table(COLUMNS, rows, OutputSpec(format="csv", path=str(path)))
+def main(out_dir: pathlib.Path = OUT) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "sparse_pca_d2.csv"
+    write_table(COLUMNS, sweep(RHOS), OutputSpec(format="csv", path=str(path)))
     print(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Sparse PCA (d=2) bounds against rho.")
+    parser.add_argument("--out-dir", type=pathlib.Path, default=OUT)
+    main(parser.parse_args().out_dir)

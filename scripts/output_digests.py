@@ -137,6 +137,11 @@ SIMULATE = [
     # Newton steps through M = T x^(d-2) of order 3
     ["simulate", "norms", "--prior", "spherical", "--n", "10", "--d", "5", "--trials", "2",
      "--seed", "1"],
+    # at d = 2 the estimate is the top eigenpair, with no ascent
+    ["simulate", "norms", "--prior", "spherical", "--n", "40", "--d", "2", "--trials", "3",
+     "--seed", "3"],
+    ["simulate", "detect", "--prior", "spherical", "--test", "injective_norm", "--n", "30",
+     "--d", "2", "--lambda", "2", "--trials", "4", "--seed", "5", "--records", RECORDS],
 ]
 
 # one argv per simulate kind: detect --records, bbp, norms, tails, recover --records

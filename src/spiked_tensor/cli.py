@@ -297,7 +297,7 @@ _HELP = {
     "simulate detect": "accuracy of a spike detection test",
     "simulate recover": "overlap of the estimated spike with the planted one",
     "simulate tails": "empirical overlap tails against the rate function",
-    "simulate norms": "injective-norm estimates by power iteration",
+    "simulate norms": "injective norm: ascent at d >= 3, eigensolve at d = 2",
     "simulate bbp": "d = 2 top eigenvalue against the BBP prediction",
 }
 

@@ -1,6 +1,6 @@
 """Seeded desk-scale experiments: exhaustive-search detection/recovery tests,
-injective-norm estimation by restarted power iteration, empirical overlap
-tails, and the d=2 eigenvalue-transition reference check.
+injective-norm estimation (power iteration; one eigensolve at d = 2),
+empirical overlap tails, and the d=2 eigenvalue-transition reference check.
 
 Determinism contract: every experiment is a pure function of its config.
 Trial k derives its own RNG stream (offset 2+k; paired designs use 2+2k and
@@ -26,20 +26,20 @@ and blocks of at most 2^22 scalars (32 MB): one of candidate values, and for
 each side one of candidates with their features and the first step of their
 contractions.
 
-The injective-norm maximizer is a heuristic: restarted power iteration on
-the gradient direction, with an adaptive positive shift.  A plain power step
-can decrease the objective on random tensors; whenever that happens the
-shift doubles and the step is retried, which restores guaranteed ascent
-(for a large enough shift the update is a small gradient step on the
-sphere).  Two rules choose the step a start proposes.  A step that
-reverses the start's previous step raises its shift to f instead of halving
-it, which damps a mode the power map flips at each step; and once its steps
-move less than _NEWTON_TRIGGER, the start proposes a Riemannian Newton
-step, which converges quadratically, until one Newton proposal is rejected.
-Every proposal passes the same ascent test, so the objective still never
-falls.
-Returned values are lower estimates of the true maximum, never a certified
-optimum.  All starts of one estimate ascend in lockstep: every
+At d = 2 the injective norm is the top eigenvalue of T, and its estimate
+is LAPACK's exact top eigenpair.  At d >= 3 the maximizer is a heuristic:
+restarted power iteration on the gradient direction, with an adaptive
+positive shift.  A plain power step can decrease the objective on random
+tensors; whenever that happens the shift doubles and the step is retried,
+which restores guaranteed ascent (for a large enough shift the update is a
+small gradient step on the sphere).  Two rules choose the step a start
+proposes.  A step that reverses the start's previous step raises its shift
+to f instead of halving it, which damps a mode the power map flips at each
+step; and once its steps move less than _NEWTON_TRIGGER, the start proposes
+a Riemannian Newton step, which converges quadratically, until one Newton
+proposal is rejected.  Every proposal passes the same ascent test, so the
+objective never falls; values are lower estimates of the maximum, never a
+certified optimum.  All starts of one estimate ascend in lockstep: every
 block step is one contraction of the (rows, n) block of starts still
 running, each row keeping its own shift and counts, and a row leaves the
 block when it stops.  The starts are drawn and run in chunks whose first
@@ -311,7 +311,7 @@ def _ascend(
     tensor: SymmetricTensor, starts: np.ndarray, max_iters: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value, unit vector and convergence flag of the ascent from each row of
-    ``starts``, all rows stepped in lockstep.
+    ``starts`` (d >= 3), all rows stepped in lockstep.
 
     Every block step makes one attempt per live row through one contraction
     of the block.  A row keeps its own shift, step count and attempt count.
@@ -401,37 +401,29 @@ def _newton_steps(
     tensor: SymmetricTensor, x: np.ndarray, g: np.ndarray, f: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Riemannian Newton steps of f on the sphere at the unit rows of ``x``
-    (g = contract(T, x), f = <g, x>), and whether each ascends.
+    (g = contract(T, x), f = <g, x>), and whether each ascends; d >= 3.
 
-    With M = T x^(d-2) (T itself at d = 2) and P = I - x x^T, the step delta
-    solves (P ((d-1) M - f I) P - x x^T) delta = -(g - f x), so it is tangent
+    With M = T x^(d-2) and P = I - x x^T, the step delta solves
+    (P ((d-1) M - f I) P - x x^T) delta = -(g - f x), so it is tangent
     (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
     2008, sec. 6); it ascends to first order where delta . (g - f x) > 0.
     For A = (d-1) M - f I, M x = g gives a = A x = (d-1) g - f x, and the
-    matrix is A - x b^T - b x^T with b = a - (x.a - 1) x / 2.  The matrices
-    go in batches of at most _BLOCK_BUDGET scalars (at least one row); a
-    batch with an exactly singular matrix proposes no step.
+    matrix is A - x b^T - b x^T with b = a - (x.a - 1) x / 2.  A row's n x n
+    matrix is no larger than its n^(d-1) first contraction step, so the
+    stack fits the block's _BLOCK_BUDGET; a stack with an exactly singular
+    matrix proposes no step.
     """
-    m, n = x.shape
-    d = tensor.d
+    n, d = tensor.n, tensor.d
     residual = g - f[:, None] * x
-    delta = np.zeros((m, n))
-    batch = max(1, _BLOCK_BUDGET // (n * n))
-    for lo in range(0, m, batch):
-        rows = slice(lo, lo + batch)
-        xs, fs = x[rows], f[rows, None]
-        if d == 2:
-            mats = np.repeat(tensor.entries[None], len(xs), axis=0)
-        else:
-            mats = (d - 1) * contract_leading(tensor.entries, xs, d - 2).reshape(-1, n, n)
-        mats[:, np.arange(n), np.arange(n)] -= fs
-        a = (d - 1) * g[rows] - fs * xs
-        b = a - 0.5 * (np.einsum("ij,ij->i", xs, a) - 1.0)[:, None] * xs
-        mats -= xs[:, :, None] * b[:, None, :] + b[:, :, None] * xs[:, None, :]
-        try:
-            delta[rows] = np.linalg.solve(mats, -residual[rows, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # delta stays 0, which does not ascend
-            pass
+    mats = (d - 1) * contract_leading(tensor.entries, x, d - 2).reshape(-1, n, n)
+    mats[:, np.arange(n), np.arange(n)] -= f[:, None]
+    a = (d - 1) * g - f[:, None] * x
+    b = a - 0.5 * (np.einsum("ij,ij->i", x, a) - 1.0)[:, None] * x
+    mats -= x[:, :, None] * b[:, None, :] + b[:, :, None] * x[:, None, :]
+    try:
+        delta = np.linalg.solve(mats, -residual[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # a zero step, which does not ascend
+        delta = np.zeros_like(x)
     return delta, np.einsum("ij,ij->i", delta, residual) > 0
 
 
@@ -454,23 +446,27 @@ def injective_norm_estimate(
     seed: RngSeed | None = None,
     spike_start: UnitVector | None = None,
 ) -> NormEstimate:
-    """Best ascent value over random restarts (plus optional spike start).
+    """max <T, x^{(x)d}> over the sphere, and a unit vector attaining it.
 
-    A heuristic LOWER estimate of max <T, x^{(x)d}> over the sphere; the
-    objective value is nondecreasing along every run by construction: each
-    run is ``_ascend``'s, whose shifted power steps, reversal damping and
-    Newton finish all pass one test, f(y) >= f(x), before they are taken.
-
-    The starts are the spike (when given) followed by ``restarts`` standard
+    At d = 2 it is exact: the top eigenpair of ``matrix_top_eigenpair``,
+    converged, with no restart drawn (``settings`` is checked but tunes
+    nothing).  At d >= 3 it is the best ascent value over random restarts
+    (plus optional spike start), a heuristic LOWER estimate, nondecreasing
+    along every run: ``_ascend``'s power steps, reversal damping and Newton
+    finish all pass one test, f(y) >= f(x), before they are taken.  The
+    starts are the spike (when given) followed by ``restarts`` standard
     normal rows of the restart stream.  Ties go to the first best start.
     """
     n = tensor.n
     if settings.restarts * n > MEMORY_CAP:
         raise ValueError(f"{settings.restarts} starts of n={n} exceed the memory cap {MEMORY_CAP}")
-    rng = (seed or RngSeed(0)).generator(RESTART_SUBSTREAM)
     total = settings.restarts + (spike_start is not None)
     if not total:
         raise ValueError("injective norm estimate needs a start: restarts = 0 and no spike start")
+    if tensor.d == 2:
+        _, vector = matrix_top_eigenpair(tensor)
+        return NormEstimate(rank_one_inner(tensor, UnitVector(vector)), vector, True)
+    rng = (seed or RngSeed(0)).generator(RESTART_SUBSTREAM)
     # starts per chunk: the (rows, n^(d-1)) first step of a block contraction fits the budget
     rows = max(1, _BLOCK_BUDGET // n ** (tensor.d - 1))
     best = None

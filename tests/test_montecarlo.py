@@ -183,14 +183,52 @@ def test_norm_estimate_noiseless_rank_one():
 
 
 def test_norm_estimate_matches_matrix_oracle():
-    # the Newton finish takes the best start to the top eigenvalue to
-    # rounding, also where power steps alone stall (n = 50 and 300 here)
-    for n, seed in [(25, 5), (50, 1), (300, 2)]:
+    # at d = 2 the estimate is LAPACK's top eigenpair, its value read off the
+    # eigenvector, so it is the top eigenvalue to rounding
+    for n, seed in [(25, 5), (50, 1), (300, 2), (1000, 3)]:
         W = sample_wigner(n, 2, RngSeed(seed))
         est = injective_norm_estimate(W, PowerIterationSettings(restarts=10), seed=RngSeed(seed))
         top = float(np.linalg.eigvalsh(W.entries)[-1])
         assert est.converged
-        assert est.value == pytest.approx(top, abs=1e-12)
+        assert est.value == pytest.approx(top, rel=1e-14, abs=0)
+
+
+def _no_ascent(*args):
+    raise AssertionError("the d = 2 estimate ran the ascent")
+
+
+def test_d2_estimates_are_one_eigensolve(monkeypatch):
+    # every d = 2 route to the estimate takes the eigenpair, never an ascent
+    monkeypatch.setattr(montecarlo, "_ascend", _no_ascent)
+    prior, n, seed = SpikePrior.spherical(), 30, RngSeed(5)
+    x, T = sample_spiked(prior, n, 2, 2.0, seed)
+    top = float(np.linalg.eigvalsh(T.entries)[-1])
+    for spike_start in (None, x):
+        est = injective_norm_estimate(T, PowerIterationSettings(restarts=1), seed, spike_start)
+        assert est.converged
+        assert est.value == pytest.approx(top, rel=1e-14, abs=0)
+    for snr in (0.0, 2.0):
+        assert all(est.converged for est in injective_norm_experiment(prior, n, 2, snr, 3, seed))
+    # trial 0 of either experiment samples its spiked tensor from stream 2
+    config = ExperimentConfig(prior, n, 2, 2.0, 4, seed, test="injective_norm")
+    _, T0 = sample_spiked(prior, n, 2, 2.0, seed.offset(2))
+    top0 = float(np.linalg.eigvalsh(T0.entries)[-1])
+    for result in (detection_experiment(config), recovery_experiment(config)):
+        assert result.records[0].arm == "spiked"
+        assert result.records[0].statistic == pytest.approx(top0, rel=1e-14, abs=0)
+
+
+def test_d2_estimate_checks_its_settings(monkeypatch):
+    # the eigensolve tunes on no setting, but the checks of the ascent still hold
+    monkeypatch.setattr(montecarlo, "_ascend", _no_ascent)
+    n = 10
+    T = sample_wigner(n, 2, RngSeed(8))
+    with pytest.raises(ValueError, match="needs a start"):
+        injective_norm_estimate(T, PowerIterationSettings(restarts=0), seed=RngSeed(8))
+    with pytest.raises(ValueError, match="memory cap"):
+        injective_norm_estimate(T, PowerIterationSettings(restarts=MEMORY_CAP // n + 1), RngSeed(8))
+    x = sample_spike(SpikePrior.spherical(), n, RngSeed(8))
+    assert injective_norm_estimate(T, PowerIterationSettings(restarts=0), spike_start=x).converged
 
 
 def test_norm_estimate_dominates_discrete_max():
@@ -400,6 +438,28 @@ def test_chunked_starts_match_one_block(monkeypatch):
         assert int(np.argmin(np.linalg.norm(vectors - est.vector, axis=1))) == winner
         assert est.converged == converged[winner]
         assert est.value == pytest.approx(values[winner], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("d, n", [(3, 8), (4, 4)])
+def test_newton_stacks_fit_the_block_budget(d, n, monkeypatch):
+    # a chunk of starts fits the budget with its (rows, n^(d-1)) first
+    # contraction step, so a stack of their n x n Newton matrices fits it
+    # too; run as one block, these 40 starts propose up to 11 (d = 3) and
+    # 17 (d = 4) Newton steps at once, above the budget's 3 and 12 rows
+    budget = 3 * n ** (d - 1)
+    sizes = []
+    newton_steps = montecarlo._newton_steps
+
+    def recorded(tensor, x, g, f):
+        sizes.append(len(x) * n * n)
+        return newton_steps(tensor, x, g, f)
+
+    monkeypatch.setattr(montecarlo, "_BLOCK_BUDGET", budget)
+    monkeypatch.setattr(montecarlo, "_newton_steps", recorded)
+    T = sample_wigner(n, d, RngSeed(d))
+    est = injective_norm_estimate(T, PowerIterationSettings(restarts=40), RngSeed(d))
+    assert est.converged
+    assert max(sizes) <= budget
 
 
 def test_restarts_under_the_cap_step_in_chunks(monkeypatch):
