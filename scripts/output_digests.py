@@ -142,6 +142,11 @@ SIMULATE = [
      "--seed", "3"],
     ["simulate", "detect", "--prior", "spherical", "--test", "injective_norm", "--n", "30",
      "--d", "2", "--lambda", "2", "--trials", "4", "--seed", "5", "--records", RECORDS],
+    # tails in 10,000-pair chunks: three chunks, the last partial, at odd k = 33
+    ["simulate", "tails", "--prior", "rademacher", "--n", "33", "--trials", "25000", "--seed", "4"],
+    # two chunks whose sign draws follow each chunk's support draw
+    ["simulate", "tails", "--prior", "sparse", "--rho", "0.3", "--n", "45", "--trials", "12000",
+     "--seed", "2"],
 ]
 
 # one argv per simulate kind: detect --records, bbp, norms, tails, recover --records

@@ -119,14 +119,20 @@ class UnitVector:
 
 # A table is n^d orbit numbers plus d indices and a scale per orbit.  Six hold every
 # order of a run that cycles through (14..18, 3) and (8, 6), whose (8, 6) table takes
-# 25-40 ms to build, without letting a process keep every order it samples (one per
-# bbp task, up to 2.8 MB each at n = 450).
+# about 15 ms to build on a 2-core x86 machine, without letting a process keep every
+# order it samples (one per bbp task, up to 2.8 MB each at n = 450).
 @lru_cache(maxsize=6)
 def _orbit_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The orbit number of every entry (orbits in flat order of their sorted index),
     each orbit's sorted index as d rows, and the noise scale sqrt(2 / (n c)) of each
     orbit of c entries.  The arrays are shared by every caller, so they are read-only."""
-    idx = np.sort(np.indices((n,) * d, dtype=np.min_scalar_type(n)).reshape(d, -1), axis=0)
+    idx = np.indices((n,) * d, dtype=np.min_scalar_type(n)).reshape(d, -1)
+    low = np.empty_like(idx[0])
+    for p in range(d):  # odd-even transposition: d passes of min/max sort every column
+        for a, b in zip(idx[p % 2 : -1 : 2], idx[p % 2 + 1 :: 2]):
+            np.minimum(a, b, out=low)
+            np.maximum(a, b, out=b)
+            a[...] = low
     flat = np.ravel_multi_index(tuple(idx), (n,) * d)  # each entry's sorted index
     size = np.bincount(flat)  # c at each sorted index, 0 elsewhere
     first = size > 0  # at a sorted index p, column p of idx is p itself
@@ -229,12 +235,23 @@ def sample_sign_draws(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """The draws behind ``count`` spikes of a discrete prior: each row's k support
     coordinates as a (count, k) array (None when k = n, as for Rademacher: no
-    support is drawn) and its (count, k) int64 sign draws, 1 for +1/sqrt(k) and
-    0 for -1/sqrt(k).  The support comes first on the stream, from one uniform per
-    coordinate; the signs follow."""
+    support is drawn) and its (count, k) bool sign draws, True for +1/sqrt(k) and
+    False for -1/sqrt(k).  The support comes first on the stream, from one uniform
+    per coordinate; the signs follow.
+
+    The signs are ``rng.integers(0, 2, size=(count, k))`` bit for bit, without its
+    per-draw loop: Lemire's bounded draw on {0, 1} is the top bit of one 32-bit
+    word, and PCG64 (``default_rng``'s generator) hands out 32-bit words as the
+    low, then the high half of each raw 64-bit output.  That holds while ``rng``
+    caches no spare half-word, as after only 64-bit draws (``random``).  The
+    128-bit state afterwards is the one ``integers`` leaves; only the spare
+    half-word ``integers`` caches when count * k is odd is not kept, so a later
+    32-bit draw on ``rng`` would differ."""
     k = prior.nonzeros(n)
     support = None if k == n else np.argsort(rng.random((count, n)), axis=1)[:, :k]
-    return support, rng.integers(0, 2, size=(count, k))
+    raw = rng.bit_generator.random_raw((count * k + 1) // 2)
+    words = raw.astype("<u8", copy=False).view("<i4")  # 32-bit halves, low half first
+    return support, (words[: count * k] < 0).reshape(count, k)
 
 
 def sample_spiked(

@@ -156,7 +156,7 @@ def test_discrete_rows_are_the_sign_draws_on_their_support():
             uniforms = stream.random((count, n)) if k < n else None
             signs = stream.integers(0, 2, size=(count, k))
             support, bits = sample_sign_draws(prior, n, count, np.random.default_rng(seed))
-            assert bits.dtype == np.int64 and np.array_equal(bits, signs)
+            assert bits.dtype == bool and np.array_equal(bits, signs)
             if uniforms is None:
                 assert support is None
                 support = np.broadcast_to(np.arange(n), (count, n))
@@ -166,6 +166,33 @@ def test_discrete_rows_are_the_sign_draws_on_their_support():
             expected = np.zeros((count, n))
             np.put_along_axis(expected, support, (2.0 * bits - 1.0) / math.sqrt(k), axis=1)
             assert np.array_equal(rows, expected)
+
+
+# (n, count) per prior with count * k = 1, 3, 4 and 1,900,000 (a tails chunk of
+# 10,000 pairs at k = 95); the sparse rows all draw a support (k < n)
+SIGN_DRAW_SHAPES = {
+    SpikePrior.rademacher(): ((1, 1), (3, 1), (2, 2), (95, 20_000)),
+    SpikePrior.sparse(0.5): ((2, 1), (2, 3), (4, 2), (190, 20_000)),
+    SpikePrior.sparse(1.0): ((1, 1), (1, 3), (4, 1), (95, 20_000)),
+}
+
+
+@pytest.mark.parametrize("prior", list(SIGN_DRAW_SHAPES), ids=lambda p: p.label())
+def test_sign_draws_are_integers_zero_one(prior):
+    # the signs read the generator's raw words; they must stay integers(0, 2)
+    # bit for bit and leave the same 128-bit state, so a numpy whose integers
+    # changes fails here instead of moving seeded outputs
+    for n, count in SIGN_DRAW_SHAPES[prior]:
+        k = prior.nonzeros(n)
+        for seed in (0, 7, 2**64 - 1):
+            stream = np.random.default_rng(seed)
+            if k < n:
+                stream.random((count, n))
+            signs = stream.integers(0, 2, size=(count, k))
+            rng = np.random.default_rng(seed)
+            _, bits = sample_sign_draws(prior, n, count, rng)
+            assert bits.shape == (count, k) and np.array_equal(bits, signs), (n, count, seed)
+            assert rng.bit_generator.state["state"] == stream.bit_generator.state["state"]
 
 
 def test_spherical_spike_symmetry():
@@ -314,6 +341,22 @@ def test_orbit_table_cache_keeps_draws():
     assert np.array_equal(cold, draws[gather].reshape((n,) * d))
     with pytest.raises(ValueError):  # the cached table is shared, so it is read-only
         _orbit_table(n, d)[2][0] = 0.0
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (1, 7), (2, 16), (3, 12), (5, 9), (8, 6), (30, 3),
+                                  (255, 2), (256, 2)])
+def test_orbit_table_matches_the_sorted_reference(n, d):
+    # the min/max network sorts each column as np.sort does; 255 and 256 sit
+    # either side of the index dtype's switch from uint8 to uint16
+    idx = np.sort(np.indices((n,) * d, dtype=np.min_scalar_type(n)).reshape(d, -1), axis=0)
+    flat = np.ravel_multi_index(tuple(idx), (n,) * d)
+    size = np.bincount(flat)
+    first = size > 0
+    orbit = (np.cumsum(first) - 1)[flat]
+    expected = (orbit, idx[:, first], np.sqrt(2.0 / (n * size[first])))
+    _orbit_table.cache_clear()
+    for table, want in zip(_orbit_table(n, d), expected):
+        assert table.dtype == want.dtype and np.array_equal(table, want)
 
 
 def _dense_reference(n, d, x, seed):
