@@ -147,6 +147,11 @@ SIMULATE = [
     # two chunks whose sign draws follow each chunk's support draw
     ["simulate", "tails", "--prior", "sparse", "--rho", "0.3", "--n", "45", "--trials", "12000",
      "--seed", "2"],
+    # the trials of SIMULATE[10]'s bbp run, through recover: bbp is this run's d = 2 case
+    ["simulate", "recover", "--prior", "spherical", "--d", "2", "--test", "injective_norm",
+     "--n", "150", "--lambda", "2", "--trials", "3", "--seed", "7", "--records", RECORDS],
+    # on the prediction's boundary: snr > 1 is strict, so lambda = 1 predicts 2 and 0
+    ["simulate", "bbp", "--n", "60", "--lambda", "1", "--trials", "2", "--seed", "3"],
 ]
 
 # one argv per simulate kind: detect --records, bbp, norms, tails, recover --records

@@ -1,14 +1,13 @@
 """Phase-transition bounds and Monte Carlo checks for spiked Gaussian tensors."""
 
 from .montecarlo import (
-    BbpSummary,
     ExperimentConfig,
     ExperimentResult,
     NormEstimate,
     PowerIterationSettings,
     SupportTooLargeError,
     TrialRecord,
-    bbp_reference_experiment,
+    bbp_prediction,
     detection_experiment,
     injective_norm_estimate,
     injective_norm_experiment,

@@ -181,11 +181,18 @@ def cmd_simulate(args) -> int:
     seed = RngSeed(args.seed)
     spec = _output_spec(args)
 
+    # bbp is the d = 2 spherical recover run: the norm is the top eigenvalue, overlap^2 the alignment
     if args.subkind == "bbp":
-        summary = montecarlo.bbp_reference_experiment(args.n, args.snr, args.trials, seed)
+        config = ExperimentConfig(SpikePrior.spherical(), args.n, 2, args.snr, args.trials, seed,
+                                  test="injective_norm")
+        result = montecarlo.recovery_experiment(config)
+        eigenvalue, alignment_sq = montecarlo.bbp_prediction(args.snr)
+        row = _row(config, mean_top_eigenvalue=float(np.mean([r.statistic for r in result.records])),
+                   mean_alignment_sq=result.mean_overlap_pow_d,
+                   predicted_top_eigenvalue=eigenvalue, predicted_alignment_sq=alignment_sq)
         columns = ["n", "lambda", "trials", "mean_top_eigenvalue", "predicted_top_eigenvalue",
                    "mean_alignment_sq", "predicted_alignment_sq"]
-        write_table(columns, [_row(summary)], spec, {"command": "simulate_bbp"})
+        write_table(columns, [row], spec, {"command": "simulate_bbp"})
         return 0
 
     prior = _prior_from_args(args)

@@ -1,6 +1,6 @@
 """Seeded desk-scale experiments: exhaustive-search detection/recovery tests,
 injective-norm estimation (power iteration; one eigensolve at d = 2),
-empirical overlap tails, and the d=2 eigenvalue-transition reference check.
+empirical overlap tails, and the d = 2 eigenvalue-transition prediction.
 
 Determinism contract: every experiment is a pure function of its config.
 Trial k derives its own RNG stream (offset 2+k; paired designs use 2+2k and
@@ -448,14 +448,15 @@ def injective_norm_estimate(
 ) -> NormEstimate:
     """max <T, x^{(x)d}> over the sphere, and a unit vector attaining it.
 
-    At d = 2 it is exact: the top eigenpair of ``matrix_top_eigenpair``,
-    converged, with no restart drawn (``settings`` is checked but tunes
-    nothing).  At d >= 3 it is the best ascent value over random restarts
-    (plus optional spike start), a heuristic LOWER estimate, nondecreasing
-    along every run: ``_ascend``'s power steps, reversal damping and Newton
-    finish all pass one test, f(y) >= f(x), before they are taken.  The
-    starts are the spike (when given) followed by ``restarts`` standard
-    normal rows of the restart stream.  Ties go to the first best start.
+    At d = 2 it is exact: LAPACK's top eigenvector (the package's one
+    eigensolve), its value read off the vector, converged, with no restart
+    drawn (``settings`` is checked but tunes nothing).  At d >= 3 it is the
+    best ascent value over random restarts (plus optional spike start), a
+    heuristic LOWER estimate, nondecreasing along every run: ``_ascend``'s
+    power steps, reversal damping and Newton finish all pass one test,
+    f(y) >= f(x), before they are taken.  The starts are the spike (when
+    given) followed by ``restarts`` standard normal rows of the restart
+    stream.  Ties go to the first best start.
     """
     n = tensor.n
     if settings.restarts * n > MEMORY_CAP:
@@ -464,8 +465,10 @@ def injective_norm_estimate(
     if not total:
         raise ValueError("injective norm estimate needs a start: restarts = 0 and no spike start")
     if tensor.d == 2:
-        _, vector = matrix_top_eigenpair(tensor)
-        return NormEstimate(rank_one_inner(tensor, UnitVector(vector)), vector, True)
+        from scipy import linalg  # imported at its one use, so that other commands skip its import
+
+        _, vectors = linalg.eigh(tensor.entries, subset_by_index=[n - 1, n - 1])
+        return NormEstimate(rank_one_inner(tensor, UnitVector(vectors[:, 0])), vectors[:, 0], True)
     rng = (seed or RngSeed(0)).generator(RESTART_SUBSTREAM)
     # starts per chunk: the (rows, n^(d-1)) first step of a block contraction fits the budget
     rows = max(1, _BLOCK_BUDGET // n ** (tensor.d - 1))
@@ -513,17 +516,6 @@ def injective_norm_experiment(
     return [run_trial(k) for k in range(trials)]
 
 
-def matrix_top_eigenpair(tensor: SymmetricTensor) -> tuple[float, np.ndarray]:
-    """d=2 path: the top eigenvalue and a unit eigenvector, from LAPACK."""
-    if tensor.d != 2:
-        raise ValueError("matrix_top_eigenpair requires d = 2")
-    from scipy import linalg  # imported at its one use, so that other commands skip its import
-
-    n = tensor.n
-    values, vectors = linalg.eigh(tensor.entries, subset_by_index=[n - 1, n - 1])
-    return float(values[0]), vectors[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -538,6 +530,14 @@ def _arm_statistic(
     return value, argmax.coords
 
 
+def _spiked_arm(config: ExperimentConfig, seed: RngSeed) -> tuple[float, float]:
+    """The configured statistic of a spiked sample drawn from ``seed``, and
+    the overlap of its argmax with the spike."""
+    x, spiked = sample_spiked(config.prior, config.n, config.d, config.snr, seed)
+    value, vhat = _arm_statistic(config, spiked, seed)
+    return value, float(np.dot(x.coords, vhat))
+
+
 def detection_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Paired trials: one spiked and one unspiked sample per trial, the
     configured statistic thresholded at snr - eps (MLE) or the midpoint of
@@ -545,13 +545,11 @@ def detection_experiment(config: ExperimentConfig) -> ExperimentResult:
     when its statistic is >= the threshold."""
 
     def run_trial(k: int):
-        spiked_seed = config.seed.offset(2 + 2 * k)
+        s1, overlap = _spiked_arm(config, config.seed.offset(2 + 2 * k))
         unspiked_seed = config.seed.offset(3 + 2 * k)
-        x, spiked = sample_spiked(config.prior, config.n, config.d, config.snr, spiked_seed)
         unspiked = sample_wigner(config.n, config.d, unspiked_seed)
-        s1, v1 = _arm_statistic(config, spiked, spiked_seed)
         s0, _ = _arm_statistic(config, unspiked, unspiked_seed)
-        return s1, s0, float(np.dot(x.coords, v1))
+        return s1, s0, overlap
 
     spiked, unspiked, overlaps = map(np.array, zip(*[run_trial(k) for k in range(config.trials)]))
     if config.test == "mle":
@@ -584,14 +582,7 @@ def recovery_experiment(config: ExperimentConfig) -> ExperimentResult:
     of the spike and the overlap follows the plain two-spike overlap law;
     trial 0's sample_spiked rejects a negative snr before any statistic runs.
     """
-
-    def run_trial(k: int):
-        seed = config.seed.offset(2 + k)
-        x, spiked = sample_spiked(config.prior, config.n, config.d, config.snr, seed)
-        value, vhat = _arm_statistic(config, spiked, seed)
-        return value, float(np.dot(x.coords, vhat))
-
-    outcomes = [run_trial(k) for k in range(config.trials)]
+    outcomes = [_spiked_arm(config, config.seed.offset(2 + k)) for k in range(config.trials)]
     records = tuple(
         TrialRecord(k, "spiked", value, None, overlap)
         for k, (value, overlap) in enumerate(outcomes)
@@ -607,6 +598,17 @@ def recovery_experiment(config: ExperimentConfig) -> ExperimentResult:
         threshold=None,
         records=records,
     )
+
+
+def bbp_prediction(snr: float) -> tuple[float, float]:
+    """The n -> infinity top eigenvalue and squared spike alignment of a d = 2
+    spherical spiked matrix (Baik, Ben Arous & Peche, Ann. Probab. 33, 2005):
+    snr + 1/snr and 1 - 1/snr^2 for snr > 1 strictly, else the bulk edge 2
+    and 0.  At d = 2 they are the limits of the injective-norm statistic and
+    of mean_overlap_pow_d in ``recovery_experiment``."""
+    if snr > 1.0:
+        return snr + 1.0 / snr, 1.0 - 1.0 / snr**2
+    return 2.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -672,52 +674,3 @@ def overlap_tail_experiment(
         exact_rate = None if exact is None else tail_rate(exact, n)
         out.append(TailRow(t, tail, tail_rate(tail, n), rate_value, exact, exact_rate))
     return out
-
-
-@dataclass(frozen=True)
-class BbpSummary:
-    n: int
-    snr: float
-    trials: int
-    mean_top_eigenvalue: float
-    mean_alignment_sq: float
-    predicted_top_eigenvalue: float
-    predicted_alignment_sq: float
-    eigenvalues: tuple[float, ...]
-    alignments_sq: tuple[float, ...]
-
-
-def bbp_reference_experiment(
-    n: int,
-    snr: float,
-    trials: int,
-    seed: RngSeed,
-) -> BbpSummary:
-    """d=2 eigenvalue-transition check: top eigenvalue -> snr + 1/snr and
-    squared spike alignment -> 1 - 1/snr^2 above snr = 1 (2 and 0 below)."""
-    check_trials(trials)
-    prior = SpikePrior.spherical()
-
-    def run_trial(k: int):
-        x, spiked = sample_spiked(prior, n, 2, snr, seed.offset(2 + k))
-        eig, vec = matrix_top_eigenpair(spiked)
-        return eig, float(np.dot(vec, x.coords)) ** 2
-
-    outcomes = [run_trial(k) for k in range(trials)]
-    eigs = tuple(e for e, _ in outcomes)
-    aligns = tuple(a for _, a in outcomes)
-    if snr > 1.0:
-        pred_eig, pred_align = snr + 1.0 / snr, 1.0 - 1.0 / snr**2
-    else:
-        pred_eig, pred_align = 2.0, 0.0
-    return BbpSummary(
-        n=n,
-        snr=snr,
-        trials=trials,
-        mean_top_eigenvalue=float(np.mean(eigs)),
-        mean_alignment_sq=float(np.mean(aligns)),
-        predicted_top_eigenvalue=pred_eig,
-        predicted_alignment_sq=pred_align,
-        eigenvalues=eigs,
-        alignments_sq=aligns,
-    )

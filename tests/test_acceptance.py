@@ -19,7 +19,7 @@ from spiked_tensor import (
     RngSeed,
     SpikePrior,
     asymptotics,
-    bbp_reference_experiment,
+    bbp_prediction,
     detection_experiment,
     exact_overlap_tail,
     injective_norm_mu,
@@ -199,17 +199,23 @@ def test_criterion_7_monte_carlo_detection():
 
 
 def test_criterion_8_bbp_reference():
+    # simulate bbp's run: at d = 2 the injective norm is the top eigenvalue
     t0 = time.perf_counter()
-    summary = bbp_reference_experiment(1000, 2.0, 20, RngSeed(7))
+    config = ExperimentConfig(SpikePrior.spherical(), 1000, 2, 2.0, 20, RngSeed(7),
+                              test="injective_norm")
+    result = recovery_experiment(config)
     elapsed = time.perf_counter() - t0
+    mean_eig = float(np.mean([r.statistic for r in result.records]))
+    pred_eig, pred_align = bbp_prediction(2.0)
+    assert (pred_eig, pred_align) == (2.5, 0.75)
     ok = (
-        abs(summary.mean_top_eigenvalue - 2.5) <= 0.1
-        and abs(summary.mean_alignment_sq - 0.75) <= 0.05
+        abs(mean_eig - pred_eig) <= 0.1
+        and abs(result.mean_overlap_pow_d - pred_align) <= 0.05
     )
     _criterion(
         8, ok,
-        f"mean top eig {summary.mean_top_eigenvalue:.4f} (2.5 +- 0.1); "
-        f"mean <v,x>^2 {summary.mean_alignment_sq:.4f} (0.75 +- 0.05)",
+        f"mean top eig {mean_eig:.4f} (2.5 +- 0.1); "
+        f"mean <v,x>^2 {result.mean_overlap_pow_d:.4f} (0.75 +- 0.05)",
         elapsed, 120.0,
     )
 

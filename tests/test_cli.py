@@ -9,6 +9,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spiked_tensor.cli import build_parser, main
@@ -181,6 +182,23 @@ def test_simulate_bbp_smoke(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert float(rows[0]["mean_top_eigenvalue"]) == pytest.approx(2.5, abs=0.25)
+
+
+def test_simulate_bbp_is_the_d2_spherical_recover_run(tmp_path, capsys):
+    # at d = 2 the injective norm is the top eigenvalue and overlap^d the squared alignment
+    common = ["--n", "80", "--lambda", "1.7", "--trials", "4", "--seed", "3", "--precision", "17"]
+    code, out = run_cli(["simulate", "bbp", *common], capsys)
+    assert code == 0
+    _, (bbp,) = parse_csv(out)
+    records = tmp_path / "records.csv"
+    code, out = run_cli(["simulate", "recover", "--prior", "spherical", "--d", "2",
+                         "--test", "injective_norm", *common, "--records", str(records)], capsys)
+    assert code == 0
+    _, (recover,) = parse_csv(out)
+    _, trials = parse_csv(records.read_text())
+    assert bbp["mean_alignment_sq"] == recover["mean_overlap_pow_d"]
+    mean = float(np.mean([float(r["statistic"]) for r in trials]))
+    assert bbp["mean_top_eigenvalue"] == format(mean, ".17g")
 
 
 def test_simulate_records_file(tmp_path, capsys):

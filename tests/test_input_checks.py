@@ -20,7 +20,6 @@ from spiked_tensor import (
     spiked_norm_lower_Ld,
     upper_bound_spherical,
 )
-from spiked_tensor.montecarlo import matrix_top_eigenpair
 from spiked_tensor.output import OutputSpec
 from spiked_tensor.tensors import check_memory_cap
 from spiked_tensor.thresholds import LowerBoundResult
@@ -35,7 +34,6 @@ def _zeros(n: int, d: int) -> SymmetricTensor:
 CALLS = {
     "config_unknown_test": lambda: ExperimentConfig(RADE, 6, 3, 1.0, 2, RngSeed(0), test="map"),
     "mle_shape": lambda: mle_statistic(_zeros(4, 3), RADE, 5, 3),
-    "eigenpair_d3": lambda: matrix_top_eigenpair(_zeros(3, 3)),
     "seed_negative_stream": lambda: RngSeed(0, stream=-1),
     "unit_vector_norm": lambda: UnitVector(np.array([1.0, 1.0])),
     "memory_cap_n0": lambda: check_memory_cap(0, 3),

@@ -12,7 +12,7 @@ from spiked_tensor import (
     SpikePrior,
     SupportTooLargeError,
     SymmetricTensor,
-    bbp_reference_experiment,
+    bbp_prediction,
     detection_experiment,
     exact_overlap_tail,
     injective_norm_estimate,
@@ -28,7 +28,7 @@ from spiked_tensor import (
     sample_spiked,
     sample_wigner,
 )
-from spiked_tensor import montecarlo
+from spiked_tensor import cli, montecarlo
 from spiked_tensor.montecarlo import _ascend, _candidate_chunks
 from spiked_tensor.rng import RESTART_SUBSTREAM
 from spiked_tensor.tensors import MEMORY_CAP, UnitVector, contract
@@ -216,6 +216,8 @@ def test_d2_estimates_are_one_eigensolve(monkeypatch):
     for result in (detection_experiment(config), recovery_experiment(config)):
         assert result.records[0].arm == "spiked"
         assert result.records[0].statistic == pytest.approx(top0, rel=1e-14, abs=0)
+    # and simulate bbp, which is that recovery run
+    assert cli.main(["simulate", "bbp", "--n", str(n), "--lambda", "2", "--trials", "2"]) == 0
 
 
 def test_d2_estimate_checks_its_settings(monkeypatch):
@@ -484,14 +486,19 @@ def test_restarts_under_the_cap_step_in_chunks(monkeypatch):
     assert rows * n ** (d - 1) <= montecarlo._BLOCK_BUDGET < restarts * n ** (d - 1)
 
 
+def _bbp_run(n: int, snr: float, trials: int, seed: RngSeed):
+    """simulate bbp's run: the d = 2 spherical recovery run of the injective norm."""
+    config = ExperimentConfig(SpikePrior.spherical(), n, 2, snr, trials, seed, test="injective_norm")
+    return recovery_experiment(config)
+
+
 @pytest.mark.parametrize("snr", [0.8, 1.5])
 def test_bbp_trial_eigenvalues_are_exact(snr):
     # near the transition the spectral gap is small; the eigensolve must not care
     seed = RngSeed(5)
-    summary = bbp_reference_experiment(400, snr, 3, seed)
-    for k, eig in enumerate(summary.eigenvalues):
-        _, sample = sample_spiked(SpikePrior.spherical(), 400, 2, snr, seed.offset(2 + k))
-        assert abs(eig - float(np.linalg.eigvalsh(sample.entries)[-1])) <= 1e-12
+    for record in _bbp_run(400, snr, 3, seed).records:
+        _, sample = sample_spiked(SpikePrior.spherical(), 400, 2, snr, seed.offset(2 + record.trial))
+        assert abs(record.statistic - float(np.linalg.eigvalsh(sample.entries)[-1])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -707,13 +714,13 @@ def test_overlap_tail_deterministic_per_seed():
 
 
 def test_bbp_subcritical():
-    summary = bbp_reference_experiment(1000, 0.5, 10, RngSeed(11))
-    assert summary.predicted_top_eigenvalue == 2.0
-    assert abs(summary.mean_top_eigenvalue - 2.0) < 0.1
-    assert summary.mean_alignment_sq < 0.1
+    result = _bbp_run(1000, 0.5, 10, RngSeed(11))
+    assert bbp_prediction(0.5) == (2.0, 0.0)
+    assert abs(np.mean([r.statistic for r in result.records]) - 2.0) < 0.1
+    assert result.mean_overlap_pow_d < 0.1
 
 
 def test_bbp_deterministic():
-    a = bbp_reference_experiment(200, 2.0, 4, RngSeed(2))
-    b = bbp_reference_experiment(200, 2.0, 4, RngSeed(2))
+    a = _bbp_run(200, 2.0, 4, RngSeed(2))
+    b = _bbp_run(200, 2.0, 4, RngSeed(2))
     assert a == b
