@@ -152,6 +152,12 @@ SIMULATE = [
      "--n", "150", "--lambda", "2", "--trials", "3", "--seed", "7", "--records", RECORDS],
     # on the prediction's boundary: snr > 1 is strict, so lambda = 1 predicts 2 and 0
     ["simulate", "bbp", "--n", "60", "--lambda", "1", "--trials", "2", "--seed", "3"],
+    # a step budget that some start runs out of (an unconverged row)
+    ["simulate", "norms", "--prior", "spherical", "--n", "20", "--d", "3", "--trials", "2",
+     "--seed", "5", "--restarts", "3", "--max-iters", "40"],
+    ["simulate", "detect", "--prior", "spherical", "--test", "injective_norm", "--n", "12",
+     "--d", "4", "--lambda", "3", "--trials", "2", "--seed", "6", "--restarts", "5",
+     "--max-iters", "200", "--records", RECORDS],
 ]
 
 # one argv per simulate kind: detect --records, bbp, norms, tails, recover --records

@@ -207,13 +207,18 @@ def cmd_simulate(args) -> int:
         )
         return 0
 
-    settings = PowerIterationSettings(args.restarts, args.max_iters, args.tol)
+    settings = PowerIterationSettings(args.restarts, args.max_iters)
     d = _parse_order(args.d)
+    _check_writable(getattr(args, "records", None))  # detect and recover's; before any trial runs
+    # norms reads no --test (it runs the one statistic), recover and norms no --epsilon
+    config = ExperimentConfig(
+        prior=prior, n=args.n, d=d, snr=args.snr, trials=args.trials, seed=seed,
+        test=getattr(args, "test", "injective_norm"), epsilon=getattr(args, "epsilon", None),
+        power_iter=settings,
+    )
 
     if args.subkind == "norms":
-        estimates = montecarlo.injective_norm_experiment(
-            prior, args.n, d, args.snr, args.trials, seed, settings
-        )
+        estimates = montecarlo.injective_norm_experiment(config)
         write_table(
             ["trial", "estimate", "converged"],
             [_row(est, trial=k) for k, est in enumerate(estimates)], spec,
@@ -221,11 +226,6 @@ def cmd_simulate(args) -> int:
         )
         return 0
 
-    _check_writable(args.records)  # detect and recover write it; before any trial runs
-    config = ExperimentConfig(
-        prior=prior, n=args.n, d=d, snr=args.snr, trials=args.trials, seed=seed, test=args.test,
-        epsilon=args.epsilon if args.subkind == "detect" else None, power_iter=settings,
-    )
     columns = ["test", "n", "d", "lambda", "trials"]
     if args.subkind == "detect":
         result = montecarlo.detection_experiment(config)
@@ -270,7 +270,6 @@ _FLAGS = {
                     help="comma list of t values"),
     "--restarts": dict(type=int, default=20),
     "--max-iters": dict(type=int, default=500),
-    "--tol": dict(type=float, default=1e-10),
     "--records": dict(default=None, help="write per-trial CSV to this path"),
     "--threads": dict(type=int, default=1, help=f"accepted, 1..{MAX_THREADS}; changes no work"),
     "--out": dict(default=None, help="output path (default stdout)"),
@@ -278,7 +277,7 @@ _FLAGS = {
     "--precision": dict(type=int, default=9),
 }
 _ORDER = ("--d", dict(default="3", help="one order"))
-_POWER = ("--restarts", "--max-iters", "--tol")
+_POWER = ("--restarts", "--max-iters")
 _EXPERIMENT = ("--prior", "--rho", "--seed", "--n", _ORDER, "--lambda", "--trials", "--test")
 # the flags each command reads, besides the four that every command takes
 _COMMANDS = {

@@ -78,6 +78,9 @@ _BLOCK_BUDGET = 1 << 22  # scalars in one block of candidate values, per side bl
 # a row whose last taken step moved less than this, with no failed attempt
 # since, proposes a Newton step (the power step's linear tail is then slow)
 _NEWTON_TRIGGER = 1e-3
+# a row whose taken step moves less than this ends converged; with the Newton
+# finish, 1e-12 or 1e-14 in its place moved no printed digit (README)
+_STEP_TOL = 1e-10
 _TAIL_CHUNK = 10_000  # spike pairs per overlap-tail chunk; chunk c draws from stream 2+c
 
 TESTS = ("mle", "injective_norm")
@@ -91,15 +94,12 @@ class SupportTooLargeError(ValueError):
 class PowerIterationSettings:
     restarts: int = 20
     max_iters: int = 500
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.restarts < 0:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0 <= self.tol < math.inf:
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ class NormEstimate:
 
 
 def _ascend(
-    tensor: SymmetricTensor, starts: np.ndarray, max_iters: int, tol: float
+    tensor: SymmetricTensor, starts: np.ndarray, max_iters: int, tol: float = _STEP_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value, unit vector and convergence flag of the ascent from each row of
     ``starts`` (d >= 3), all rows stepped in lockstep.
@@ -480,7 +480,7 @@ def injective_norm_estimate(
             starts = np.vstack([spike_start.coords, rng.standard_normal((count - 1, n))])
         else:
             starts = rng.standard_normal((count, n))
-        values, vectors, converged = _ascend(tensor, starts, settings.max_iters, settings.tol)
+        values, vectors, converged = _ascend(tensor, starts, settings.max_iters)
         i = int(np.argmax(values))
         if best is None or values[i] > best[0]:
             best = values[i], vectors[i].copy(), bool(converged[i])
@@ -490,30 +490,24 @@ def injective_norm_estimate(
     return NormEstimate(rank_one_inner(tensor, UnitVector(vector)), vector, converged)
 
 
-def injective_norm_experiment(
-    prior: SpikePrior,
-    n: int,
-    d: int,
-    snr: float,
-    trials: int,
-    seed: RngSeed,
-    settings: PowerIterationSettings = PowerIterationSettings(),
-) -> list[NormEstimate]:
-    """Injective-norm estimates of one sample per trial, in trial order.
+def injective_norm_experiment(config: ExperimentConfig) -> list[NormEstimate]:
+    """Injective-norm estimates of one sample per trial, in trial order, for a
+    config of the injective_norm test.
 
     Trial k samples from stream 2+k: a plain Wigner tensor at snr = 0, else a
     spiked one whose spike is also a start of the power iteration.
     """
-    check_trials(trials)
+    if config.test != "injective_norm":
+        raise ValueError(f"a norm experiment runs test 'injective_norm', not {config.test!r}")
 
     def run_trial(k: int) -> NormEstimate:
-        trial_seed = seed.offset(2 + k)
-        if snr != 0:  # sample_spiked rejects a negative or non-finite snr
-            x, tensor = sample_spiked(prior, n, d, snr, trial_seed)
-            return injective_norm_estimate(tensor, settings, trial_seed, spike_start=x)
-        return injective_norm_estimate(sample_wigner(n, d, trial_seed), settings, trial_seed)
+        seed, settings = config.seed.offset(2 + k), config.power_iter
+        if config.snr != 0:  # sample_spiked rejects a negative snr
+            x, tensor = sample_spiked(config.prior, config.n, config.d, config.snr, seed)
+            return injective_norm_estimate(tensor, settings, seed, spike_start=x)
+        return injective_norm_estimate(sample_wigner(config.n, config.d, seed), settings, seed)
 
-    return [run_trial(k) for k in range(trials)]
+    return [run_trial(k) for k in range(config.trials)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ Stream conventions used throughout the package:
 
 * substream 0 of a seed draws the spike, substream 1 draws the noise tensor
   (so a spiked sample and a pure-noise sample under the same seed share the
-  same noise realization), substream 2 draws the power iteration's restart
-  vectors;
+  same noise realization), substream 2 draws the restart vectors of the
+  d >= 3 ascent (a d = 2 estimate is one eigensolve and draws none);
 * Monte Carlo experiments give trial ``k`` the stream offset ``2 + k``
   (paired designs use ``2 + 2k`` for the spiked arm and ``3 + 2k`` for the
-  unspiked arm).
+  unspiked arm);
+* ``simulate tails`` draws the spike pairs of chunk ``c`` (10,000 pairs per
+  chunk) from offset ``2 + c`` on substream 0.
 """
 
 from __future__ import annotations

@@ -199,6 +199,7 @@ def _noise_values(n: int, d: int, seed: RngSeed) -> np.ndarray:
 
 def rank_one(x: UnitVector, d: int) -> SymmetricTensor:
     """x^{(x)d} with bit-exact symmetry: one product per orbit, gathered."""
+    check_memory_cap(x.n, d)
     return _gather(x.n, d, _rank_one_values(x.coords, d))
 
 

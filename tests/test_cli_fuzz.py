@@ -125,7 +125,6 @@ SIMULATE_VALID = {
     "--epsilon": [[], ["--epsilon", "0.1"], ["--epsilon", "-1"]],
     "--tgrid": [[], ["--tgrid", "0,0.5"], ["--tgrid", "0,0.5,1"], ["--tgrid", "0.25"]],
     "--max-iters": [[], ["--max-iters", "5"], ["--max-iters", "30"]],
-    "--tol": [[], ["--tol", "1e-6"], ["--tol", "0"]],
     "--format": [[], ["--format", "csv"], ["--format", "json"]],
     "--threads": [[], ["--threads", "1"], ["--threads", "2"]],
     "--precision": [[], ["--precision", "1"], ["--precision", "17"]],
@@ -139,8 +138,8 @@ SIMULATE_INVALID = [
     ["--lambda", "-1"], ["--lambda", "inf"], ["--lambda", "1e200"], ["--test", "map"],
     ["--epsilon", "inf"], ["--tgrid", ","], ["--tgrid", "1.5"], ["--tgrid", "-0.5"],
     ["--tgrid", "nan"], ["--restarts", "0"], ["--restarts", "-1"], ["--max-iters", "0"],
-    ["--tol", "nan"], ["--tol", "-1"], ["--threads", "0"], ["--threads", "300"],
-    ["--precision", "0"], ["--precision", "-2"], ["--records", "/dev/null/r.csv"],
+    ["--threads", "0"], ["--threads", "300"], ["--precision", "0"], ["--precision", "-2"],
+    ["--records", "/dev/null/r.csv"],
 ]
 
 

@@ -50,6 +50,7 @@ CALLS = {
     "upper_spherical_d2": lambda: upper_bound_spherical(2),
     "tail_t_above_1": lambda: exact_overlap_tail(RADE, 10, 1.5),
     "replica_d1": lambda: replica.fixed_points(SPHERE, 1, 1.0),
+    "appearance_snr_d1": lambda: replica.spherical_appearance_snr(1),
     "report_order": lambda: ThresholdReport(
         SPHERE, 3, 2.0, 1.0, LowerBoundResult(2.0, 0.5, False, 0.0)
     ),

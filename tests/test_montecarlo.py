@@ -208,7 +208,8 @@ def test_d2_estimates_are_one_eigensolve(monkeypatch):
         assert est.converged
         assert est.value == pytest.approx(top, rel=1e-14, abs=0)
     for snr in (0.0, 2.0):
-        assert all(est.converged for est in injective_norm_experiment(prior, n, 2, snr, 3, seed))
+        config = ExperimentConfig(prior, n, 2, snr, 3, seed, test="injective_norm")
+        assert all(est.converged for est in injective_norm_experiment(config))
     # trial 0 of either experiment samples its spiked tensor from stream 2
     config = ExperimentConfig(prior, n, 2, 2.0, 4, seed, test="injective_norm")
     _, T0 = sample_spiked(prior, n, 2, 2.0, seed.offset(2))
@@ -300,8 +301,9 @@ def test_norm_estimate_value_is_its_vectors_objective(d, n):
 def test_norm_experiment_trial_streams(snr):
     # trial k samples from stream 2+k and starts at the spike when snr != 0
     prior, seed, settings = SpikePrior.rademacher(), RngSeed(4), PowerIterationSettings(restarts=3)
-    estimates = injective_norm_experiment(prior, 8, 3, snr, 3, seed, settings)
-    again = injective_norm_experiment(prior, 8, 3, snr, 3, seed, settings)
+    config = ExperimentConfig(prior, 8, 3, snr, 3, seed, "injective_norm", power_iter=settings)
+    estimates = injective_norm_experiment(config)
+    again = injective_norm_experiment(config)
     for k, (est, other) in enumerate(zip(estimates, again, strict=True)):
         assert (est.value, est.converged) == (other.value, other.converged)
         trial_seed = seed.offset(2 + k)
@@ -312,8 +314,10 @@ def test_norm_experiment_trial_streams(snr):
             ref = injective_norm_estimate(sample_wigner(8, 3, trial_seed), settings, trial_seed)
         assert (est.value, est.converged) == (ref.value, ref.converged)
         assert np.array_equal(est.vector, ref.vector)
-    with pytest.raises(ValueError):
-        injective_norm_experiment(prior, 8, 3, snr, 0, seed, settings)
+    with pytest.raises(ValueError, match="trials"):
+        ExperimentConfig(prior, 8, 3, snr, 0, seed, "injective_norm", power_iter=settings)
+    with pytest.raises(ValueError, match="injective_norm"):
+        injective_norm_experiment(ExperimentConfig(prior, 8, 3, snr, 3, seed))
 
 
 def _plain_step_descends(T, start):
@@ -369,7 +373,7 @@ def test_ascent_never_lowers_the_value(n, d, seed, monkeypatch):
 def test_most_restarts_converge(n, d, seed):
     settings = PowerIterationSettings()
     starts = RngSeed(seed).generator(RESTART_SUBSTREAM).standard_normal((settings.restarts, n))
-    _, _, converged = _ascend(sample_wigner(n, d, RngSeed(seed)), starts, settings.max_iters, settings.tol)
+    _, _, converged = _ascend(sample_wigner(n, d, RngSeed(seed)), starts, settings.max_iters)
     assert converged.sum() >= 15
 
 
@@ -382,7 +386,7 @@ def test_oscillating_start_converges():
     T = sample_wigner(n, d, seed)
     settings = PowerIterationSettings()
     starts = seed.generator(RESTART_SUBSTREAM).standard_normal((settings.restarts, n))
-    values, vectors, converged = _ascend(T, starts, settings.max_iters, settings.tol)
+    values, vectors, converged = _ascend(T, starts, settings.max_iters)
     assert converged.all()
     assert values[5] == pytest.approx(1.974277784, abs=1e-9)
     assert np.linalg.norm(contract(T, vectors[5]) - values[5] * vectors[5]) <= 1e-8 * values[5]
@@ -407,7 +411,7 @@ def test_singular_newton_matrix_leaves_power_steps(monkeypatch):
 def test_stalled_start_ends_converged():
     # at tol = 0 a start near its maximum stops ascending; 80 failed attempts
     # in a row end it where it is instead of doubling its shift forever
-    settings = PowerIterationSettings(tol=0.0)
+    settings = PowerIterationSettings()
     starts = RngSeed(4).generator(RESTART_SUBSTREAM).standard_normal((settings.restarts, 12))
     values, _, converged = _ascend(sample_wigner(12, 3, RngSeed(4)), starts, settings.max_iters, 0.0)
     assert np.isfinite(values).all()
@@ -422,7 +426,7 @@ def test_chunked_starts_match_one_block(monkeypatch):
     settings = PowerIterationSettings(restarts=10)
     whole = injective_norm_estimate(T, settings, seed, spike_start=x)
     starts = np.vstack([x.coords, seed.generator(RESTART_SUBSTREAM).standard_normal((10, n))])
-    values, vectors, converged = _ascend(T, starts, settings.max_iters, settings.tol)
+    values, vectors, converged = _ascend(T, starts, settings.max_iters)
     winner = int(np.argmax(values))
 
     blocks = []

@@ -81,6 +81,8 @@ def test_spherical_tangency_bisection_steps(monkeypatch):
 def test_bisect_root_endpoint_root():
     res = bisect_root(lambda x: x, 0.0, 1.0)
     assert res.root == 0.0
+    res = bisect_root(lambda x: x - 1.0, 0.0, 1.0)
+    assert res.root == 1.0
 
 
 def test_geometric_grid_covers_boundary_layers():

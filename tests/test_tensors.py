@@ -20,9 +20,11 @@ from spiked_tensor import (
     sample_spiked,
     sample_wigner,
 )
+from spiked_tensor import tensors
 from spiked_tensor.rng import NOISE_SUBSTREAM, SPIKE_SUBSTREAM
 from spiked_tensor.tensors import (
     DimensionMismatchError,
+    UnitVector,
     _orbit_table,
     check_memory_cap,
     round_half_up,
@@ -231,16 +233,12 @@ def test_d2_top_eigenvalue_pushout():
 
 
 def test_rank_one_inner_hand_example():
-    from spiked_tensor.tensors import UnitVector
-
     T = SymmetricTensor(2, 2, np.array([[1.0, 2.0], [2.0, 3.0]]))
     x = UnitVector(np.array([1.0, 1.0]) / math.sqrt(2))
     assert abs(rank_one_inner(T, x) - 4.0) < 1e-12
 
 
 def test_rank_one_inner_disjoint_support():
-    from spiked_tensor.tensors import UnitVector
-
     e1 = UnitVector(np.array([1.0, 0.0]))
     e2 = UnitVector(np.array([0.0, 1.0]))
     T = rank_one(e1, 3)
@@ -428,6 +426,14 @@ def test_memory_cap_enforced():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_rank_one_checks_the_memory_cap(monkeypatch):
+    # rank_one builds the orbit table itself, so it checks the cap as the samplers do
+    monkeypatch.setattr(tensors, "MEMORY_CAP", 100)
+    x = UnitVector(np.eye(10)[0])
+    with pytest.raises(MemoryCapError):
+        rank_one(x, 3)  # 3 * 10^3 index entries > 100
 
 
 def test_sampling_work_budget():
