@@ -158,6 +158,11 @@ SIMULATE = [
     ["simulate", "detect", "--prior", "spherical", "--test", "injective_norm", "--n", "12",
      "--d", "4", "--lambda", "3", "--trials", "2", "--seed", "6", "--restarts", "5",
      "--max-iters", "200", "--records", RECORDS],
+    # the no-spike null run: norms at lambda = 0 draws no spike, so an empty support passes
+    ["simulate", "norms", "--prior", "sparse", "--rho", "0.01", "--n", "10", "--d", "3",
+     "--lambda", "0", "--trials", "2", "--seed", "1"],
+    ["simulate", "recover", "--prior", "rademacher", "--test", "mle", "--n", "10", "--d", "3",
+     "--lambda", "0", "--trials", "4", "--seed", "2", "--records", RECORDS],
 ]
 
 # one argv per simulate kind: detect --records, bbp, norms, tails, recover --records

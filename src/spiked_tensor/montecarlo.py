@@ -4,8 +4,10 @@ empirical overlap tails, and the d = 2 eigenvalue-transition prediction.
 
 Determinism contract: every experiment is a pure function of its config.
 Trial k derives its own RNG stream (offset 2+k; paired designs use 2+2k and
-3+2k for the two arms), and aggregation is an ordered fold over per-trial
-records, so results are bit-identical across runs.
+3+2k for the two arms), every spiked sample of a detect, recover, norms or
+bbp run is drawn and scored by one arm (a norms run at snr = 0 draws a plain
+Wigner tensor and no spike), and each result is one ordered fold over the
+per-trial records, so results are bit-identical across runs.
 
 Overlap tails of the discrete priors are counts on the lattice: each pair's
 overlap is the exact integer s = k<x,x'> computed from the sign draws (no
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +66,7 @@ from .tensors import (
     SpikePrior,
     SymmetricTensor,
     UnitVector,
+    check_snr,
     contract,
     contract_leading,
     rank_one_inner,
@@ -118,8 +121,7 @@ class ExperimentConfig:
         if self.test not in TESTS:
             raise ValueError(f"unknown test {self.test!r}; expected one of {TESTS}")
         check_trials(self.trials)
-        if not math.isfinite(self.snr):
-            raise ValueError(f"snr must be finite, got {self.snr}")
+        check_snr(self.snr)  # before trial 0, in sample_spiked's words
         if self.epsilon is not None and not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.test == "mle":
@@ -160,7 +162,6 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    trials: int
     accuracy: float | None
     type_i_rate: float | None
     type_ii_rate: float | None
@@ -494,42 +495,61 @@ def injective_norm_experiment(config: ExperimentConfig) -> list[NormEstimate]:
     """Injective-norm estimates of one sample per trial, in trial order, for a
     config of the injective_norm test.
 
-    Trial k samples from stream 2+k: a plain Wigner tensor at snr = 0, else a
-    spiked one whose spike is also a start of the power iteration.
+    Trial k samples from stream 2+k: a spiked arm whose spike is also a start
+    of the ascent, or at snr = 0 a plain Wigner tensor, with no spike drawn.
     """
     if config.test != "injective_norm":
         raise ValueError(f"a norm experiment runs test 'injective_norm', not {config.test!r}")
-
-    def run_trial(k: int) -> NormEstimate:
-        seed, settings = config.seed.offset(2 + k), config.power_iter
-        if config.snr != 0:  # sample_spiked rejects a negative snr
-            x, tensor = sample_spiked(config.prior, config.n, config.d, config.snr, seed)
-            return injective_norm_estimate(tensor, settings, seed, spike_start=x)
-        return injective_norm_estimate(sample_wigner(config.n, config.d, seed), settings, seed)
-
-    return [run_trial(k) for k in range(config.trials)]
+    seeds = (config.seed.offset(2 + k) for k in range(config.trials))
+    if config.snr:
+        return [_spiked_arm(config, seed, start_at_spike=True)[0] for seed in seeds]
+    return [_statistic(config, sample_wigner(config.n, config.d, seed), seed) for seed in seeds]
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
-def _arm_statistic(
-    config: ExperimentConfig, tensor: SymmetricTensor, arm_seed: RngSeed
-) -> tuple[float, np.ndarray]:
+def _statistic(
+    config: ExperimentConfig, tensor: SymmetricTensor, seed: RngSeed, start: UnitVector | None = None
+) -> NormEstimate:
+    """The configured test's statistic of ``tensor``; ``seed`` and ``start``
+    seed the injective ascent.  An exhaustive maximum is exact, so converged."""
     if config.test == "injective_norm":
-        est = injective_norm_estimate(tensor, config.power_iter, seed=arm_seed)
-        return est.value, est.vector
+        return injective_norm_estimate(tensor, config.power_iter, seed, start)
     value, argmax = mle_statistic(tensor, config.prior, config.n, config.d)
-    return value, argmax.coords
+    return NormEstimate(value, argmax.coords, True)
 
 
-def _spiked_arm(config: ExperimentConfig, seed: RngSeed) -> tuple[float, float]:
-    """The configured statistic of a spiked sample drawn from ``seed``, and
-    the overlap of its argmax with the spike."""
+def _spiked_arm(
+    config: ExperimentConfig, seed: RngSeed, start_at_spike: bool = False
+) -> tuple[NormEstimate, float]:
+    """The configured statistic of a spiked sample drawn from ``seed`` (its
+    spike also a start of the ascent if ``start_at_spike``), and the overlap
+    of its argmax with the spike; the one path that draws a spiked sample."""
     x, spiked = sample_spiked(config.prior, config.n, config.d, config.snr, seed)
-    value, vhat = _arm_statistic(config, spiked, seed)
-    return value, float(np.dot(x.coords, vhat))
+    est = _statistic(config, spiked, seed, x if start_at_spike else None)
+    return est, float(np.dot(x.coords, est.vector))
+
+
+def _summary(
+    config: ExperimentConfig, records: list[TrialRecord], threshold: float | None = None
+) -> ExperimentResult:
+    """An experiment's result, folded over its records in trial order: each
+    record decides at ``threshold`` (a recovery run has none and decides
+    nothing), and the rates and overlap means are means over the arms."""
+    overlaps = np.array([r.overlap for r in records if r.arm == "spiked"])
+    rates = dict.fromkeys(("accuracy", "type_i_rate", "type_ii_rate"))
+    if threshold is not None:
+        records = [replace(r, decision=int(r.statistic >= threshold)) for r in records]
+        hits = sum(r.decision for r in records if r.arm == "spiked")
+        alarms = sum(r.decision for r in records if r.arm == "unspiked")
+        trials = len(overlaps)
+        rates = dict(accuracy=(hits + trials - alarms) / (2 * trials), type_i_rate=alarms / trials,
+                     type_ii_rate=(trials - hits) / trials)
+    return ExperimentResult(**rates, mean_abs_overlap=float(np.mean(np.abs(overlaps))),
+                            mean_overlap_pow_d=float(np.mean(overlaps**config.d)),
+                            threshold=threshold, records=tuple(records))
 
 
 def detection_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -537,61 +557,29 @@ def detection_experiment(config: ExperimentConfig) -> ExperimentResult:
     configured statistic thresholded at snr - eps (MLE) or the midpoint of
     the two arms' mean statistics (injective).  An arm is declared spiked
     when its statistic is >= the threshold."""
-
-    def run_trial(k: int):
-        s1, overlap = _spiked_arm(config, config.seed.offset(2 + 2 * k))
-        unspiked_seed = config.seed.offset(3 + 2 * k)
-        unspiked = sample_wigner(config.n, config.d, unspiked_seed)
-        s0, _ = _arm_statistic(config, unspiked, unspiked_seed)
-        return s1, s0, overlap
-
-    spiked, unspiked, overlaps = map(np.array, zip(*[run_trial(k) for k in range(config.trials)]))
-    if config.test == "mle":
-        threshold = config.snr - config.threshold_margin
-    else:
-        threshold = 0.5 * (float(spiked.mean()) + float(unspiked.mean()))
-    hits, alarms = spiked >= threshold, unspiked >= threshold
     records = []
-    for k, (s1, s0, overlap, d1, d0) in enumerate(
-        zip(spiked.tolist(), unspiked.tolist(), overlaps.tolist(), hits.tolist(), alarms.tolist())
-    ):
-        records.append(TrialRecord(k, "spiked", s1, int(d1), overlap))
-        records.append(TrialRecord(k, "unspiked", s0, int(d0), math.nan))
-    return ExperimentResult(
-        trials=config.trials,
-        accuracy=float(np.concatenate([hits, ~alarms]).mean()),
-        type_i_rate=float(alarms.mean()),
-        type_ii_rate=float((~hits).mean()),
-        mean_abs_overlap=float(np.mean(np.abs(overlaps))),
-        mean_overlap_pow_d=float(np.mean(overlaps**config.d)),
-        threshold=threshold,
-        records=tuple(records),
-    )
+    for k in range(config.trials):
+        est, overlap = _spiked_arm(config, config.seed.offset(2 + 2 * k))
+        null_seed = config.seed.offset(3 + 2 * k)
+        null = _statistic(config, sample_wigner(config.n, config.d, null_seed), null_seed)
+        records += [TrialRecord(k, "spiked", est.value, None, overlap),
+                    TrialRecord(k, "unspiked", null.value, None, math.nan)]
+    if config.test == "mle":
+        return _summary(config, records, config.snr - config.threshold_margin)
+    # the records alternate spiked, unspiked
+    spiked, unspiked = (float(np.mean([r.statistic for r in records[i::2]])) for i in (0, 1))
+    return _summary(config, records, 0.5 * (spiked + unspiked))
 
 
 def recovery_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Spiked samples only; reports the statistic argmax's overlap with the spike.
 
     snr = 0 is allowed as the null reference: the argmax is then independent
-    of the spike and the overlap follows the plain two-spike overlap law;
-    trial 0's sample_spiked rejects a negative snr before any statistic runs.
+    of the spike and the overlap follows the plain two-spike overlap law.
     """
-    outcomes = [_spiked_arm(config, config.seed.offset(2 + k)) for k in range(config.trials)]
-    records = tuple(
-        TrialRecord(k, "spiked", value, None, overlap)
-        for k, (value, overlap) in enumerate(outcomes)
-    )
-    overlaps = np.array([r.overlap for r in records])
-    return ExperimentResult(
-        trials=config.trials,
-        accuracy=None,
-        type_i_rate=None,
-        type_ii_rate=None,
-        mean_abs_overlap=float(np.mean(np.abs(overlaps))),
-        mean_overlap_pow_d=float(np.mean(overlaps**config.d)),
-        threshold=None,
-        records=records,
-    )
+    arms = (_spiked_arm(config, config.seed.offset(2 + k)) for k in range(config.trials))
+    return _summary(config, [TrialRecord(k, "spiked", est.value, None, overlap)
+                             for k, (est, overlap) in enumerate(arms)])
 
 
 def bbp_prediction(snr: float) -> tuple[float, float]:

@@ -4,7 +4,7 @@ CSV always carries a header row; non-finite floats are spelled exactly
 ``NaN`` / ``inf`` / ``-inf``.  JSON output is a single document with a
 ``schema_version`` field; non-finite floats become those same strings, so
 the document stays standard JSON.  Floats are printed with a configurable
-number of significant digits (default 9) and re-parse to the printed
+number of significant digits (1 to 17, default 9) and re-parse to the printed
 precision.
 """
 
@@ -30,6 +30,8 @@ class OutputSpec:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
+        if self.precision > 17:  # 17 significant digits round-trip a double
+            raise ValueError(f"precision must be <= 17, got {self.precision}")
 
 
 def format_value(value, precision: int) -> str:

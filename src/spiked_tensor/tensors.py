@@ -255,12 +255,17 @@ def sample_sign_draws(
     return support, (words[: count * k] < 0).reshape(count, k)
 
 
+def check_snr(snr: float) -> None:
+    """A sampled snr lies in [0, SNR_MAX]; nan and inf do not."""
+    if not 0 <= snr <= SNR_MAX:
+        raise ValueError(f"snr (--lambda) must lie in [0, {SNR_MAX:g}], got {snr!r}")
+
+
 def sample_spiked(
     prior: SpikePrior, n: int, d: int, snr: float, seed: RngSeed
 ) -> tuple[UnitVector, SymmetricTensor]:
     """Spike x and sample snr * x^{(x)d} + W; spike and noise use split streams."""
-    if not 0 <= snr <= SNR_MAX:
-        raise ValueError(f"snr (--lambda) must lie in [0, {SNR_MAX:g}], got {snr!r}")
+    check_snr(snr)
     check_memory_cap(n, d)
     x = sample_spike(prior, n, seed)
     values = _noise_values(n, d, seed)

@@ -388,6 +388,9 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "--trials", "2"],
         ["replica", "--prior", "spherical", "--d", "3"],
         ["replica", "--prior", "spherical", "--d", "3..4", "--lambda", "1"],
+        # 17 significant digits round-trip a double; more are refused before any row
+        ["thresholds", "--prior", "spherical", "--d", "3", "--precision", "18"],
+        ["thresholds", "--prior", "spherical", "--d", "3", "--precision", "2000000000"],
     ],
     ids=["tails_tgrid", "tails_tgrid_past_exact_cap", "tails_spherical_tgrid_1", "ratefn_tmax", "spherical_replica_d30000", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
@@ -404,7 +407,8 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "detect_spherical_mle", "ratefn_n_over_exact_cap", "replica_empty_lambda",
          "tails_empty_tgrid", "norms_huge_snr", "detect_injective_huge_snr", "bbp_huge_snr",
          "out_unwritable", "records_unwritable", "spherical_rho", "rademacher_rho",
-         "recover_negative_snr", "replica_branch_no_lambda", "replica_branch_d_range"],
+         "recover_negative_snr", "replica_branch_no_lambda", "replica_branch_d_range",
+         "precision_18", "precision_2e9"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)
@@ -415,6 +419,19 @@ def test_library_errors_exit_2_with_one_line(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("spiked-tensor: error: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "1e200"])
+def test_simulate_snr_out_of_range_prints_one_line_for_every_kind(value, capsys):
+    # the config checks the snr before trial 0, in the sampler's words
+    expected = f"spiked-tensor: error: snr (--lambda) must lie in [0, 1e+06], got {float(value)!r}\n"
+    for kind in (["detect", "--prior", "rademacher", "--n", "8"],
+                 ["recover", "--prior", "rademacher", "--n", "8"],
+                 ["norms", "--prior", "spherical", "--n", "5"],
+                 ["bbp", "--n", "20"]):
+        assert main(["simulate", *kind, "--lambda", value, "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", expected)
 
 
 # Each command, and each simulate kind, takes only the flags it reads, plus these.

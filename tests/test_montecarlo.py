@@ -7,6 +7,7 @@ import pytest
 
 from spiked_tensor import (
     ExperimentConfig,
+    NormEstimate,
     PowerIterationSettings,
     RngSeed,
     SpikePrior,
@@ -320,6 +321,39 @@ def test_norm_experiment_trial_streams(snr):
         injective_norm_experiment(ExperimentConfig(prior, 8, 3, snr, 3, seed))
 
 
+@pytest.mark.parametrize("test, prior", [("mle", SpikePrior.rademacher()),
+                                         ("injective_norm", SpikePrior.spherical())])
+def test_experiment_arm_streams(test, prior):
+    # detect's record pair k scores sample_spiked on stream 2+2k (no spike start) and
+    # sample_wigner on 3+2k; recover's record k scores sample_spiked on stream 2+k
+    n, d, snr, trials, seed = 8, 3, 2.0, 3, RngSeed(21)
+    settings = PowerIterationSettings(restarts=3)
+    config = ExperimentConfig(prior, n, d, snr, trials, seed, test, power_iter=settings)
+
+    def score(tensor, arm_seed):
+        if test == "mle":
+            value, argmax = mle_statistic(tensor, prior, n, d)
+            return value, argmax.coords
+        est = injective_norm_estimate(tensor, settings, arm_seed)
+        return est.value, est.vector
+
+    detect, recover = detection_experiment(config), recovery_experiment(config)
+    for k in range(trials):
+        x, T = sample_spiked(prior, n, d, snr, seed.offset(2 + 2 * k))
+        value, vector = score(T, seed.offset(2 + 2 * k))
+        assert detect.records[2 * k] == montecarlo.TrialRecord(
+            k, "spiked", value, int(value >= detect.threshold), float(np.dot(x.coords, vector)))
+        value, _ = score(sample_wigner(n, d, seed.offset(3 + 2 * k)), seed.offset(3 + 2 * k))
+        record = detect.records[2 * k + 1]
+        assert (record.trial, record.arm, record.statistic, record.decision) == (
+            k, "unspiked", value, int(value >= detect.threshold))
+        assert math.isnan(record.overlap)
+        x, T = sample_spiked(prior, n, d, snr, seed.offset(2 + k))
+        value, vector = score(T, seed.offset(2 + k))
+        assert recover.records[k] == montecarlo.TrialRecord(
+            k, "spiked", value, None, float(np.dot(x.coords, vector)))
+
+
 def _plain_step_descends(T, start):
     """Whether the unshifted first step from ``start`` lowers the objective, so
     that the ascent retries it with a shift."""
@@ -590,7 +624,8 @@ def test_detection_rates_are_the_record_decisions(test, snr):
 
 def test_detection_statistic_at_the_threshold_detects(monkeypatch):
     # every statistic equals the mle threshold snr - eps = 1.5: each arm detects
-    monkeypatch.setattr(montecarlo, "_arm_statistic", lambda config, tensor, seed: (1.5, np.zeros(6)))
+    monkeypatch.setattr(montecarlo, "_statistic",
+                        lambda config, tensor, seed, start=None: NormEstimate(1.5, np.zeros(6), True))
     cfg = ExperimentConfig(SpikePrior.rademacher(), 6, 3, 2.0, 3, RngSeed(1), epsilon=0.5)
     res = detection_experiment(cfg)
     assert res.threshold == 1.5
