@@ -81,6 +81,12 @@ REPLICA += [
     for d, lam in (("1000", RADEMACHER_LAMBDAS), ("1000000", RADEMACHER_LAMBDAS),
                    ("2", "0.70710678,0.7071067811861,0.7071067811866,0.70710679"))
 ]
+# spherical branch tables the q scan cannot resolve (both roots in its last
+# cell; the low root below its first point) are refused: each exits 2
+REPLICA += [
+    ["replica", "--prior", "spherical", "--d", "1000000", "--lambda", "3,10,100"],
+    ["replica", "--prior", "spherical", "--d", "3", "--lambda", "1e5"],
+]
 
 RATEFN = [
     ["ratefn", "--prior", "rademacher", "--n", "60", "--grid", "40"],
@@ -92,26 +98,35 @@ RATEFN = [
     ["ratefn", "--prior", "sparse", "--rho", "0.32", "--grid", "3"],  # f(0) = 0 exactly
 ]
 
+# one argv per simulate kind; each also runs with --format json (SIMULATE_JSON)
+DETECT_RECORDS = ["simulate", "detect", "--prior", "rademacher", "--test", "mle", "--n", "10",
+                  "--d", "3", "--lambda", "3", "--trials", "16", "--seed", "7",
+                  "--records", RECORDS]
+BBP = ["simulate", "bbp", "--n", "150", "--lambda", "2", "--trials", "3", "--seed", "7"]
+NORMS = ["simulate", "norms", "--prior", "spherical", "--n", "12", "--d", "3", "--trials", "3",
+         "--seed", "4"]
+TAILS = ["simulate", "tails", "--prior", "sparse", "--rho", "0.3", "--n", "20", "--trials", "5000",
+         "--seed", "1", "--tgrid", "0,0.25,0.5"]
+RECOVER_RECORDS = ["simulate", "recover", "--prior", "rademacher", "--test", "mle", "--n", "10",
+                   "--d", "4", "--lambda", "2", "--trials", "8", "--seed", "11",
+                   "--records", RECORDS]
+
 SIMULATE = [
-    ["simulate", "detect", "--prior", "rademacher", "--test", "mle", "--n", "10", "--d", "3",
-     "--lambda", "3", "--trials", "16", "--seed", "7", "--records", RECORDS],
+    DETECT_RECORDS,
     ["simulate", "detect", "--prior", "sparse", "--rho", "0.3", "--test", "mle", "--n", "12",
      "--d", "3", "--lambda", "2.5", "--trials", "8", "--seed", "3"],
     ["simulate", "detect", "--prior", "spherical", "--test", "injective_norm", "--n", "10",
      "--d", "3", "--lambda", "3", "--trials", "3", "--seed", "5", "--records", RECORDS],
-    ["simulate", "recover", "--prior", "rademacher", "--test", "mle", "--n", "10", "--d", "4",
-     "--lambda", "2", "--trials", "8", "--seed", "11", "--records", RECORDS],
+    RECOVER_RECORDS,
     ["simulate", "recover", "--prior", "spherical", "--test", "injective_norm", "--n", "10",
      "--d", "3", "--lambda", "3", "--trials", "3", "--seed", "2"],
-    ["simulate", "norms", "--prior", "spherical", "--n", "12", "--d", "3", "--trials", "3",
-     "--seed", "4"],
+    NORMS,
     ["simulate", "norms", "--prior", "rademacher", "--n", "12", "--d", "3", "--lambda", "3",
      "--trials", "3", "--seed", "4"],
     ["simulate", "tails", "--prior", "rademacher", "--n", "20", "--trials", "20000", "--seed", "1"],
-    ["simulate", "tails", "--prior", "sparse", "--rho", "0.3", "--n", "20", "--trials", "5000",
-     "--seed", "1", "--tgrid", "0,0.25,0.5"],
+    TAILS,
     ["simulate", "tails", "--prior", "spherical", "--n", "5", "--trials", "5000", "--seed", "1"],
-    ["simulate", "bbp", "--n", "150", "--lambda", "2", "--trials", "3", "--seed", "7"],
+    BBP,
     ["simulate", "tails", "--prior", "sparse", "--rho", "1", "--n", "12", "--trials", "2000",
      "--seed", "1"],
     ["simulate", "norms", "--prior", "spherical", "--n", "10", "--d", "3", "--lambda", "2e6",
@@ -147,7 +162,7 @@ SIMULATE = [
     # two chunks whose sign draws follow each chunk's support draw
     ["simulate", "tails", "--prior", "sparse", "--rho", "0.3", "--n", "45", "--trials", "12000",
      "--seed", "2"],
-    # the trials of SIMULATE[10]'s bbp run, through recover: bbp is this run's d = 2 case
+    # the trials of BBP's run, through recover: bbp is this run's d = 2 case
     ["simulate", "recover", "--prior", "spherical", "--d", "2", "--test", "injective_norm",
      "--n", "150", "--lambda", "2", "--trials", "3", "--seed", "7", "--records", RECORDS],
     # on the prediction's boundary: snr > 1 is strict, so lambda = 1 predicts 2 and 0
@@ -165,8 +180,7 @@ SIMULATE = [
      "--lambda", "0", "--trials", "4", "--seed", "2", "--records", RECORDS],
 ]
 
-# one argv per simulate kind: detect --records, bbp, norms, tails, recover --records
-SIMULATE_JSON = [SIMULATE[0], SIMULATE[10], SIMULATE[5], SIMULATE[8], SIMULATE[3]]
+SIMULATE_JSON = [DETECT_RECORDS, BBP, NORMS, TAILS, RECOVER_RECORDS]
 
 
 def _sha(data: bytes) -> str:

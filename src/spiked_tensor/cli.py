@@ -14,7 +14,10 @@ A ``NaN`` cell marks a value that does not apply to the row; in a
 makes no decision.
 
 Each command, and each ``simulate`` kind, takes only the flags it reads
-(``_COMMANDS``, drawn from the one flag table ``_FLAGS``).  Every command is
+(``_COMMANDS``, drawn from the one flag table ``_FLAGS``).  Each command's
+handler computes its table and returns it as ``(columns, rows, meta)``;
+``main`` checks ``--format``, ``--precision`` and ``--out`` before any row is
+computed and writes the table once.  Every command is
 deterministic given its flags and seed; output ordering is fixed.  Every
 command runs on the caller's thread; ``--threads`` is checked but changes no
 work.  Exit codes report execution health only (0 = completed, 2 = rejected
@@ -91,10 +94,6 @@ def _row(*records, **cells) -> dict:
     return row
 
 
-def _output_spec(args) -> OutputSpec:
-    return OutputSpec(format=args.format, path=args.out, precision=args.precision)
-
-
 def _check_writable(path: str | None) -> None:
     """Raise the OSError that writing ``path`` would raise, before any row is
     computed.  The probe opens for appending, which truncates nothing, and
@@ -112,7 +111,7 @@ def _check_writable(path: str | None) -> None:
         os.remove(path)
 
 
-def cmd_thresholds(args) -> int:
+def cmd_thresholds(args) -> tuple[list[str], list[dict], dict]:
     prior = _prior_from_args(args)
     ds = _parse_d_range(args.d)
     reports = [thresholds.threshold_report(prior, d, include_replica=args.replica) for d in ds]
@@ -121,14 +120,11 @@ def cmd_thresholds(args) -> int:
         columns.append("replica")
     if args.asymptotics:
         columns += ["asymptotic_lower", "asymptotic_upper"]
-    write_table(
-        columns, [_row(rep) for rep in reports], _output_spec(args),
-        {"command": "thresholds", "prior": prior.label()},
-    )
-    return 0
+    rows = [_row(rep) for rep in reports]
+    return columns, rows, {"command": "thresholds", "prior": prior.label()}
 
 
-def cmd_ratefn(args) -> int:
+def cmd_ratefn(args) -> tuple[list[str], list[dict], dict]:
     prior = _prior_from_args(args)
     if not 2 <= args.grid <= MAX_GRID:
         raise ValueError(f"--grid must be in 2..{MAX_GRID}, got {args.grid}")
@@ -147,19 +143,16 @@ def cmd_ratefn(args) -> int:
             row["exact_tail"] = tail = exact_overlap_tail(prior, args.n, t)
             row["exact_rate"] = tail_rate(tail, args.n)
         rows.append(row)
-    write_table(columns, rows, _output_spec(args), {"command": "ratefn", "prior": prior.label()})
-    return 0
+    return columns, rows, {"command": "ratefn", "prior": prior.label()}
 
 
-def cmd_replica(args) -> int:
+def cmd_replica(args) -> tuple[list[str], list[dict], dict]:
     prior = SpikePrior(args.prior)
     ds = _parse_d_range(args.d)
-    spec = _output_spec(args)
     if args.thresholds:
         columns = ["d", "lambda1", "lambda2"]
         rows = [dict(zip(columns, (d, *replica.replica_thresholds(prior, d)))) for d in ds]
-        write_table(columns, rows, spec, {"command": "replica_thresholds", "prior": prior.label()})
-        return 0
+        return columns, rows, {"command": "replica_thresholds", "prior": prior.label()}
     if args.snr is None:
         raise ValueError("replica branch tables require --lambda (or use --thresholds)")
     if len(ds) != 1:
@@ -170,16 +163,12 @@ def cmd_replica(args) -> int:
         for snr in _parse_lambda_list(args.snr, "--lambda")
         for s in replica.fixed_points(prior, d, snr)
     ]
-    write_table(
-        ["lambda", "branch", "q", "mu", "free_energy", "residual"], rows, spec,
-        {"command": "replica", "prior": prior.label(), "d": d},
-    )
-    return 0
+    return (["lambda", "branch", "q", "mu", "free_energy", "residual"], rows,
+            {"command": "replica", "prior": prior.label(), "d": d})
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[list[str], list[dict], dict]:
     seed = RngSeed(args.seed)
-    spec = _output_spec(args)
 
     # bbp is the d = 2 spherical recover run: the norm is the top eigenvalue, overlap^2 the alignment
     if args.subkind == "bbp":
@@ -192,20 +181,16 @@ def cmd_simulate(args) -> int:
                    predicted_top_eigenvalue=eigenvalue, predicted_alignment_sq=alignment_sq)
         columns = ["n", "lambda", "trials", "mean_top_eigenvalue", "predicted_top_eigenvalue",
                    "mean_alignment_sq", "predicted_alignment_sq"]
-        write_table(columns, [row], spec, {"command": "simulate_bbp"})
-        return 0
+        return columns, [row], {"command": "simulate_bbp"}
 
     prior = _prior_from_args(args)
 
     if args.subkind == "tails":
         t_grid = _parse_lambda_list(args.tgrid, "--tgrid")
         rows = montecarlo.overlap_tail_experiment(prior, args.n, args.trials, t_grid, seed)
-        write_table(
-            ["t", "empirical_tail", "empirical_rate", "rate_value", "exact_tail", "exact_rate"],
-            [_row(r) for r in rows], spec,
-            {"command": "simulate_tails", "prior": prior.label(), "n": args.n},
-        )
-        return 0
+        return (["t", "empirical_tail", "empirical_rate", "rate_value", "exact_tail", "exact_rate"],
+                [_row(r) for r in rows],
+                {"command": "simulate_tails", "prior": prior.label(), "n": args.n})
 
     settings = PowerIterationSettings(args.restarts, args.max_iters)
     d = _parse_order(args.d)
@@ -219,12 +204,9 @@ def cmd_simulate(args) -> int:
 
     if args.subkind == "norms":
         estimates = montecarlo.injective_norm_experiment(config)
-        write_table(
-            ["trial", "estimate", "converged"],
-            [_row(est, trial=k) for k, est in enumerate(estimates)], spec,
-            {"command": "simulate_norms", "prior": prior.label(), "n": args.n, "d": d},
-        )
-        return 0
+        return (["trial", "estimate", "converged"],
+                [_row(est, trial=k) for k, est in enumerate(estimates)],
+                {"command": "simulate_norms", "prior": prior.label(), "n": args.n, "d": d})
 
     columns = ["test", "n", "d", "lambda", "trials"]
     if args.subkind == "detect":
@@ -235,7 +217,7 @@ def cmd_simulate(args) -> int:
     else:
         result = montecarlo.recovery_experiment(config)
         columns += ["mean_abs_overlap", "mean_overlap_pow_d"]
-    if args.records:  # first, so that an unwritable path leaves stdout empty
+    if args.records:  # before main writes the table, so an unwritable path leaves stdout empty
         # vars, not _row: a recover arm's decision=None stays an empty cell
         write_table(
             [f.name for f in fields(TrialRecord)], [vars(r) for r in result.records],
@@ -243,9 +225,7 @@ def cmd_simulate(args) -> int:
         )
     # the injective test thresholds at the arms' midpoint; no margin applies
     epsilon = config.threshold_margin if args.test == "mle" else math.nan
-    row = _row(config, result, epsilon=epsilon)
-    write_table(columns, [row], spec, {"command": f"simulate_{args.subkind}"})
-    return 0
+    return columns, [_row(config, result, epsilon=epsilon)], {"command": f"simulate_{args.subkind}"}
 
 
 # Every flag, declared once.  Where a command reads a flag differently
@@ -339,9 +319,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         check_threads(args.threads)  # before any command, though none uses it
-        _output_spec(args)  # likewise --format and --precision, before any row is computed
+        # likewise --format and --precision, before any row is computed
+        spec = OutputSpec(format=args.format, path=args.out, precision=args.precision)
         _check_writable(args.out)  # and the output path
-        return _HANDLERS[args.command](args)
+        columns, rows, meta = _HANDLERS[args.command](args)
+        write_table(columns, rows, spec, meta)
+        return 0
     # input the library rejects or cannot solve, or an --out/--records path it cannot open
     except (ValueError, BracketError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

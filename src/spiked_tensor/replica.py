@@ -277,7 +277,10 @@ def spherical_free_energy(d: int, snr: float, q: float) -> float:
 
 
 def spherical_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
-    """Zero branch plus roots of (snr^2/2) d q^(d-1)(1-q) = q on (0,1)."""
+    """Zero branch plus the roots of (snr^2/2) d q^(d-1)(1-q) = q that a
+    4000-point scan of q over [1e-9, 1 - 1e-12] resolves.  A root outside that
+    range, or two in one cell, is missed: fixed_points refuses such a table,
+    and _crossing reads the scan as it is."""
     _check(d, snr)
 
     def psi(q):
@@ -298,8 +301,6 @@ def spherical_appearance_snr(d: int) -> float:
     """snr where nonzero spherical solutions first exist (exact stationarity)."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if d == 2:
-        return 1.0
     q_peak = (d - 2.0) / (d - 1.0)
     return math.sqrt(2.0 / (d * q_peak ** (d - 2) * (1.0 - q_peak)))
 
@@ -325,10 +326,20 @@ def _is_spherical(prior: SpikePrior) -> bool:
 
 
 def fixed_points(prior: SpikePrior, d: int, snr: float) -> list[ReplicaSolution]:
-    """Zero branch plus the nonzero solutions at (d, snr), ascending."""
-    if _is_spherical(prior):
-        return spherical_fixed_points(d, snr)
-    return rademacher_fixed_points(d, snr)
+    """Zero branch plus the nonzero solutions at (d, snr), ascending.
+
+    A spherical table whose scan misses a branch raises BracketError: above
+    spherical_appearance_snr(d) there are two nonzero solutions for d >= 3,
+    one for d = 2.
+    """
+    if not _is_spherical(prior):
+        return rademacher_fixed_points(d, snr)
+    sols = spherical_fixed_points(d, snr)
+    expected = (1 if d == 2 else 2) if snr > spherical_appearance_snr(d) else 0
+    if len(sols) - 1 < expected:
+        raise BracketError(f"the q scan resolves {len(sols) - 1} of the {expected} nonzero "
+                           f"spherical branches at d={d}, snr={snr!r}")
+    return sols
 
 
 def replica_thresholds(prior: SpikePrior, d: int) -> tuple[float, float]:

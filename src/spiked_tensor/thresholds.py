@@ -32,7 +32,7 @@ import numpy as np
 from . import replica
 from .rates import RateFunction, collision_entropy, rate_function_for
 from .solvers import INV_PHI, bisect_root, geometric_grid, golden_min_vec
-from .tensors import SNR_MAX, SpikePrior
+from .tensors import SpikePrior, check_snr
 
 GRID_POINTS = 10_000
 
@@ -221,8 +221,7 @@ def spiked_norm_lower_Ld(d: int, snr: float) -> SpikedNormLowerBound:
     """
     if d < 3:
         raise ValueError(f"d must be >= 3, got {d}")
-    if not 0 <= snr <= SNR_MAX:
-        raise ValueError(f"snr must lie in [0, {SNR_MAX:g}], got {snr!r}")
+    check_snr(snr)
     branch = _spiked_norm_branch(d)
 
     def excess(s: float) -> float:

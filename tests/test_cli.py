@@ -391,6 +391,10 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
         # 17 significant digits round-trip a double; more are refused before any row
         ["thresholds", "--prior", "spherical", "--d", "3", "--precision", "18"],
         ["thresholds", "--prior", "spherical", "--d", "3", "--precision", "2000000000"],
+        # spherical branch tables the q scan cannot resolve: both roots in its
+        # last cell, or the low one below its first point
+        ["replica", "--prior", "spherical", "--d", "1000000", "--lambda", "3"],
+        ["replica", "--prior", "spherical", "--d", "3", "--lambda", "1e5"],
     ],
     ids=["tails_tgrid", "tails_tgrid_past_exact_cap", "tails_spherical_tgrid_1", "ratefn_tmax", "spherical_replica_d30000", "detect_nan_snr",
          "detect_inf_epsilon", "norms_restarts_0", "norms_restarts_negative",
@@ -408,7 +412,8 @@ def test_thresholds_rademacher_top_of_d_range(capsys):
          "tails_empty_tgrid", "norms_huge_snr", "detect_injective_huge_snr", "bbp_huge_snr",
          "out_unwritable", "records_unwritable", "spherical_rho", "rademacher_rho",
          "recover_negative_snr", "replica_branch_no_lambda", "replica_branch_d_range",
-         "precision_18", "precision_2e9"],
+         "precision_18", "precision_2e9", "spherical_replica_d1e6_unresolved",
+         "spherical_replica_snr1e5_unresolved"],
 )
 def test_library_errors_exit_2_with_one_line(argv, capsys):
     code = main(argv)

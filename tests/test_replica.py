@@ -266,6 +266,27 @@ def test_spherical_branch_structure_d3():
     assert low_b < low_a
 
 
+@pytest.mark.parametrize("d", [2, 3, 10, 40, 1000])
+def test_spherical_fixed_points_count_every_branch(d):
+    # within the q scan's reach (snr <= 10^4 up to d = 1000) a spherical table
+    # holds every nonzero branch: two past the appearance point for d >= 3,
+    # one past snr = 1 for d = 2
+    lambda1 = spherical_appearance_snr(d)
+    for snr in sorted({*np.logspace(-6, 4, 101).tolist(), *np.linspace(0.5, 2.5, 81).tolist()}):
+        expected = (1 if d == 2 else 2) if snr > lambda1 else 0
+        nonzero = fixed_points(SpikePrior.spherical(), d, snr)[1:]
+        assert len(nonzero) == expected, snr
+
+
+def test_spherical_fixed_points_refuse_an_unresolved_table():
+    # d = 3 at snr = 10^5: the low root q ~ 2 / (snr^2 d) lies below the scan's
+    # first point; d = 10^6 at snr = 3: both roots share the scan's last cell
+    for d, snr in ((3, 1e5), (10**6, 3.0)):
+        assert len(spherical_fixed_points(d, snr)) < 3
+        with pytest.raises(BracketError, match=f"d={d}, snr={snr!r}"):
+            fixed_points(SpikePrior.spherical(), d, snr)
+
+
 def test_spherical_threshold_between_bounds():
     rate = rate_function_for(SpikePrior.spherical())
     for d in (3, 5, 10):
