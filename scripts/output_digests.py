@@ -87,6 +87,10 @@ REPLICA += [
     ["replica", "--prior", "spherical", "--d", "1000000", "--lambda", "3,10,100"],
     ["replica", "--prior", "spherical", "--d", "3", "--lambda", "1e5"],
 ]
+# replica thresholds at 17 digits guard the last bits of lambda1 and lambda2
+REPLICA += [["replica", "--prior", "spherical", "--d", d, "--thresholds", "--precision", "17"]
+            for d in ("3..60", "100", "1000", "10000")]
+REPLICA += [["replica", "--prior", "rademacher", "--d", "3..30", "--thresholds", "--precision", "17"]]
 
 RATEFN = [
     ["ratefn", "--prior", "rademacher", "--n", "60", "--grid", "40"],

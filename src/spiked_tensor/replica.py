@@ -110,15 +110,18 @@ def _root_cells(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero((left == 0.0) | (np.sign(left) * np.sign(vals[1:]) < 0))
 
 
-def _scan_roots(grid: np.ndarray, f, xtol: float) -> list[float]:
-    """Ascending roots of f, which takes a float or an array, from f(grid).
+def _scan_roots(grid: np.ndarray, vals: np.ndarray, f, xtol: float,
+                high_only: bool = False) -> list[float]:
+    """Ascending roots of f, which takes a float, from its values vals on grid.
 
     Grid zeros are kept as they are; each sign change is bisected with f at
-    floats to xtol * max(1, right end of its cell).
+    floats to xtol * max(1, right end of its cell).  With high_only only the
+    last cell, the high branch's, is: its root keeps the bits it has in the
+    full list, since each cell is bisected on its own.
     """
-    vals = f(grid)
+    cells = _root_cells(vals)
     roots = []
-    for i in _root_cells(vals):
+    for i in cells[-1:] if high_only else cells:
         lo, hi = float(grid[i]), float(grid[i + 1])
         roots.append(lo if vals[i] == 0 else bisect_root(f, lo, hi, xtol=xtol * max(1.0, hi)).root)
     return roots
@@ -167,7 +170,7 @@ def _check(d: int, snr: float) -> None:
         raise ValueError(f"snr (--lambda) must lie in [{lo:g}, {hi:g}], got {snr!r}")
 
 
-def rademacher_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
+def rademacher_fixed_points(d: int, snr: float, *, high_only: bool = False) -> list[ReplicaSolution]:
     """All solutions at (d, snr): the zero branch plus any nonzero roots.
 
     Nonzero roots are the sign changes of phi(mu) (see _phi) on a
@@ -175,9 +178,11 @@ def rademacher_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     is the high branch.  On the grid q(mu) is not evaluated where a bound on
     q proves phi < 0 (see _phi); those points keep their sign, so the cells,
     and the roots polished on the unscreened float path, are unchanged.
+    With high_only the table holds the zero branch and the high one alone.
     """
     _check(d, snr)
-    roots = _scan_roots(_mu_grid(d, snr), _phi(d, snr), 1e-13)
+    grid, phi = _mu_grid(d, snr), _phi(d, snr)
+    roots = _scan_roots(grid, phi(grid), phi, 1e-13, high_only)
     out = [ReplicaSolution(d, snr, "zero", 0.0, 0.0, rademacher_free_energy(d, snr, 0.0, 0.0), 0.0)]
     for k, mu in enumerate(roots):
         q = q_of_mu_rademacher(mu)
@@ -223,14 +228,15 @@ def rademacher_replica_thresholds(d: int) -> tuple[float, float]:
     if exists(lo):
         lo = 1e-3
     lambda1 = _bisect(exists, lo, hi)
-    return lambda1, _crossing(rademacher_fixed_points, d, lambda1)
+    return lambda1, _crossing(lambda snr: rademacher_fixed_points(d, snr, high_only=True), lambda1)
 
 
-def _crossing(solve, d: int, lambda1: float) -> float:
+def _crossing(solve, lambda1: float) -> float:
     """snr where the high branch's free energy crosses the zero branch's.
 
-    solve(d, snr) returns the zero branch, then the nonzero roots ascending,
-    the high branch last.  The start is the first probe, from just above lambda1 out to
+    solve(snr) returns the zero branch, then the high branch if the root scan
+    sees one: each probe scans the grid once and bisects the high branch's
+    cell alone.  The start is the first probe, from just above lambda1 out to
     lambda1 + 10^6 THRESHOLD_TOL, at which the root scan sees the high
     branch: close to lambda1 the two nonzero roots can both fall inside one
     cell of the scan's grid.  A gap <= 0 at the first probe means the
@@ -239,7 +245,7 @@ def _crossing(solve, d: int, lambda1: float) -> float:
     """
 
     def gap(snr: float) -> float | None:
-        sols = solve(d, snr)
+        sols = solve(snr)
         return sols[-1].free_energy - sols[0].free_energy if len(sols) > 1 else None
 
     def crossed(snr: float) -> bool:
@@ -276,25 +282,43 @@ def spherical_free_energy(d: int, snr: float, q: float) -> float:
     )
 
 
+# the spherical root scan's grid of q
+Q_GRID = np.linspace(1e-9, 1.0 - 1e-12, 4000)
+Q_GRID.setflags(write=False)
+
+
+def _spherical_solver(d: int):
+    """solve(snr, high_only=False): spherical_fixed_points at order d, with
+    q^(d-2) and 1 - q on Q_GRID computed once for every snr.  The inputs are
+    not checked."""
+    q_pow, one_minus_q = Q_GRID ** (d - 2), 1.0 - Q_GRID
+
+    def solve(snr: float, high_only: bool = False) -> list[ReplicaSolution]:
+        def psi(q_pow, one_minus_q):
+            # divided through by q; valid for locating roots in (0,1)
+            return 0.5 * snr**2 * d * q_pow * one_minus_q - 1.0
+
+        roots = _scan_roots(Q_GRID, psi(q_pow, one_minus_q), lambda q: psi(q ** (d - 2), 1.0 - q),
+                            1e-15, high_only)
+        out = [ReplicaSolution(d, snr, "zero", 0.0, math.nan, spherical_free_energy(d, snr, 0.0), 0.0)]
+        for k, q in enumerate(roots):
+            residual = abs(0.5 * snr**2 * d * q ** (d - 1) * (1.0 - q) - q)
+            out.append(ReplicaSolution(
+                d, snr, _label(k, roots), q, math.nan, spherical_free_energy(d, snr, q), residual
+            ))
+        return out
+
+    return solve
+
+
 def spherical_fixed_points(d: int, snr: float) -> list[ReplicaSolution]:
     """Zero branch plus the roots of (snr^2/2) d q^(d-1)(1-q) = q that a
-    4000-point scan of q over [1e-9, 1 - 1e-12] resolves.  A root outside that
-    range, or two in one cell, is missed: fixed_points refuses such a table,
-    and _crossing reads the scan as it is."""
+    4000-point scan of q over [1e-9, 1 - 1e-12] (Q_GRID) resolves.  A root
+    outside that range, or two in one cell, is missed: fixed_points refuses
+    such a table, and _crossing takes a probe whose scan misses the high
+    branch as one where it is not yet seen."""
     _check(d, snr)
-
-    def psi(q):
-        # divided through by q; valid for locating roots in (0,1)
-        return 0.5 * snr**2 * d * q ** (d - 2) * (1.0 - q) - 1.0
-
-    roots = _scan_roots(np.linspace(1e-9, 1.0 - 1e-12, 4000), psi, 1e-15)
-    out = [ReplicaSolution(d, snr, "zero", 0.0, math.nan, spherical_free_energy(d, snr, 0.0), 0.0)]
-    for k, q in enumerate(roots):
-        residual = abs(0.5 * snr**2 * d * q ** (d - 1) * (1.0 - q) - q)
-        out.append(ReplicaSolution(
-            d, snr, _label(k, roots), q, math.nan, spherical_free_energy(d, snr, q), residual
-        ))
-    return out
+    return _spherical_solver(d)(snr)
 
 
 def spherical_appearance_snr(d: int) -> float:
@@ -312,7 +336,10 @@ def spherical_replica_threshold(d: int) -> float:
     departs continuously from zero.
     """
     lambda1 = spherical_appearance_snr(d)
-    return 1.0 if d == 2 else _crossing(spherical_fixed_points, d, lambda1)
+    if d == 2:
+        return 1.0
+    solve = _spherical_solver(d)
+    return _crossing(lambda snr: solve(snr, high_only=True), lambda1)
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,9 @@ def test_rademacher_thresholds_frozen_and_ordered():
     l1, l2 = rademacher_replica_thresholds(3)
     assert l1 == pytest.approx(1.46715, abs=1e-3)
     assert l2 == pytest.approx(1.53519, abs=1e-3)
-    for d in (3, 5, 10, 20):
+    # from d = 21 on, lambda2's 1e-6 bisection tolerance can put it outside
+    # [lower, upper] at some orders, so those are left out
+    for d in range(3, 21):
         l1, l2 = rademacher_replica_thresholds(d)
         assert l1 < l2
         lower = lower_bound_lambda(rate_function_for(SpikePrior.rademacher()), d).value
@@ -351,30 +353,66 @@ def test_thresholds_replica_row_at_d_40_42_50(d, capsys):
 def _stub_fixed_points(seen_from: float, crossing: float):
     """Zero branch from snr 0, a high branch from ``seen_from`` whose gap is crossing - snr."""
 
-    def fixed_points(d, snr):
-        zero = ReplicaSolution(d, snr, "zero", 0.0, 0.0, 0.0, 0.0)
+    def fixed_points(snr):
+        zero = ReplicaSolution(3, snr, "zero", 0.0, 0.0, 0.0, 0.0)
         if snr < seen_from:
             return [zero]
-        return [zero, ReplicaSolution(d, snr, "high", 0.5, 0.0, crossing - snr, 0.0)]
+        return [zero, ReplicaSolution(3, snr, "high", 0.5, 0.0, crossing - snr, 0.0)]
 
     return fixed_points
 
 
 def test_crossing_starts_at_the_first_probe_that_sees_the_branch():
     # seen only from the fourth probe, lambda1 + 1e3 tol, and crossing after it
-    lambda2 = _crossing(_stub_fixed_points(1.0 + 5e-4, 1.2), 3, 1.0)
+    lambda2 = _crossing(_stub_fixed_points(1.0 + 5e-4, 1.2), 1.0)
     assert abs(lambda2 - 1.2) <= THRESHOLD_TOL
     # crossed at the first probe: the continuous case returns that probe
-    assert _crossing(_stub_fixed_points(0.0, 0.5), 3, 1.0) == 1.0 * (1.0 + 1e-9) + 1e-12
+    assert _crossing(_stub_fixed_points(0.0, 0.5), 1.0) == 1.0 * (1.0 + 1e-9) + 1e-12
 
 
 def test_crossing_rejects_a_gap_already_negative_at_a_later_probe():
     # the crossing lies before the probe that first sees the branch: unresolved
     with pytest.raises(BracketError):
-        _crossing(_stub_fixed_points(1.0 + 5e-4, 1.0 + 1e-4), 3, 1.0)
+        _crossing(_stub_fixed_points(1.0 + 5e-4, 1.0 + 1e-4), 1.0)
     # no probe up to lambda1 + 1 sees the branch
     with pytest.raises(BracketError):
-        _crossing(_stub_fixed_points(2.5, 3.0), 3, 1.0)
+        _crossing(_stub_fixed_points(2.5, 3.0), 1.0)
+
+
+FULL_TABLES = {"spherical": spherical_fixed_points, "rademacher": rademacher_fixed_points}
+
+
+@pytest.mark.parametrize("prior, d", [
+    *[("spherical", d) for d in [*range(3, 61), 100, 1000, 10**4]],
+    *[("rademacher", d) for d in [*range(3, 13), 20, 30]],
+])
+def test_crossing_of_the_high_branch_alone_equals_the_full_tables_to_the_bit(prior, d):
+    # the reference drives the crossing with every branch of each probe's
+    # table polished; the high branch's cell is bisected on its own either
+    # way, so lambda2 keeps every bit
+    lambda1, lambda2 = replica_thresholds(SpikePrior(kind=prior), d)
+    full = FULL_TABLES[prior]
+    assert _crossing(lambda snr: full(d, snr), lambda1) == lambda2
+
+
+@pytest.mark.parametrize("prior, d", [("spherical", 3), ("spherical", 40), ("rademacher", 3),
+                                      ("rademacher", 10)])
+def test_crossing_bisects_at_most_one_cell_per_probe(prior, d, monkeypatch):
+    # each probe scans its grid once (one _scan_roots call) and polishes the
+    # high branch's cell alone, where both nonzero branches exist
+    calls = {"scan": 0, "bisect": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(replica, "_scan_roots", counted("scan", replica._scan_roots))
+    monkeypatch.setattr(replica, "bisect_root", counted("bisect", replica.bisect_root))
+    replica_thresholds(SpikePrior(kind=prior), d)
+    assert 0 < calls["bisect"] <= calls["scan"]
 
 
 def test_replica_solvers_are_picked_by_prior():
