@@ -90,7 +90,10 @@ REPLICA += [
 # replica thresholds at 17 digits guard the last bits of lambda1 and lambda2
 REPLICA += [["replica", "--prior", "spherical", "--d", d, "--thresholds", "--precision", "17"]
             for d in ("3..60", "100", "1000", "10000")]
-REPLICA += [["replica", "--prior", "rademacher", "--d", "3..30", "--thresholds", "--precision", "17"]]
+REPLICA += [["replica", "--prior", "rademacher", "--d", "3..100", "--thresholds", "--precision", "17"]]
+# a Rademacher branch table whose low root lies below the mu grid's first
+# point is refused: it exits 2
+REPLICA += [["replica", "--prior", "rademacher", "--d", "3", "--lambda", "1e4"]]
 
 RATEFN = [
     ["ratefn", "--prior", "rademacher", "--n", "60", "--grid", "40"],

@@ -21,6 +21,12 @@ snr = 1 (the eigenvalue transition) and is immediately the stable one.
 Gaussian expectations E f(z) are f(NODES) @ WEIGHTS, a composite Gauss-Legendre
 rule against the explicit normal density on [-10, 10]; the integrands (tanh,
 log cosh) are smooth with bounded growth, and tests check the rule's moments.
+
+Nonzero solutions are the sign changes of a scan on a fixed grid (mu for
+Rademacher, q for the sphere), each polished by ITP (solvers.itp_root) to a
+tolerance relative to its cell.  The Rademacher scan runs its quadrature
+from the grid's high end in blocks, so the searches that need only the high
+branch, or only whether a root exists, stop at the first root cell.
 """
 
 from __future__ import annotations
@@ -30,10 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import BracketError, bisect_root
+from .solvers import BracketError, itp_root
 from .tensors import SNR_MAX, SpikePrior
 
 MU_SCAN_POINTS = 2000
+# the mu grid's first point
+MU_MIN = 1e-8
+# the mu scan runs its quadrature on this many kept grid points at a time
+SCAN_BLOCK = 48
 THRESHOLD_TOL = 1e-6
 # fixed points are solved for snr in this range, where no step over- or
 # underflows for d = 2..10^6; far past it the mu grid and the root scans do
@@ -98,8 +108,8 @@ def rademacher_free_energy(d: int, snr: float, q: float, mu: float) -> float:
 def _mu_grid(d: int, snr: float) -> np.ndarray:
     # mu = (snr^2/2) d q^(d-1) <= (snr^2/2) d bounds every solution
     hi = 10.0 * d * snr * snr
-    logs = 10.0 ** np.linspace(-8, math.log10(hi), MU_SCAN_POINTS * 3 // 4)
-    linear = np.linspace(1e-8, hi, MU_SCAN_POINTS // 4)
+    logs = 10.0 ** np.linspace(math.log10(MU_MIN), math.log10(hi), MU_SCAN_POINTS * 3 // 4)
+    linear = np.linspace(MU_MIN, hi, MU_SCAN_POINTS // 4)
     return np.unique(np.concatenate([logs, linear]))
 
 
@@ -114,16 +124,17 @@ def _scan_roots(grid: np.ndarray, vals: np.ndarray, f, xtol: float,
                 high_only: bool = False) -> list[float]:
     """Ascending roots of f, which takes a float, from its values vals on grid.
 
-    Grid zeros are kept as they are; each sign change is bisected with f at
-    floats to xtol * max(1, right end of its cell).  With high_only only the
-    last cell, the high branch's, is: its root keeps the bits it has in the
-    full list, since each cell is bisected on its own.
+    Grid zeros are kept as they are; each sign change is polished by ITP
+    with f at floats to xtol times the right end of its cell, a relative
+    tolerance at every scale of the grid.  With high_only only the last
+    cell, the high branch's, is: its root keeps the bits it has in the full
+    list, since each cell is polished on its own.
     """
     cells = _root_cells(vals)
     roots = []
     for i in cells[-1:] if high_only else cells:
         lo, hi = float(grid[i]), float(grid[i + 1])
-        roots.append(lo if vals[i] == 0 else bisect_root(f, lo, hi, xtol=xtol * max(1.0, hi)).root)
+        roots.append(lo if vals[i] == 0 else itp_root(f, lo, hi, xtol=xtol * hi).root)
     return roots
 
 
@@ -133,33 +144,49 @@ def _label(k: int, roots: list[float]) -> str:
 
 
 def _phi(d: int, snr: float):
-    """phi(mu) = d q(mu)^(d-1) - 2 mu / snr^2, at a float mu or an array of them.
+    """phi(mu) = d q(mu)^(d-1) - 2 mu / snr^2 at a float mu, where the roots
+    are polished.
 
     phi < 0 at the mu grid's last point (d q^(d-1) <= d < 20 d), so nonzero
     solutions exist iff the grid has a root cell.
-
-    An array of mu > 0 is screened: the quadrature runs only where the bound
-    q(mu) <= min(mu, 1) (1 + 1e-12) (tested in tests/test_replica.py) leaves
-    d q_max^(d-1) >= mu / snr^2.  Everywhere else the unscreened value is
-    below -mu / snr^2, and the screened one, with q taken as 0, is
-    -2 mu / snr^2: both negative, so each grid point keeps its sign and the
-    root cells do not move.  The test is written in logs, so no power over-
-    or underflows.  A float mu, which the bisection polishes at, is never
-    screened.
     """
 
-    def phi(mu):
-        if isinstance(mu, np.ndarray):
-            log_mu = np.log(mu)
-            log_q_max = np.minimum(log_mu, 0.0) + math.log1p(1e-12)
-            keep = math.log(d) + (d - 1) * log_q_max >= log_mu - 2.0 * math.log(snr)
-            q = np.zeros(mu.shape)
-            q[keep] = q_of_mu_rademacher(mu[keep])
-        else:
-            q = q_of_mu_rademacher(mu)
-        return d * q ** (d - 1) - 2.0 * mu / snr**2
+    def phi(mu: float) -> float:
+        return d * q_of_mu_rademacher(mu) ** (d - 1) - 2.0 * mu / snr**2
 
     return phi
+
+
+def _mu_scan(d: int, snr: float, first_root: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, vals): phi on a right end of the mu grid, or on all of it.
+
+    The quadrature runs only where the bound q(mu) <= min(mu, 1) (1 + 1e-12)
+    (tested in tests/test_replica.py) leaves d q_max^(d-1) >= mu / snr^2.
+    Everywhere else phi is below -mu / snr^2, and the scan reads it as
+    -2 mu / snr^2 (q taken as 0): both negative, so each grid point keeps
+    its sign and the root cells do not move.  The test is written in logs,
+    so no power over- or underflows.
+
+    The kept points are evaluated from the grid's high end, SCAN_BLOCK at a
+    time.  With first_root the scan stops at the first block that closes a
+    root cell and returns the grid from the first point it has fixed: its
+    last root cell is the whole grid's, and it has one iff the whole grid
+    does.  Otherwise it returns the whole grid.
+    """
+    grid = _mu_grid(d, snr)
+    log_mu = np.log(grid)
+    log_q_max = np.minimum(log_mu, 0.0) + math.log1p(1e-12)
+    kept = np.flatnonzero(math.log(d) + (d - 1) * log_q_max >= log_mu - 2.0 * math.log(snr))
+    vals = -2.0 * grid / snr**2
+    for stop in range(kept.size, 0, -SCAN_BLOCK):
+        start = max(0, stop - SCAN_BLOCK)
+        mu = grid[kept[start:stop]]
+        vals[kept[start:stop]] = d * q_of_mu_rademacher(mu) ** (d - 1) - 2.0 * mu / snr**2
+        # every point right of the last kept one not yet evaluated is fixed
+        fixed = kept[start - 1] + 1 if start > 0 else 0
+        if first_root and _root_cells(vals[fixed:]).size > 0:
+            return grid[fixed:], vals[fixed:]
+    return grid, vals
 
 
 def _check(d: int, snr: float) -> None:
@@ -174,15 +201,16 @@ def rademacher_fixed_points(d: int, snr: float, *, high_only: bool = False) -> l
     """All solutions at (d, snr): the zero branch plus any nonzero roots.
 
     Nonzero roots are the sign changes of phi(mu) (see _phi) on a
-    log+linear mu grid, polished by bisection; the one with the largest mu
-    is the high branch.  On the grid q(mu) is not evaluated where a bound on
-    q proves phi < 0 (see _phi); those points keep their sign, so the cells,
-    and the roots polished on the unscreened float path, are unchanged.
-    With high_only the table holds the zero branch and the high one alone.
+    log+linear mu grid, polished by ITP; the one with the largest mu is the
+    high branch.  On the grid q(mu) is not evaluated where a bound on q
+    proves phi < 0 (see _mu_scan); those points keep their sign, so the
+    cells, and the roots polished on the float path, are unchanged.  With
+    high_only the table holds the zero branch and the high one alone, and
+    the scan stops at the first block that closes its cell.
     """
     _check(d, snr)
-    grid, phi = _mu_grid(d, snr), _phi(d, snr)
-    roots = _scan_roots(grid, phi(grid), phi, 1e-13, high_only)
+    grid, vals = _mu_scan(d, snr, first_root=high_only)
+    roots = _scan_roots(grid, vals, _phi(d, snr), 1e-13, high_only)
     out = [ReplicaSolution(d, snr, "zero", 0.0, 0.0, rademacher_free_energy(d, snr, 0.0, 0.0), 0.0)]
     for k, mu in enumerate(roots):
         q = q_of_mu_rademacher(mu)
@@ -212,13 +240,14 @@ def rademacher_replica_thresholds(d: int) -> tuple[float, float]:
     mu = snr^2 q shows the nonzero branch departs from zero at snr = 1, and
     it is the stable one from there on.  For d >= 3 lambda1 bisects the
     existence of nonzero solutions in snr, which is monotone: just below
-    every lambda1 of d = 3..200 no grid root exists.
+    every lambda1 of d = 3..200 no grid root exists.  Each existence probe
+    scans the mu grid from its high end and stops at the first root cell.
     """
     if d == 2:
         return 1.0, 1.0
 
     def exists(snr: float) -> bool:
-        return _root_cells(_phi(d, snr)(_mu_grid(d, snr))).size > 0
+        return _root_cells(_mu_scan(d, snr, first_root=True)[1]).size > 0
 
     lo, hi = 0.05, 1.0
     while not exists(hi):
@@ -235,7 +264,7 @@ def _crossing(solve, lambda1: float) -> float:
     """snr where the high branch's free energy crosses the zero branch's.
 
     solve(snr) returns the zero branch, then the high branch if the root scan
-    sees one: each probe scans the grid once and bisects the high branch's
+    sees one: each probe scans the grid once and polishes the high branch's
     cell alone.  The start is the first probe, from just above lambda1 out to
     lambda1 + 10^6 THRESHOLD_TOL, at which the root scan sees the high
     branch: close to lambda1 the two nonzero roots can both fall inside one
@@ -355,12 +384,17 @@ def _is_spherical(prior: SpikePrior) -> bool:
 def fixed_points(prior: SpikePrior, d: int, snr: float) -> list[ReplicaSolution]:
     """Zero branch plus the nonzero solutions at (d, snr), ascending.
 
-    A spherical table whose scan misses a branch raises BracketError: above
+    A table whose scan misses a branch raises BracketError.  Spherical: above
     spherical_appearance_snr(d) there are two nonzero solutions for d >= 3,
-    one for d = 2.
+    one for d = 2.  Rademacher: for d >= 3, phi < 0 just above mu = 0, so
+    phi >= 0 at the mu grid's first point puts the low root below it.
     """
     if not _is_spherical(prior):
-        return rademacher_fixed_points(d, snr)
+        sols = rademacher_fixed_points(d, snr)
+        if d >= 3 and _phi(d, snr)(MU_MIN) >= 0.0:
+            raise BracketError(f"the low branch lies below the mu scan's first point {MU_MIN:g} "
+                               f"at d={d}, snr={snr!r}")
+        return sols
     sols = spherical_fixed_points(d, snr)
     expected = (1 if d == 2 else 2) if snr > spherical_appearance_snr(d) else 0
     if len(sols) - 1 < expected:

@@ -80,7 +80,7 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
         limit = 2.0 * math.sqrt(collision_entropy(rate.prior))
         if h(hi) < 0.0:
             return LowerBoundResult(limit, 1.0, False, math.nan)
-        res = bisect_root(h, lo, hi, xtol=0.0)
+        res = bisect_root(h, lo, hi)
         t_star, value = at_root(res.root)
         return LowerBoundResult(min(value, limit), t_star, False, res.residual)
 
@@ -187,7 +187,7 @@ def injective_norm_mu(d: int) -> float:
         raise ValueError(f"mu_d is computed for d >= 3, got {d}")
     lo = 2.0 * math.sqrt(d - 1.0) + 1e-12
     hi = math.sqrt(d * (2.0 * math.log(d) + 2.0 * math.log(math.log(d)) + 4.0))
-    res = bisect_root(lambda x: _mu_characteristic(d, x), lo, hi, xtol=0.0)
+    res = bisect_root(lambda x: _mu_characteristic(d, x), lo, hi)
     return res.root * math.sqrt(2.0 / d)
 
 
@@ -228,7 +228,7 @@ def spiked_norm_lower_Ld(d: int, snr: float) -> SpikedNormLowerBound:
         _, h, dh = branch(s)
         return dh / d - h - snr
 
-    s = bisect_root(excess, 1e-300, 0.5 * math.log1p(d / (d - 1.0)), xtol=0.0).root
+    s = bisect_root(excess, 1e-300, 0.5 * math.log1p(d / (d - 1.0))).root
     big_m, h, _ = branch(s)
     return SpikedNormLowerBound(math.exp(-d * s) * (snr + h), math.exp(-s),
                                 math.sqrt(1.0 + 1.0 / big_m))
@@ -247,8 +247,7 @@ def upper_bound_spherical(d: int) -> float:
         raise ValueError(f"d must be >= 3, got {d}")
     branch = _spiked_norm_branch(d)
     log_target = math.log(d * injective_norm_mu(d))
-    res = bisect_root(lambda s: math.log(branch(s)[2]) - d * s - log_target, 1e-300, 1.0 / d,
-                      xtol=0.0)
+    res = bisect_root(lambda s: math.log(branch(s)[2]) - d * s - log_target, 1e-300, 1.0 / d)
     _, h, dh = branch(res.root)
     return dh / d - h
 

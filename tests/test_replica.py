@@ -29,12 +29,12 @@ from spiked_tensor.replica import (
     WEIGHTS,
     _crossing,
     _mu_grid,
-    _phi,
+    _mu_scan,
     _root_cells,
     fixed_points,
     replica_thresholds,
 )
-from spiked_tensor.solvers import BracketError
+from spiked_tensor.solvers import BracketError, itp_root
 from spiked_tensor.thresholds import asymptotics, upper_bound_cardinality
 
 TWO_SQRT_LOG2 = 2.0 * math.sqrt(math.log(2.0))
@@ -88,7 +88,7 @@ def test_q_of_mu_float_and_array_agree():
 
 
 def test_q_of_mu_below_min_of_mu_and_one():
-    # the bound the mu-grid screen of replica._phi rests on, on both paths
+    # the bound the mu-grid screen of replica._mu_scan rests on, on both paths
     mus = np.geomspace(1e-8, 1e6, 20001)
     bound = np.minimum(mus, 1.0) * (1.0 + 1e-12)
     assert np.all(q_of_mu_rademacher(mus) <= bound)
@@ -109,28 +109,50 @@ RADEMACHER_SCREEN_CASES = [
 ]
 
 
+def _unscreened_scan(d, snr, first_root=False):
+    grid = _mu_grid(d, snr)
+    return grid, _unscreened_phi(d, snr)(grid)
+
+
 def test_screened_mu_scan_keeps_every_sign_and_root(monkeypatch):
-    skipped = total = 0
+    skipped = total = stopped_early = 0
+    cases = RADEMACHER_SCREEN_CASES
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        screened_tables = [rademacher_fixed_points(d, snr) for d, snr in RADEMACHER_SCREEN_CASES]
-        for d, snr in RADEMACHER_SCREEN_CASES:
-            grid = _mu_grid(d, snr)
+        screened_tables = [rademacher_fixed_points(d, snr) for d, snr in cases]
+        screened_highs = [rademacher_fixed_points(d, snr, high_only=True) for d, snr in cases]
+        for d, snr in cases:
+            grid, vals = _mu_scan(d, snr)
             full = _unscreened_phi(d, snr)(grid)
-            vals = _phi(d, snr)(grid)
+            assert np.array_equal(grid, _mu_grid(d, snr))
             # a skipped point reads -2 mu / snr^2 (q taken as 0); a kept one
             # can differ from the whole-grid value in the last bit, since the
             # matrix product's kernel depends on the row count
             skip = vals == -2.0 * grid / snr**2
             assert np.all(full[skip] < 0.0)
             assert np.array_equal(np.sign(vals), np.sign(full))
-            assert np.array_equal(_root_cells(vals), _root_cells(full))
+            cells = _root_cells(full)
+            assert np.array_equal(_root_cells(vals), cells)
+            # the scan that stops at the first block closing a root cell
+            # returns a right end of the grid with the whole grid's signs,
+            # whose last root cell is the whole grid's, and has a root cell
+            # exactly when the whole grid does
+            part_grid, part_vals = _mu_scan(d, snr, first_root=True)
+            offset = grid.size - part_grid.size
+            assert np.array_equal(part_grid, grid[offset:])
+            assert np.array_equal(np.sign(part_vals), np.sign(full[offset:]))
+            assert np.array_equal(_root_cells(part_vals)[-1:] + offset, cells[-1:])
+            assert (_root_cells(part_vals).size > 0) == (cells.size > 0)
             skipped += int(skip.sum())
             total += grid.size
-        monkeypatch.setattr(replica, "_phi", _unscreened_phi)
-        unscreened_tables = [rademacher_fixed_points(d, snr) for d, snr in RADEMACHER_SCREEN_CASES]
+            stopped_early += offset > 0
+        monkeypatch.setattr(replica, "_mu_scan", _unscreened_scan)
+        unscreened_tables = [rademacher_fixed_points(d, snr) for d, snr in cases]
+        unscreened_highs = [rademacher_fixed_points(d, snr, high_only=True) for d, snr in cases]
     assert screened_tables == unscreened_tables
+    assert screened_highs == unscreened_highs
     assert skipped > total // 2
+    assert stopped_early > len(cases) // 4
 
 
 def test_root_cells_read_signs_of_tiny_values():
@@ -399,8 +421,9 @@ def test_crossing_of_the_high_branch_alone_equals_the_full_tables_to_the_bit(pri
                                       ("rademacher", 10)])
 def test_crossing_bisects_at_most_one_cell_per_probe(prior, d, monkeypatch):
     # each probe scans its grid once (one _scan_roots call) and polishes the
-    # high branch's cell alone, where both nonzero branches exist
-    calls = {"scan": 0, "bisect": 0}
+    # high branch's cell alone (one itp_root call), where both nonzero
+    # branches exist
+    calls = {"scan": 0, "polish": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -410,9 +433,64 @@ def test_crossing_bisects_at_most_one_cell_per_probe(prior, d, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(replica, "_scan_roots", counted("scan", replica._scan_roots))
-    monkeypatch.setattr(replica, "bisect_root", counted("bisect", replica.bisect_root))
+    monkeypatch.setattr(replica, "itp_root", counted("polish", replica.itp_root))
     replica_thresholds(SpikePrior(kind=prior), d)
-    assert 0 < calls["bisect"] <= calls["scan"]
+    assert 0 < calls["polish"] <= calls["scan"]
+
+
+@pytest.mark.parametrize("prior", ["spherical", "rademacher"])
+@pytest.mark.parametrize("d", [3, 10, 30])
+def test_every_polished_cell_keeps_the_itp_step_bound(prior, d, monkeypatch):
+    # ITP never takes more than bisection's steps plus one, and on these
+    # smooth cells it converges superlinearly, in well under half of them
+    cells = []
+
+    def recorded(f, lo, hi, *, xtol):
+        res = itp_root(f, lo, hi, xtol=xtol)
+        cells.append((math.ceil(math.log2((hi - lo) / xtol)), res.iterations))
+        return res
+
+    monkeypatch.setattr(replica, "itp_root", recorded)
+    replica_thresholds(SpikePrior(kind=prior), d)
+    assert cells
+    assert all(steps <= halvings + 1 for halvings, steps in cells)
+    assert sum(steps for _, steps in cells) < 0.5 * sum(halvings for halvings, _ in cells)
+
+
+@pytest.mark.parametrize("snr", [2.0, 10.0, 1e2, 1e3, 1e4])
+def test_spherical_d3_roots_match_the_closed_form(snr):
+    # d = 3: q (1 - q) = c with c = 2 / (3 snr^2); the low root is written
+    # without the cancellation of (1 - sqrt(1 - 4c)) / 2
+    c = 2.0 / (3.0 * snr * snr)
+    root = math.sqrt(1.0 - 4.0 * c)
+    low, high = spherical_fixed_points(3, snr)[1:]
+    assert (low.branch, high.branch) == ("low", "high")
+    assert low.q == pytest.approx(2.0 * c / (1.0 + root), rel=1e-12)
+    assert high.q == pytest.approx(0.5 * (1.0 + root), rel=1e-12)
+
+
+def test_rademacher_low_root_against_mpmath():
+    # d = 3, snr = 1000: mu = (3 snr^2 / 2) q(mu)^2 with q(mu) = E tanh(mu + sqrt(mu) z)
+    # integrated and solved by mpmath at 40 digits
+    low = rademacher_fixed_points(3, 1000.0)[1]
+    assert low.branch == "low"
+    assert low.mu == pytest.approx(6.6666755555664198e-07, rel=1e-10)
+    assert low.q == pytest.approx(6.6666711111150617e-07, rel=1e-10)
+
+
+def test_rademacher_fixed_points_refuse_a_low_root_below_the_grid():
+    # d = 3 at snr = 10^4: the low root mu ~ 2 / (3 snr^2) lies below the mu
+    # grid's first point, 1e-8
+    with pytest.raises(BracketError, match="d=3, snr=10000.0"):
+        fixed_points(SpikePrior.rademacher(), 3, 1e4)
+    assert [s.branch for s in rademacher_fixed_points(3, 1e4)] == ["zero", "high"]
+
+
+@pytest.mark.parametrize("d, snr", [("3", "8000"), *[(str(d), "1e6") for d in range(4, 11)]])
+def test_rademacher_tables_keep_both_branches_at_large_snr(d, snr, capsys):
+    assert main(["replica", "--prior", "rademacher", "--d", d, "--lambda", snr]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["zero", "low", "high"]
 
 
 def test_replica_solvers_are_picked_by_prior():

@@ -5,9 +5,11 @@ import pytest
 
 from spiked_tensor.solvers import (
     BracketError,
+    RootResult,
     bisect_root,
     geometric_grid,
     golden_min_vec,
+    itp_root,
 )
 
 
@@ -35,14 +37,49 @@ def test_golden_min_vec_heterogeneous_intervals():
 
 
 def test_bisect_root_cosine():
-    res = bisect_root(math.cos, 1.0, 2.0, xtol=1e-14)
-    assert abs(res.root - math.pi / 2) < 1e-12
-    assert res.residual < 1e-12
-    # xtol = 0 asks for the narrowest bracket; the loop ends once the midpoint
-    # can no longer split it
-    res = bisect_root(math.cos, 1.0, 2.0, xtol=0.0)
+    # the bisection halves the bracket until the midpoint can no longer split it
+    res = bisect_root(math.cos, 1.0, 2.0)
     assert abs(res.root - math.pi / 2) <= math.ulp(math.pi / 2)
     assert res.iterations < 60
+
+
+def test_itp_root_cosine():
+    res = itp_root(math.cos, 1.0, 2.0, xtol=1e-14)
+    assert abs(res.root - math.pi / 2) < 1e-12
+    assert res.residual < 1e-12
+    # superlinear on a smooth f: bisection takes 47 steps to width 1e-14
+    assert res.iterations < 15
+
+
+def test_itp_root_requires_bracket_and_positive_xtol():
+    with pytest.raises(BracketError):
+        itp_root(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+    for xtol in (0.0, -1e-12, math.nan):
+        with pytest.raises(ValueError):
+            itp_root(math.cos, 1.0, 2.0, xtol=xtol)
+
+
+def test_itp_root_reads_signs_of_tiny_values():
+    # a product of two values below ~1e-162 underflows to 0 and loses the signs
+    with pytest.raises(BracketError):
+        itp_root(lambda x: 1e-200, 0.0, 1.0, xtol=1e-12)
+    res = itp_root(lambda x: x - 1e-300, 0.0, 1.0, xtol=1e-313)
+    assert res.root == pytest.approx(1e-300, rel=1e-12)
+
+
+def test_itp_root_endpoint_root():
+    assert itp_root(lambda x: x, 0.0, 1.0, xtol=1e-12) == RootResult(0.0, 0.0, 0)
+    assert itp_root(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-12) == RootResult(1.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("xtol", [1e-3, 1e-8, 1e-12, 1e-15])
+def test_itp_root_keeps_the_bisection_bound_on_a_step(xtol):
+    # a jump from -1e-300 to 1e300 puts every regula falsi point at the low
+    # end; the projection keeps each step within bisection's budget plus one
+    for root in (0.1, 0.37, 0.5, 0.999):
+        res = itp_root(lambda x: -1e-300 if x < root else 1e300, 0.0, 1.0, xtol=xtol)
+        assert res.iterations <= math.ceil(math.log2(1.0 / xtol)) + 1
+        assert abs(res.root - root) <= 0.5 * xtol + math.ulp(root)
 
 
 def test_bisect_root_requires_bracket():
@@ -54,7 +91,7 @@ def test_bisect_root_reads_signs_of_tiny_values():
     # a product of two values below ~1e-162 underflows to 0 and loses the signs
     with pytest.raises(BracketError):
         bisect_root(lambda x: 1e-200, 0.0, 1.0)
-    res = bisect_root(lambda x: x - 1e-300, 0.0, 1.0, xtol=0.0)
+    res = bisect_root(lambda x: x - 1e-300, 0.0, 1.0)
     assert res.root == pytest.approx(1e-300, rel=1e-15)
     assert res.iterations < 1100
 
@@ -69,7 +106,7 @@ def test_spherical_tangency_bisection_steps(monkeypatch):
         steps.append(res.iterations)
         return res
 
-    # xtol = 0: each root is bisected down to adjacent floats, about 50 steps
+    # each root is bisected down to adjacent floats, about 50 steps
     monkeypatch.setattr(thresholds, "bisect_root", counted)
     rate = rate_function_for(SpikePrior.spherical())
     for d in range(3, 201):
