@@ -13,7 +13,7 @@ last line says whether those digests equal the ``--threads 1`` ones.  The
 ``thresholds`` and ``replica`` argv and the ``SIMULATE_JSON`` ones (one per
 ``simulate`` kind) also run with ``--format json``, which pins the JSON
 cells of every table the CLI writes.
-Takes about 12 s on a 2-core x86 machine.
+Takes about 9 s on a 2-core x86 machine at one BLAS thread.
 """
 
 import contextlib
@@ -94,6 +94,9 @@ REPLICA += [["replica", "--prior", "rademacher", "--d", "3..100", "--thresholds"
 # a Rademacher branch table whose low root lies below the mu grid's first
 # point is refused: it exits 2
 REPLICA += [["replica", "--prior", "rademacher", "--d", "3", "--lambda", "1e4"]]
+# high branches where q = 1 to double precision: mu = snr^2 d / 2 and the free
+# energy -snr/2 at 9 digits only while the quadrature weights sum to 1
+REPLICA += [["replica", "--prior", "rademacher", "--d", "1000000", "--lambda", "10,100,1000"]]
 
 RATEFN = [
     ["ratefn", "--prior", "rademacher", "--n", "60", "--grid", "40"],

@@ -309,7 +309,7 @@ class NormEstimate:
 
 
 def _ascend(
-    tensor: SymmetricTensor, starts: np.ndarray, max_iters: int, tol: float = _STEP_TOL
+    tensor: SymmetricTensor, starts: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value, unit vector and convergence flag of the ascent from each row of
     ``starts`` (d >= 3), all rows stepped in lockstep.
@@ -319,7 +319,7 @@ def _ascend(
     A step is taken only if f does not fall (f(y) >= f(x)) and halves the
     row's shift; a failed attempt doubles the shift, adds 1 and retries from
     the same point.  A row leaves the block converged when its step moves
-    less than ``tol``, at a stationary point (a zero step) and after 80
+    less than _STEP_TOL, at a stationary point (a zero step) and after 80
     failed attempts in a row (its shift is then above 2^79, so the point is
     stationary up to rounding), staying where it is; it leaves unconverged
     after ``max_iters`` steps.
@@ -372,7 +372,7 @@ def _ascend(
             newton_ok &= ~(newton & failed)
             move = y - x
             move_norm = _row_norms(move)
-            finished = (attempts == 80) | (take & (move_norm < tol))
+            finished = (attempts == 80) | (take & (move_norm < _STEP_TOL))
             reverses = np.einsum("ij,ij->i", move, last) < 0
             np.copyto(x, y, where=take[:, None])
             np.copyto(g, gy, where=take[:, None])
@@ -443,8 +443,8 @@ def _flip_negative(points: np.ndarray, values: np.ndarray) -> None:
 
 def injective_norm_estimate(
     tensor: SymmetricTensor,
-    settings: PowerIterationSettings = PowerIterationSettings(),
-    seed: RngSeed | None = None,
+    settings: PowerIterationSettings,
+    seed: RngSeed,
     spike_start: UnitVector | None = None,
 ) -> NormEstimate:
     """max <T, x^{(x)d}> over the sphere, and a unit vector attaining it.
@@ -470,7 +470,7 @@ def injective_norm_estimate(
 
         _, vectors = linalg.eigh(tensor.entries, subset_by_index=[n - 1, n - 1])
         return NormEstimate(rank_one_inner(tensor, UnitVector(vectors[:, 0])), vectors[:, 0], True)
-    rng = (seed or RngSeed(0)).generator(RESTART_SUBSTREAM)
+    rng = seed.generator(RESTART_SUBSTREAM)
     # starts per chunk: the (rows, n^(d-1)) first step of a block contraction fits the budget
     rows = max(1, _BLOCK_BUDGET // n ** (tensor.d - 1))
     best = None

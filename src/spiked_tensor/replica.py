@@ -51,12 +51,15 @@ SNR_RANGE = (1e-6, SNR_MAX)
 
 
 def _normal_rule() -> tuple[np.ndarray, np.ndarray]:
-    """3 panels of 67-point Gauss-Legendre on [-10, 10], weighted by the normal density."""
+    """3 panels of 67-point Gauss-Legendre on [-10, 10], weighted by the normal
+    density and scaled to sum to 1 (the rule alone sums to 1 + 1.3e-15, which
+    q^(d-1) at d = 10^6 would lift to 1.3e-9 on a high branch where q = 1)."""
     x, w = np.polynomial.legendre.leggauss(67)
     edges = np.linspace(-10.0, 10.0, 4)[:, None]
     a, b = edges[:-1], edges[1:]
     z = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
     w = (0.5 * (b - a) * w).ravel() * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    w /= math.fsum(w)
     z.setflags(write=False)
     w.setflags(write=False)
     return z, w

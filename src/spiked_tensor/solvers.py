@@ -164,15 +164,3 @@ def itp_root(f: Callable[[float], float], lo: float, hi: float, *, xtol: float) 
     root = 0.5 * (lo + hi)
     return RootResult(root, abs(f(root)), it)
 
-
-def geometric_grid(npts: int, tmin: float = 1e-9, tmax_gap: float = 1e-14) -> np.ndarray:
-    """Grid on (0, 1) that is dense near both endpoints.
-
-    Uniform points plus log-spaced points toward 0 and geometrically spaced
-    points toward 1; minimizers of threshold objectives drift into the
-    boundary layer at 1 for large tensor order, so uniform grids miss them.
-    """
-    uniform = np.linspace(tmin, 1.0 - 1e-9, npts)
-    toward0 = 10.0 ** np.linspace(math.log10(tmin), -0.3, npts // 4)
-    toward1 = 1.0 - 10.0 ** np.linspace(math.log10(tmax_gap), -0.3, npts // 4)
-    return np.unique(np.concatenate([uniform, toward0, toward1]))

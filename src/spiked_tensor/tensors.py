@@ -165,25 +165,30 @@ def check_memory_cap(n: int, d: int) -> None:
 
 @dataclass(frozen=True)
 class SymmetricTensor:
-    """Dense order-d symmetric tensor; reads are bit-identical under index permutation."""
+    """Dense order-d symmetric tensor; reads are bit-identical under index permutation.
+    The dimension n and order d are read off the cubic n^d array of entries."""
 
-    n: int
-    d: int
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (self.n,) * self.d:
-            raise DimensionMismatchError(
-                f"entries shape {entries.shape} != {(self.n,) * self.d}"
-            )
+        if len(set(entries.shape)) != 1:
+            raise DimensionMismatchError(f"entries shape {entries.shape} is not n^d")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.entries.ndim
 
 
 def _gather(n: int, d: int, values: np.ndarray) -> SymmetricTensor:
     """The tensor whose every entry is the value of its orbit."""
-    return SymmetricTensor(n, d, values[_orbit_table(n, d)[0]].reshape((n,) * d))
+    return SymmetricTensor(values[_orbit_table(n, d)[0]].reshape((n,) * d))
 
 
 def _rank_one_values(x: np.ndarray, d: int) -> np.ndarray:

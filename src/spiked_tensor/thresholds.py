@@ -30,11 +30,21 @@ from typing import NamedTuple
 import numpy as np
 
 from . import replica
-from .rates import RateFunction, collision_entropy, rate_function_for
-from .solvers import INV_PHI, bisect_root, geometric_grid, golden_min_vec
+from .rates import collision_entropy, rate_function_for
+from .solvers import INV_PHI, bisect_root, golden_min_vec
 from .tensors import SpikePrior, check_snr
 
-GRID_POINTS = 10_000
+# The sparse lower bound's t grid on (0, 1): uniform points plus points
+# log-spaced toward 0 and geometrically spaced toward 1, where minimizers of
+# the objective drift into the 1 - Theta(1/(d log d)) boundary layer at large
+# d.  Below t = 1e-6 the sparse rate is a difference of O(1) entropies and
+# cancellation noise; the d=2 cap covers t -> 0 exactly.
+T_GRID = np.unique(np.concatenate([
+    np.linspace(1e-6, 1.0 - 1e-9, 10_000),
+    10.0 ** np.linspace(-6.0, -0.3, 2_500),
+    1.0 - 10.0 ** np.linspace(-14.0, -0.3, 2_500),
+]))
+T_GRID.setflags(write=False)
 
 
 class LowerBoundResult(NamedTuple):
@@ -50,7 +60,7 @@ class SpikedNormLowerBound(NamedTuple):
     beta_star: float
 
 
-def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
+def lower_bound_lambda(prior: SpikePrior, d: int) -> LowerBoundResult:
     """sqrt(2 inf_t (1+t^-d) f(t)), the second-moment lower bound.
 
     Spherical and Rademacher: the root of t (1+t^d) f'(t) = d f(t), unique
@@ -68,21 +78,23 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if rate.prior.kind in ("spherical", "rademacher"):
+    if prior.kind in ("spherical", "rademacher"):
         if d == 2:
             # Both sides of the equation are t^2 + O(t^4) near t = 0, where
             # rounding would pick the sign.  Their difference is positive on
             # (0, 1) (its series has no negative term for either prior), so the
             # infimum is the t -> 0 limit f''(0)/2 = 1/2: the value is 1 exactly.
             return LowerBoundResult(1.0, 0.0, False, math.nan)
-        spherical = rate.prior.kind == "spherical"
+        spherical = prior.kind == "spherical"
         h, lo, hi, at_root = (_spherical_tangency if spherical else _rademacher_tangency)(d)
-        limit = 2.0 * math.sqrt(collision_entropy(rate.prior))
+        limit = 2.0 * math.sqrt(collision_entropy(prior))
         if h(hi) < 0.0:
             return LowerBoundResult(limit, 1.0, False, math.nan)
         res = bisect_root(h, lo, hi)
         t_star, value = at_root(res.root)
         return LowerBoundResult(min(value, limit), t_star, False, res.residual)
+
+    rate = rate_function_for(prior)
 
     def objective(ts: np.ndarray) -> np.ndarray:
         fvals = np.maximum(rate.eval_batch(ts), 0.0)
@@ -90,15 +102,12 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
             td = ts**d
             return np.where(td > 0.0, (1.0 + td) / td * fvals, np.inf)
 
-    # below t = 1e-6 the sparse rate is a difference of O(1) entropies and
-    # cancellation noise; the d=2 cap covers t -> 0 exactly
-    ts = geometric_grid(GRID_POINTS, tmin=1e-6)
-    ratio = objective(ts)
+    ratio = objective(T_GRID)
     i = int(np.argmin(ratio))
     if not math.isfinite(ratio[i]):
         raise ValueError(f"d={d}: t^d underflows on the whole grid")
-    a = float(ts[max(0, i - 1)])
-    b = float(ts[min(len(ts) - 1, i + 1)])
+    a = float(T_GRID[max(0, i - 1)])
+    b = float(T_GRID[min(len(T_GRID) - 1, i + 1)])
     # near t = 1 the objective is set by 1 - t, so resolve t to 1e-3 of
     # 1 - t there, and no finer than a few ulps so the section cannot stall
     tol = max(min(1e-10, 1e-3 * (1.0 - b)), 4.0 * math.ulp(b))
@@ -107,8 +116,8 @@ def lower_bound_lambda(rate: RateFunction, d: int) -> LowerBoundResult:
     # the objective tends to 2F as t -> 1 (F the collision entropy), so the
     # infimum is at most 2F; near t = 1 the grid's (1+t^d)/t^d ~ 2 + d(1-t)
     # overshoots that limit once d(1-t) is no longer negligible
-    best = min(float(refined), float(ratio[i]), 2.0 * collision_entropy(rate.prior))
-    t_star = float(t_polished) if refined <= ratio[i] else float(ts[i])
+    best = min(float(refined), float(ratio[i]), 2.0 * collision_entropy(prior))
+    t_star = float(t_polished) if refined <= ratio[i] else float(T_GRID[i])
     value = math.sqrt(2.0 * best)
     capped = d == 2 and value > 1.0
     return LowerBoundResult(1.0 if capped else value, t_star, capped, math.nan)
@@ -318,7 +327,7 @@ def threshold_report(
     both strong detection and weak recovery transition at snr = 1, where the
     lower bound is exactly 1, so the report pins the upper bound there too.
     """
-    lower = lower_bound_lambda(rate_function_for(prior), d)
+    lower = lower_bound_lambda(prior, d)
     mu = replica_prediction = None
     asym_lower = asym_upper = None
 

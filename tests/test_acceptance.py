@@ -73,7 +73,7 @@ def test_criterion_2_spherical_ordering_sweep():
 
 def test_criterion_3_rademacher_large_d():
     t0 = time.perf_counter()
-    lower = lower_bound_lambda(rate_function_for(SpikePrior.rademacher()), 50).value
+    lower = lower_bound_lambda(SpikePrior.rademacher(), 50).value
     _, replica_l2 = rademacher_replica_thresholds(50)
     elapsed = time.perf_counter() - t0
     rel_lower = abs(lower / TWO_SQRT_LOG2 - 1.0)
@@ -111,7 +111,7 @@ def test_criterion_4_asymptotic_convergence():
     ladder = [10**e for e in (3, 4, 6, 10, 20, 40, 100)]
     gaps_lower, gaps_mu = [], []
     for d in ladder:
-        lam = lower_bound_lambda(rate_function_for(SpikePrior.spherical()), d).value
+        lam = lower_bound_lambda(SpikePrior.spherical(), d).value
         gaps_lower.append(lam * lam - asymptotics("lower_sph_sq", d))
         mu = injective_norm_mu(d)
         gaps_mu.append(mu * mu - asymptotics("mu_sq", d))
@@ -147,7 +147,7 @@ def test_criterion_5_sparse_limits():
         err = abs(rate_function_for(SpikePrior.sparse(rho)).eval(1.0) - target)
         ok = ok and err <= 1e-8
     rho = 1e-4
-    lam = lower_bound_lambda(rate_function_for(SpikePrior.sparse(rho)), 2).value
+    lam = lower_bound_lambda(SpikePrior.sparse(rho), 2).value
     ratio = lam / (2.0 * math.sqrt(-rho * math.log(rho)))
     ok = ok and 0.8 <= ratio <= 1.1
     elapsed = time.perf_counter() - t0

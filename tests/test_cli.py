@@ -719,7 +719,8 @@ def test_a_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch)
 # best start now ends converged, so its `converged` cell reads 1 (true), not
 # 0 (false); no other byte moved.  The two replica_branches pins were
 # re-pinned when the branch roots began to be polished by ITP to a relative
-# tolerance: only the `residual` cells moved.
+# tolerance, and again when the normal quadrature's weights were scaled to
+# sum to 1: both times only the `residual` cells moved.
 RECORDS = "{records}"  # replaced by a temporary path
 PINNED_ARGV = {
     "thresholds": ["thresholds", "--prior", "spherical", "--d", "3..4", "--replica",
@@ -740,8 +741,8 @@ PINNED_ARGV = {
 PINNED_DIGESTS = {
     ("thresholds", "csv"): ["95feac94058d8947"],
     ("thresholds", "json"): ["88b02d35e4074028"],
-    ("replica_branches", "csv"): ["4bed27496ce55312"],
-    ("replica_branches", "json"): ["2a11731a35eb43ce"],
+    ("replica_branches", "csv"): ["08c1127919350a78"],
+    ("replica_branches", "json"): ["cafea3784c340298"],
     ("replica_thresholds", "csv"): ["05b8b38b9872a221"],
     ("replica_thresholds", "json"): ["110c374faececdea"],
     ("ratefn", "csv"): ["6ab465d3600d39f1"],

@@ -15,7 +15,6 @@ from spiked_tensor import (
     injective_norm_mu,
     lower_bound_lambda,
     mle_statistic,
-    rate_function_for,
     replica,
     spiked_norm_lower_Ld,
     upper_bound_spherical,
@@ -28,7 +27,7 @@ SPHERE, RADE = SpikePrior.spherical(), SpikePrior.rademacher()
 
 
 def _zeros(n: int, d: int) -> SymmetricTensor:
-    return SymmetricTensor(n, d, np.zeros((n,) * d))
+    return SymmetricTensor(np.zeros((n,) * d))
 
 
 CALLS = {
@@ -38,9 +37,9 @@ CALLS = {
     "unit_vector_norm": lambda: UnitVector(np.array([1.0, 1.0])),
     "memory_cap_n0": lambda: check_memory_cap(0, 3),
     "memory_cap_d1": lambda: check_memory_cap(3, 1),
-    "tensor_shape": lambda: SymmetricTensor(3, 3, np.zeros((3, 3))),
+    "tensor_shape": lambda: SymmetricTensor(np.zeros((3, 3, 2))),
     "output_format": lambda: OutputSpec(format="xml"),
-    "lower_bound_d1": lambda: lower_bound_lambda(rate_function_for(SPHERE), 1),
+    "lower_bound_d1": lambda: lower_bound_lambda(SPHERE, 1),
     "mu_d2": lambda: injective_norm_mu(2),
     "ld_d2": lambda: spiked_norm_lower_Ld(2, 1.0),
     "ld_negative_snr": lambda: spiked_norm_lower_Ld(3, -1.0),

@@ -41,7 +41,7 @@ from spiked_tensor.tensors import MEMORY_CAP, UnitVector, contract
 
 def test_mle_noiseless_maximizer():
     x = sample_spike(SpikePrior.rademacher(), 8, RngSeed(1))
-    T = SymmetricTensor(x.n, 3, 3.0 * rank_one(x, 3).entries)
+    T = SymmetricTensor(3.0 * rank_one(x, 3).entries)
     value, argmax = mle_statistic(T, SpikePrior.rademacher(), 8, 3)
     assert value == pytest.approx(3.0, abs=1e-12)
     assert np.allclose(argmax.coords, x.coords)
@@ -49,7 +49,7 @@ def test_mle_noiseless_maximizer():
 
 def test_mle_hand_enumeration_d2():
     # T = diag(1, -1): every sign vector v gives v^T T v = 0
-    T = SymmetricTensor(2, 2, np.array([[1.0, 0.0], [0.0, -1.0]]))
+    T = SymmetricTensor(np.array([[1.0, 0.0], [0.0, -1.0]]))
     value, _ = mle_statistic(T, SpikePrior.rademacher(), 2, 2)
     assert abs(value) < 1e-12
 
@@ -79,7 +79,7 @@ def test_mle_matches_full_enumeration():
 def test_mle_sparse_support():
     prior = SpikePrior.sparse(0.5)
     x = sample_spike(prior, 8, RngSeed(3))
-    T = SymmetricTensor(x.n, 3, 2.0 * rank_one(x, 3).entries)
+    T = SymmetricTensor(2.0 * rank_one(x, 3).entries)
     value, argmax = mle_statistic(T, prior, 8, 3)
     assert value == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(np.abs(argmax.coords), np.abs(x.coords))
@@ -178,8 +178,8 @@ def test_mle_statistic_memory_bounded(n, d):
 
 def test_norm_estimate_noiseless_rank_one():
     x = sample_spike(SpikePrior.spherical(), 12, RngSeed(4))
-    T = SymmetricTensor(x.n, 3, 3.0 * rank_one(x, 3).entries)
-    est = injective_norm_estimate(T, seed=RngSeed(4), spike_start=x)
+    T = SymmetricTensor(3.0 * rank_one(x, 3).entries)
+    est = injective_norm_estimate(T, PowerIterationSettings(), RngSeed(4), x)
     assert est.value == pytest.approx(3.0, abs=1e-8)
 
 
@@ -232,14 +232,14 @@ def test_d2_estimate_checks_its_settings(monkeypatch):
     with pytest.raises(ValueError, match="memory cap"):
         injective_norm_estimate(T, PowerIterationSettings(restarts=MEMORY_CAP // n + 1), RngSeed(8))
     x = sample_spike(SpikePrior.spherical(), n, RngSeed(8))
-    assert injective_norm_estimate(T, PowerIterationSettings(restarts=0), spike_start=x).converged
+    assert injective_norm_estimate(T, PowerIterationSettings(restarts=0), RngSeed(0), x).converged
 
 
 def test_norm_estimate_dominates_discrete_max():
     prior = SpikePrior.rademacher()
     T = sample_wigner(8, 3, RngSeed(6))
     mle_val, mle_arg = mle_statistic(T, prior, 8, 3)
-    est = injective_norm_estimate(T, seed=RngSeed(6), spike_start=mle_arg)
+    est = injective_norm_estimate(T, PowerIterationSettings(), RngSeed(6), mle_arg)
     assert mle_val <= est.value + 1e-6
 
 
@@ -249,7 +249,7 @@ def test_norm_estimate_unspiked_band():
     vals = []
     for s in range(10):
         W = sample_wigner(30, 3, RngSeed(100 + s))
-        vals.append(injective_norm_estimate(W, seed=RngSeed(100 + s)).value)
+        vals.append(injective_norm_estimate(W, PowerIterationSettings(), RngSeed(100 + s)).value)
     assert all(1.5 < v < mu3 + 0.5 for v in vals)
 
 
@@ -270,10 +270,10 @@ def test_power_iteration_needs_a_start():
     with pytest.raises(ValueError):
         PowerIterationSettings(restarts=-1)
     x = sample_spike(SpikePrior.spherical(), 6, RngSeed(8))
-    T = SymmetricTensor(x.n, 3, 2.0 * rank_one(x, 3).entries)
+    T = SymmetricTensor(2.0 * rank_one(x, 3).entries)
     with pytest.raises(ValueError):
         injective_norm_estimate(T, PowerIterationSettings(restarts=0), seed=RngSeed(8))
-    est = injective_norm_estimate(T, PowerIterationSettings(restarts=0), spike_start=x)
+    est = injective_norm_estimate(T, PowerIterationSettings(restarts=0), RngSeed(0), x)
     assert est.value == pytest.approx(2.0, abs=1e-10)
 
 
@@ -281,7 +281,7 @@ def test_power_iteration_needs_a_start():
 @pytest.mark.parametrize("spike", [False, True])
 def test_power_iteration_stops_at_a_stationary_point(d, spike):
     # on the zero tensor every step is zero: each row ends where it starts, converged
-    T = SymmetricTensor(5, d, np.zeros((5,) * d))
+    T = SymmetricTensor(np.zeros((5,) * d))
     start = sample_spike(SpikePrior.spherical(), 5, RngSeed(3)) if spike else None
     est = injective_norm_estimate(T, PowerIterationSettings(restarts=2), RngSeed(3), start)
     assert est.value == 0.0
@@ -372,11 +372,11 @@ def test_lockstep_rows_match_their_runs_alone(d, n):
     # to max_iters, and a random start's first plain step descends, so it retries
     x, T = sample_spiked(SpikePrior.spherical(), n, d, 10.0, RngSeed(d))
     starts = np.vstack([x.coords, RngSeed(d).generator(0).standard_normal((7, n))])
-    values, _, converged = _ascend(T, starts, 13, 1e-10)
+    values, _, converged = _ascend(T, starts, 13)
     assert converged[0] and not converged.all()
     assert any(_plain_step_descends(T, start) for start in starts)
     for i, start in enumerate(starts):
-        value, _, alone = _ascend(T, start[None], 13, 1e-10)
+        value, _, alone = _ascend(T, start[None], 13)
         assert alone[0] == converged[i]
         assert value[0] == pytest.approx(values[i], rel=1e-12, abs=0)
 
@@ -399,7 +399,7 @@ def test_ascent_never_lowers_the_value(n, d, seed, monkeypatch):
     monkeypatch.setattr(montecarlo, "contract", recorded)
     for start in RngSeed(seed).generator(RESTART_SUBSTREAM).standard_normal((4, n)):
         evaluated.clear()
-        value, _, _ = _ascend(T, start[None], 300, 1e-10)
+        value, _, _ = _ascend(T, start[None], 300)
         assert value[0] == max(evaluated)
 
 
@@ -436,18 +436,20 @@ def test_singular_newton_matrix_leaves_power_steps(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    fallback = _ascend(T, starts, 500, 1e-10)
+    fallback = _ascend(T, starts, 500)
     monkeypatch.setattr(montecarlo, "_NEWTON_TRIGGER", 0.0)
-    for got, want in zip(fallback, _ascend(T, starts, 500, 1e-10), strict=True):
+    for got, want in zip(fallback, _ascend(T, starts, 500), strict=True):
         assert np.array_equal(got, want)
 
 
-def test_stalled_start_ends_converged():
-    # at tol = 0 a start near its maximum stops ascending; 80 failed attempts
-    # in a row end it where it is instead of doubling its shift forever
+def test_stalled_start_ends_converged(monkeypatch):
+    # at a step tolerance of 0 a start near its maximum stops ascending; 80
+    # failed attempts in a row end it where it is instead of doubling its
+    # shift forever
+    monkeypatch.setattr(montecarlo, "_STEP_TOL", 0.0)
     settings = PowerIterationSettings()
     starts = RngSeed(4).generator(RESTART_SUBSTREAM).standard_normal((settings.restarts, 12))
-    values, _, converged = _ascend(sample_wigner(12, 3, RngSeed(4)), starts, settings.max_iters, 0.0)
+    values, _, converged = _ascend(sample_wigner(12, 3, RngSeed(4)), starts, settings.max_iters)
     assert np.isfinite(values).all()
     assert converged.any()
 
@@ -506,7 +508,7 @@ def test_restarts_under_the_cap_step_in_chunks(monkeypatch):
     # restarts x n just under MEMORY_CAP is accepted, and its first block
     # step contracts one chunk, not all (restarts, n^2)
     n, d = 100, 3
-    T = SymmetricTensor(n, d, np.zeros((n,) * d))
+    T = SymmetricTensor(np.zeros((n,) * d))
     restarts = MEMORY_CAP // n - 1
     with pytest.raises(ValueError, match="memory cap"):
         injective_norm_estimate(T, PowerIterationSettings(restarts=restarts + 2), RngSeed(1))

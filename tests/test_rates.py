@@ -19,7 +19,7 @@ from spiked_tensor import (
 )
 from spiked_tensor import rates
 from spiked_tensor.rates import EXACT_TAIL_MAX_N, tail_rate
-from spiked_tensor.solvers import geometric_grid, golden_min_vec
+from spiked_tensor.solvers import golden_min_vec
 from spiked_tensor.tensors import round_half_up
 
 LOG2 = math.log(2.0)
@@ -146,8 +146,12 @@ def _sparse_rate_per_fraction(ts: np.ndarray, rho: float) -> np.ndarray:
 @pytest.mark.parametrize(
     "rho", [1e-4, 0.01, 0.1445439770745928, 0.3, 0.5, 0.6666666666666666, 0.8912509381337456, 1.0])
 def test_sparse_scan_matches_per_fraction_loop(rho):
-    # about 2,000 points, uniform and boundary-refined, and one NaN
-    ts = np.concatenate([np.linspace(0.0, 1.0, 999), geometric_grid(800, tmin=1e-6), [np.nan]])
+    # about 2,000 points, uniform and boundary-refined (log-spaced toward 0
+    # and geometrically toward 1), and one NaN
+    refined = np.unique(np.concatenate([np.linspace(1e-6, 1.0 - 1e-9, 800),
+                                        10.0 ** np.linspace(-6.0, -0.3, 200),
+                                        1.0 - 10.0 ** np.linspace(-14.0, -0.3, 200)]))
+    ts = np.concatenate([np.linspace(0.0, 1.0, 999), refined, [np.nan]])
     got = rates._rate_sparse_batch(ts, rho)
     assert np.array_equal(got, _sparse_rate_per_fraction(ts, rho), equal_nan=True)
     assert np.isnan(got[-1])

@@ -13,7 +13,6 @@ from spiked_tensor import (
     rademacher_fixed_points,
     rademacher_free_energy,
     rademacher_replica_thresholds,
-    rate_function_for,
     replica,
     spherical_appearance_snr,
     spherical_fixed_points,
@@ -44,7 +43,7 @@ def test_quadrature_moments():
     z, w = NODES, WEIGHTS
     assert len(z) == 201
     assert not z.flags.writeable and not w.flags.writeable
-    assert abs(float(w.sum()) - 1.0) < 1e-12
+    assert abs(math.fsum(WEIGHTS) - 1) <= 2**-52
     assert abs(float((w * z).sum())) < 1e-10
     assert abs(float((w * z**2).sum()) - 1.0) < 1e-10
     assert abs(float((w * z**3).sum())) < 1e-8
@@ -240,7 +239,7 @@ def test_rademacher_thresholds_frozen_and_ordered():
     for d in range(3, 21):
         l1, l2 = rademacher_replica_thresholds(d)
         assert l1 < l2
-        lower = lower_bound_lambda(rate_function_for(SpikePrior.rademacher()), d).value
+        lower = lower_bound_lambda(SpikePrior.rademacher(), d).value
         upper = upper_bound_cardinality(SpikePrior.rademacher())
         assert lower <= l2 <= upper + 1e-9
 
@@ -254,7 +253,7 @@ def test_rademacher_large_d_limit():
 def test_rademacher_lambda2_at_large_d_stays_in_the_bounds(d):
     # log(2 cosh x) overflowed from d = 353 on and dragged lambda2 below the bound
     _, l2 = rademacher_replica_thresholds(d)
-    lower = lower_bound_lambda(rate_function_for(SpikePrior.rademacher()), d).value
+    lower = lower_bound_lambda(SpikePrior.rademacher(), d).value
     assert lower <= l2 <= TWO_SQRT_LOG2 + 1e-6
 
 
@@ -312,10 +311,9 @@ def test_spherical_fixed_points_refuse_an_unresolved_table():
 
 
 def test_spherical_threshold_between_bounds():
-    rate = rate_function_for(SpikePrior.spherical())
     for d in (3, 5, 10):
         l2 = spherical_replica_threshold(d)
-        lower = lower_bound_lambda(rate, d).value
+        lower = lower_bound_lambda(SpikePrior.spherical(), d).value
         upper = upper_bound_spherical(d)
         assert lower < l2 < upper
 
@@ -336,7 +334,7 @@ def test_spherical_threshold_large_d_gap():
 
 
 def spherical_tangency_value(d):
-    return lower_bound_lambda(rate_function_for(SpikePrior.spherical()), d).value
+    return lower_bound_lambda(SpikePrior.spherical(), d).value
 
 
 def test_mu_reference_for_context():
@@ -476,6 +474,20 @@ def test_rademacher_low_root_against_mpmath():
     assert low.branch == "low"
     assert low.mu == pytest.approx(6.6666755555664198e-07, rel=1e-10)
     assert low.q == pytest.approx(6.6666711111150617e-07, rel=1e-10)
+
+
+def test_rademacher_high_rows_at_d_1e6(capsys):
+    # q = 1 up to e^(-mu/2) on the high branch, so mu = snr^2 d / 2 and the
+    # free energy is -snr/2 to every printed digit; weights summing to
+    # 1 + 1.3e-15 printed mu = 5.00000001e+09 and -50.0000001 at snr = 100
+    argv = ["replica", "--prior", "rademacher", "--d", "1000000", "--lambda", "10,100,1000"]
+    assert main(argv) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:5] for row in rows if row[1] == "high"] == [
+        ["10", "high", "1", "50000000", "-5"],
+        ["100", "high", "1", "5e+09", "-50"],
+        ["1000", "high", "1", "5e+11", "-500"],
+    ]
 
 
 def test_rademacher_fixed_points_refuse_a_low_root_below_the_grid():

@@ -7,7 +7,6 @@ from spiked_tensor.solvers import (
     BracketError,
     RootResult,
     bisect_root,
-    geometric_grid,
     golden_min_vec,
     itp_root,
 )
@@ -97,7 +96,7 @@ def test_bisect_root_reads_signs_of_tiny_values():
 
 
 def test_spherical_tangency_bisection_steps(monkeypatch):
-    from spiked_tensor import SpikePrior, lower_bound_lambda, rate_function_for, thresholds
+    from spiked_tensor import SpikePrior, lower_bound_lambda, thresholds
 
     steps = []
 
@@ -108,9 +107,8 @@ def test_spherical_tangency_bisection_steps(monkeypatch):
 
     # each root is bisected down to adjacent floats, about 50 steps
     monkeypatch.setattr(thresholds, "bisect_root", counted)
-    rate = rate_function_for(SpikePrior.spherical())
     for d in range(3, 201):
-        lower_bound_lambda(rate, d)
+        lower_bound_lambda(SpikePrior.spherical(), d)
     assert len(steps) == 198
     assert max(steps) < 100
 
@@ -123,10 +121,11 @@ def test_bisect_root_endpoint_root():
 
 
 def test_geometric_grid_covers_boundary_layers():
-    grid = geometric_grid(1000)
+    from spiked_tensor.thresholds import T_GRID as grid
+
     assert np.all(np.diff(grid) > 0)
-    assert grid[0] <= 1e-9
-    assert grid[-1] >= 1.0 - 1e-13
+    assert grid[0] == 1e-6
+    assert grid[-1] == 1.0 - 1e-14
     # points resolving the 1 - Theta(1/(d log d)) layer at large d
     assert np.any((1.0 - grid > 1e-6) & (1.0 - grid < 1e-4))
-    assert np.any(grid < 1e-7)
+    assert not grid.flags.writeable

@@ -233,7 +233,7 @@ def test_d2_top_eigenvalue_pushout():
 
 
 def test_rank_one_inner_hand_example():
-    T = SymmetricTensor(2, 2, np.array([[1.0, 2.0], [2.0, 3.0]]))
+    T = SymmetricTensor(np.array([[1.0, 2.0], [2.0, 3.0]]))
     x = UnitVector(np.array([1.0, 1.0]) / math.sqrt(2))
     assert abs(rank_one_inner(T, x) - 4.0) < 1e-12
 
@@ -248,7 +248,7 @@ def test_rank_one_inner_disjoint_support():
 
 def test_noiseless_inner_recovers_snr():
     x, T = sample_spiked(SpikePrior.rademacher(), 10, 3, 7.5, RngSeed(2))
-    noiseless = SymmetricTensor(10, 3, 7.5 * rank_one(x, 3).entries)
+    noiseless = SymmetricTensor(7.5 * rank_one(x, 3).entries)
     assert abs(rank_one_inner(noiseless, x) - 7.5) < 1e-12
 
 
@@ -257,7 +257,7 @@ def test_noiseless_inner_recovers_snr():
 def test_rank_one_inner_scaling(seed, alpha):
     W = sample_wigner(5, 3, RngSeed(seed))
     x = sample_spike(SpikePrior.spherical(), 5, RngSeed(seed))
-    scaled = SymmetricTensor(5, 3, alpha * W.entries)
+    scaled = SymmetricTensor(alpha * W.entries)
     assert abs(rank_one_inner(scaled, x) - alpha * rank_one_inner(W, x)) < 1e-10
 
 

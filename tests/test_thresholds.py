@@ -20,19 +20,23 @@ TWO_SQRT_LOG2 = 2.0 * math.sqrt(math.log(2.0))
 
 
 def test_rademacher_lower_bound_large_d_limit():
-    rate = rate_function_for(SpikePrior.rademacher())
-    lb = lower_bound_lambda(rate, 200).value
+    lb = lower_bound_lambda(SpikePrior.rademacher(), 200).value
     assert abs(lb / TWO_SQRT_LOG2 - 1.0) < 0.005
 
 
-def test_rademacher_lower_bound_monotone_and_capped():
-    rate = rate_function_for(SpikePrior.rademacher())
-    cap = upper_bound_cardinality(SpikePrior.rademacher())
+@pytest.mark.parametrize("kind", ["rademacher", "spherical"])
+def test_lower_bound_monotone_and_capped(kind):
+    prior = SpikePrior(kind)
+    orders = range(3, 51) if kind == "rademacher" else [*range(3, 61), 100, 10**3, 10**4, 10**6]
     prev = 0.0
-    for d in range(3, 51):
-        lb = lower_bound_lambda(rate, d).value
-        assert lb >= prev - 1e-10
-        assert lb <= cap + 1e-9
+    for d in orders:
+        lb = lower_bound_lambda(prior, d).value
+        if kind == "rademacher":  # capped by the MLE bound 2 sqrt(log 2)
+            assert lb >= prev - 1e-10
+            assert lb <= upper_bound_cardinality(prior) + 1e-9
+        else:  # below the upper bound, itself below mu_d
+            assert lb >= prev
+            assert lb < upper_bound_spherical(d) < injective_norm_mu(d)
         prev = lb
 
 
@@ -43,7 +47,7 @@ def test_solver_cross_validation_spherical():
     ts = np.linspace(1e-3, 1.0 - 1e-6, 100_001)
     fs = rate.eval_batch(ts)
     for d in range(3, 31):
-        lb = lower_bound_lambda(rate, d)
+        lb = lower_bound_lambda(SpikePrior.spherical(), d)
         direct = math.sqrt(2.0 * (1.0 + lb.t_star**-d) * rate.eval(lb.t_star))
         assert direct == pytest.approx(lb.value, rel=1e-12)
         scan = math.sqrt(2.0 * float(np.min((1.0 + ts**-d) * fs)))
@@ -54,13 +58,13 @@ def test_d2_known_threshold_via_generic_machinery():
     # both closed-form priors give exactly 1 at d=2: the objective increases
     # on (0, 1), so the infimum is its t -> 0 limit, the 1/sigma cap
     for prior in (SpikePrior.spherical(), SpikePrior.rademacher()):
-        lb = lower_bound_lambda(rate_function_for(prior), 2)
+        lb = lower_bound_lambda(prior, 2)
         assert lb.value == 1.0
 
 
 def test_sparse_lower_bound_sandwich():
     prior = SpikePrior.sparse(0.1)
-    lb = lower_bound_lambda(rate_function_for(prior), 2).value
+    lb = lower_bound_lambda(prior, 2).value
     lo = asymptotics("sparse_rho_lower", 0.1)
     hi = upper_bound_cardinality(prior)
     assert lo < lb < hi
@@ -69,13 +73,12 @@ def test_sparse_lower_bound_sandwich():
 def test_collision_entropy_cap_discrete():
     # the criterion tends to 2F as t -> 1, so the lower bound is at most 2 sqrt(F)
     for prior in (SpikePrior.rademacher(), SpikePrior.sparse(0.3)):
-        rate = rate_function_for(prior)
         for d in (3, 10, 50, 10**6, 10**9, 10**12):
-            assert lower_bound_lambda(rate, d).value <= upper_bound_cardinality(prior) + 1e-9
+            assert lower_bound_lambda(prior, d).value <= upper_bound_cardinality(prior) + 1e-9
 
 
 def spherical_lower(d):
-    return lower_bound_lambda(rate_function_for(SpikePrior.spherical()), d)
+    return lower_bound_lambda(SpikePrior.spherical(), d)
 
 
 def test_tangency_residual_and_large_d_location():
@@ -104,8 +107,7 @@ def test_tangency_routes_agree_to_large_d():
 def test_rademacher_lower_bound_high_precision(d, value):
     # 50-digit mpmath solves of the tangency equation t (1+t^d) atanh(t) = d f(t),
     # f(t) = log 2 - H((1+t)/2), with the value sqrt(2 (1+t^-d) f(t)) at the root
-    rate = rate_function_for(SpikePrior.rademacher())
-    assert lower_bound_lambda(rate, d).value == pytest.approx(float(value), rel=1e-14, abs=0)
+    assert lower_bound_lambda(SpikePrior.rademacher(), d).value == pytest.approx(float(value), rel=1e-14, abs=0)
 
 
 def test_tangency_asymptotic_gap_trend():
@@ -219,11 +221,10 @@ def test_spiked_norm_increasing_in_snr():
 
 
 def test_upper_bound_spherical_ordering():
-    rate = rate_function_for(SpikePrior.spherical())
     for d in [*range(3, 31), 10**3, 10**6]:
         mu = injective_norm_mu(d)
         upper = upper_bound_spherical(d)
-        lower = lower_bound_lambda(rate, d).value
+        lower = lower_bound_lambda(SpikePrior.spherical(), d).value
         assert lower < upper < mu
         # root consistency: L_d at the bound equals mu
         assert spiked_norm_lower_Ld(d, upper).value == pytest.approx(mu, rel=1e-14, abs=0)
@@ -301,17 +302,16 @@ def test_threshold_report_one_route_per_bound(monkeypatch):
     from spiked_tensor import thresholds
 
     # the spherical and Rademacher lower bounds are tangency roots and never
-    # reach the t grid; the sparse bound does
-    for name in ("geometric_grid", "golden_min_vec"):
-        monkeypatch.setattr(thresholds, name, _refuse)
+    # reach the t grid's polish; the sparse bound does
+    monkeypatch.setattr(thresholds, "golden_min_vec", _refuse)
     for prior in (SpikePrior.spherical(), SpikePrior.rademacher()):
         for d in range(3, 201):
             rep = threshold_report(prior, d)
-            assert rep.lambda_lower == lower_bound_lambda(rate_function_for(prior), d).value
+            assert rep.lambda_lower == lower_bound_lambda(prior, d).value
     with pytest.raises(AssertionError, match="refused solver"):
         threshold_report(SpikePrior.sparse(0.3), 3)
     # the exact d = 2 rows run no solver at all
-    for name in ("bisect_root", "golden_min_vec", "geometric_grid", "injective_norm_mu"):
+    for name in ("bisect_root", "golden_min_vec", "injective_norm_mu"):
         monkeypatch.setattr(thresholds, name, _refuse)
     for prior in (SpikePrior.spherical(), SpikePrior.rademacher()):
         rep = threshold_report(prior, 2, include_replica=True)
@@ -323,7 +323,7 @@ def test_threshold_report_d2_exact_cases():
         rep = threshold_report(prior, 2)
         assert rep.lambda_lower == 1.0 and rep.lambda_upper == 1.0
         assert rep.mu_d is None
-        assert rep.lower == lower_bound_lambda(rate_function_for(prior), 2)
+        assert rep.lower == lower_bound_lambda(prior, 2)
         assert rep.lower.value == 1.0
 
 
@@ -365,7 +365,7 @@ def test_grid_vs_refined_brute_force_spot_checks():
         (SpikePrior.rademacher(), 3),
         (SpikePrior.rademacher(), 5),
     ]:
-        solved = lower_bound_lambda(rate_function_for(prior), d).value
+        solved = lower_bound_lambda(prior, d).value
         assert abs(solved - brute_lower(prior, d)) < 1e-6
 
     # m-optimum, three (d, snr) tuples
