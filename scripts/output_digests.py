@@ -57,6 +57,9 @@ THRESHOLDS += [["thresholds", "--prior", "sparse", "--d", "2", "--rho", rho] for
 # 17 digits guard the bits of the sparse rate's zeta search at a tiny rho
 THRESHOLDS += [["thresholds", "--prior", "sparse", "--rho", "0.0001", "--d", "2..4",
                 "--precision", "17"]]
+# 17 digits guard the bits of the entropies inside the sparse rate at a mid rho
+THRESHOLDS += [["thresholds", "--prior", "sparse", "--rho", "0.3", "--d", "2..4",
+                "--precision", "17"]]
 
 REPLICA = [
     ["replica", "--prior", "spherical", "--d", "3", "--lambda", "1.5,2,2.5,3,5"],
@@ -106,6 +109,8 @@ RATEFN = [
     ["ratefn", "--prior", "sparse", "--rho", "0.5", "--n", "200", "--grid", "2000"],
     ["ratefn", "--prior", "sparse", "--rho", "0.0001", "--grid", "2000", "--precision", "17"],
     ["ratefn", "--prior", "sparse", "--rho", "0.32", "--grid", "3"],  # f(0) = 0 exactly
+    # 17 digits guard the bits of the Rademacher rate's logarithms
+    ["ratefn", "--prior", "rademacher", "--grid", "2000", "--precision", "17"],
 ]
 
 # one argv per simulate kind; each also runs with --format json (SIMULATE_JSON)
@@ -134,6 +139,9 @@ SIMULATE = [
     ["simulate", "norms", "--prior", "rademacher", "--n", "12", "--d", "3", "--lambda", "3",
      "--trials", "3", "--seed", "4"],
     ["simulate", "tails", "--prior", "rademacher", "--n", "20", "--trials", "20000", "--seed", "1"],
+    # the rate_value column at 17 digits
+    ["simulate", "tails", "--prior", "rademacher", "--n", "60", "--trials", "2000", "--seed", "1",
+     "--precision", "17"],
     TAILS,
     ["simulate", "tails", "--prior", "spherical", "--n", "5", "--trials", "5000", "--seed", "1"],
     BBP,

@@ -25,6 +25,10 @@ The exact oracles are independent of the rate functions: discrete priors use
 the integer law of k<x,x'> on the lattice -k..k (Rademacher is k = n); for the
 spherical prior (1 + <x,x'>)/2 is Beta((n-1)/2, (n-1)/2), whose tail is a
 regularized incomplete beta function.
+
+Only numpy is imported with this module.  The entropies are numpy and libm
+logarithms; scipy is imported in _spherical_tail, the one caller of its
+``betainc``, so that start-up and every other command skip scipy's import.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from itertools import accumulate
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .solvers import golden_min_vec
 from .tensors import SpikePrior
@@ -44,13 +47,24 @@ from .tensors import SpikePrior
 EXACT_TAIL_MAX_N = 200  # combinatorial oracles stay exact and fast below this
 _ZETA_GRID = 1000       # zeta grid whose first minimum brackets the golden section
 _ZETA_GOLDEN_ITERS = 52  # INV_PHI**52 < 1e-11: refine zeta to ~1e-10 absolute
+_LOG1P_FLOOR = -1.0 + 2.0**-53  # the double above -1: log1p stays finite at t = 1
+
+
+def _entr(x: float) -> float:
+    return -x * math.log(x) if x > 0.0 else 0.0
 
 
 def binary_entropy(p: float) -> float:
     """H(p) = -p log p - (1-p) log(1-p), natural log, H(0) = H(1) = 0."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    return float(special.entr(p) + special.entr(1.0 - p))
+    return float(_entr(p) + _entr(1.0 - p))
+
+
+def _entr_vec(x: np.ndarray) -> np.ndarray:
+    """-x log x for x >= 0; the floor at the least subnormal makes it +0.0 at
+    x = 0 without forming 0 * log 0."""
+    return -x * np.log(np.maximum(x, 5e-324))
 
 
 def _rate_spherical_vec(ts) -> np.ndarray:
@@ -58,17 +72,19 @@ def _rate_spherical_vec(ts) -> np.ndarray:
 
 
 def _rate_rademacher_vec(t: np.ndarray) -> np.ndarray:
-    # log 2 - H((1+t)/2), written to stay exact near t = 0 and t = 1
-    t = np.clip(t, 0.0, 1.0)
-    return 0.5 * special.xlog1py(1.0 + t, t) + 0.5 * special.xlog1py(1.0 - t, -t)
+    # log 2 - H((1+t)/2) = ((1+t) log(1+t) + (1-t) log(1-t)) / 2: exactly 0 at
+    # t = 0, and exactly log 2 at t = 1, where the second term is 0 * finite
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    return (0.5 * ((1.0 + t) * np.log1p(t))
+            + 0.5 * ((1.0 - t) * np.log1p(np.maximum(-t, _LOG1P_FLOOR))))
 
 
 def _entropy_term_vec(zeta: np.ndarray, rho: float) -> np.ndarray:
     """Exponential cost G of a support-overlap fraction zeta; zero at zeta = rho^2."""
     ent = (
-        special.entr(zeta)
-        + 2.0 * special.entr(rho - zeta)
-        + special.entr(1.0 - 2.0 * rho + zeta)
+        _entr_vec(zeta)
+        + 2.0 * _entr_vec(rho - zeta)
+        + _entr_vec(1.0 - 2.0 * rho + zeta)
     )
     return -ent + 2.0 * binary_entropy(rho)
 
@@ -232,5 +248,7 @@ def _spherical_tail(n: int, t: float) -> float:
     +-1 with probability 1/2 each."""
     if n == 1:
         return 0.5
+    from scipy.special import betainc  # imported at its one use, so that start-up skips scipy
+
     a = (n - 1) / 2.0
-    return float(special.betainc(a, a, max((1.0 - t) / 2.0, 0.0)))
+    return float(betainc(a, a, max((1.0 - t) / 2.0, 0.0)))

@@ -680,13 +680,56 @@ def test_no_command_starts_a_thread(monkeypatch, capsys):
         assert run_cli(argv + ["--threads", "8"], capsys) == expected
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # only the d = 2 eigenpair needs scipy.linalg, and every process would pay for its import
-    code = "import sys, spiked_tensor.cli; print('scipy.linalg' in sys.modules)"
+def _fresh_interpreter(code: str, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True, timeout=60)
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return proc.stdout
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_loads_no_scipy_module():
+    # scipy's import costs about half of a call's start-up; only two call sites need it
+    for code in ("import spiked_tensor",
+                 "import spiked_tensor.cli; spiked_tensor.cli.build_parser()"):
+        assert json.loads(_fresh_interpreter(f"import json, sys; {code}; "
+                                             f"print(json.dumps({_SCIPY_LOADED}))")) == []
+
+
+def test_scipy_is_imported_only_where_it_is_called():
+    # one interpreter runs the commands in order and lists the scipy modules loaded after each
+    code = f"""
+import contextlib, io, json, sys
+from spiked_tensor.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded.append([main(argv), {_SCIPY_LOADED}])
+print(json.dumps(loaded))
+"""
+    scipy_free = [
+        ["thresholds", "--prior", "sparse", "--rho", "0.3", "--d", "3"],
+        ["thresholds", "--prior", "rademacher", "--d", "2..4", "--replica"],
+        ["ratefn", "--prior", "rademacher", "--n", "20", "--grid", "5"],
+        ["ratefn", "--prior", "sparse", "--rho", "0.3", "--n", "20", "--grid", "5"],
+        ["simulate", "tails", "--prior", "rademacher", "--n", "20", "--trials", "200"],
+        ["simulate", "tails", "--prior", "sparse", "--rho", "0.3", "--n", "20", "--trials", "200"],
+        ["simulate", "detect", "--prior", "rademacher", "--test", "mle", "--n", "8", "--d", "3",
+         "--lambda", "2", "--trials", "2"],
+        ["simulate", "recover", "--prior", "sparse", "--rho", "0.3", "--test", "mle", "--n", "8",
+         "--d", "3", "--lambda", "2", "--trials", "2"],
+    ]
+    spherical_tails = ["ratefn", "--prior", "spherical", "--n", "20", "--grid", "5"]
+    bbp = ["simulate", "bbp", "--n", "20", "--lambda", "2", "--trials", "2"]
+    argvs = scipy_free + [spherical_tails, bbp]
+    loaded = json.loads(_fresh_interpreter(code, json.dumps(argvs)))
+    assert [status for status, _ in loaded] == [0] * len(argvs)
+    assert [modules for _, modules in loaded[:len(scipy_free)]] == [[]] * len(scipy_free)
+    # betainc's import in the spherical exact tail, then eigh's in the d = 2 eigenpair
+    assert "scipy.special" in loaded[-2][1] and "scipy.linalg" not in loaded[-2][1]
+    assert "scipy.linalg" in loaded[-1][1]
 
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -208,6 +209,47 @@ def test_collision_entropy_accurate_at_tiny_rho():
     assert f == pytest.approx(2.9324168296487993518e-11, rel=1e-14, abs=0.0)
     for p in (prior, SpikePrior.sparse(0.3), SpikePrior.sparse(1.0), SpikePrior.rademacher()):
         assert upper_bound_cardinality(p) == 2 * math.sqrt(collision_entropy(p))
+
+
+# ---------------------------------------------------------------------------
+# the numpy forms of the entropies
+# ---------------------------------------------------------------------------
+
+def test_entropy_forms_meet_their_edges_without_a_floating_point_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rade = rate_function_for(SpikePrior.rademacher())
+        zero = rade.eval(0.0)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        assert rade.eval(1.0) == LOG2
+        assert 0.0 < rade.eval(1.0 - 2.0**-53) <= LOG2
+        entr = rates._entr_vec(np.array([0.0, 1.0, 0.5]))
+        assert entr[0] == 0.0 and math.copysign(1.0, entr[0]) == 1.0
+        assert entr[1] == 0.0 and entr[2] == 0.5 * LOG2
+        grid = np.linspace(0.0, 1.0, 101)
+        for rho in (1e-4, 0.3, 2 / 3, 1.0):
+            rate = rate_function_for(SpikePrior.sparse(rho))
+            assert np.all(np.isfinite(rate.eval_batch(grid)))
+            assert math.isfinite(rate.eval(0.0)) and math.isfinite(rate.eval(1.0))
+
+
+def test_binary_entropy_equals_the_scipy_entropy_pair_bit_for_bit():
+    ps = np.concatenate([np.linspace(0.0, 1.0, 20_001), np.geomspace(1e-300, 0.5, 2_000)])
+    ps = np.concatenate([ps, 1.0 - ps[-2_000:]])
+    for p in ps.tolist():
+        assert binary_entropy(p) == float(special.entr(p) + special.entr(1.0 - p)), p
+
+
+def test_rademacher_rate_matches_its_series_near_zero():
+    # f(t) = sum_k t^(2k) / (2k (2k - 1)) on the t in (0, 0.05] of ratefn's
+    # 2,000-point grid.  The two log terms cancel to ~t^2, so the relative
+    # error grows as eps / t; at the grid's first point 1/1999 it is 4.3e-13.
+    ts = np.linspace(0.0, 1.0, 2000)
+    ts = ts[(ts > 0.0) & (ts <= 0.05)]
+    values = rate_function_for(SpikePrior.rademacher()).eval_batch(ts)
+    for t, value in zip(ts.tolist(), values.tolist()):
+        series = math.fsum(t ** (2 * k) / (2 * k * (2 * k - 1)) for k in range(20, 0, -1))
+        assert abs(value - series) <= 5e-13 * series, t
 
 
 # ---------------------------------------------------------------------------
