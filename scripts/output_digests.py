@@ -41,6 +41,8 @@ THRESHOLDS = [
     ["thresholds", "--prior", "spherical", "--d", "3..30", "--precision", "17"],
     ["thresholds", "--prior", "spherical", "--d", "190..200", "--precision", "17"],
     ["thresholds", "--prior", "spherical", "--d", "1000000", "--precision", "17"],
+    # and of the Rademacher tangency root, on every d where one is solved
+    ["thresholds", "--prior", "rademacher", "--d", "3..72", "--precision", "17"],
     ["thresholds", "--prior", "sparse", "--rho", "0.3", "--d", "2..3", "--asymptotics"],
     # a 9-digit print of a figure-grid rho; not a frozen row (see NOISE_RHOS)
     ["thresholds", "--prior", "sparse", "--rho", "0.144543977", "--d", "2"],

@@ -246,6 +246,8 @@ def rademacher_replica_thresholds(d: int) -> tuple[float, float]:
     every lambda1 of d = 3..200 no grid root exists.  Each existence probe
     scans the mu grid from its high end and stops at the first root cell.
     """
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
     if d == 2:
         return 1.0, 1.0
 

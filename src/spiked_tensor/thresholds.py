@@ -8,17 +8,18 @@ largest snr with ``snr^2/2 * t^d/(1+t^d) <= f(t)`` on (0,1), i.e.
 with the additional cap ``snr* <= 1`` at d=2 (local subgaussianity; see
 lower_bound_lambda).  Setting the derivative to zero gives one tangency
 equation for every prior, t (1+t^d) f'(t) = d f(t).  The spherical and
-Rademacher bounds bisect it in a variable that keeps 1 - t exact.  The
-sparse slope is not in closed form, so its bound scans a grid in t and
-polishes the best point with the grid's own array objective, reading the
-rate only through RateFunction.eval_batch.
+Rademacher bounds solve it by ITP (solvers.itp_root) down to adjacent
+floats, in a variable that keeps 1 - t exact.  The sparse slope is not in
+closed form, so its bound scans a grid in t and polishes the best point
+with the grid's own array objective, reading the rate only through
+RateFunction.eval_batch.
 
 Upper bounds: for discrete priors, exhaustive-search MLE gives 2*sqrt(c)
 with c the log-cardinality density.  Both priors are uniform on their
 support, so c equals the collision entropy F = lim_{t->1} f(t); for the
 spherical prior, the spiked injective norm exceeds the unspiked limit mu_d
 once snr crosses the unique root of L_d(snr) = mu_d.  L_d and that root are
-each one bisection on the branch of L_d's maximizers, where snr is explicit.
+each one ITP root on the branch of L_d's maximizers, where snr is explicit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import replica
 from .rates import collision_entropy, rate_function_for
-from .solvers import INV_PHI, bisect_root, golden_min_vec
+from .solvers import INV_PHI, golden_min_vec, itp_root
 from .tensors import SpikePrior, check_snr
 
 # The sparse lower bound's t grid on (0, 1): uniform points plus points
@@ -64,7 +65,7 @@ def lower_bound_lambda(prior: SpikePrior, d: int) -> LowerBoundResult:
     """sqrt(2 inf_t (1+t^-d) f(t)), the second-moment lower bound.
 
     Spherical and Rademacher: the root of t (1+t^d) f'(t) = d f(t), unique
-    where it exists, bisected in a variable that keeps 1 - t exact; with no
+    where it exists, solved in a variable that keeps 1 - t exact; with no
     sign change on the bracket the infimum is the t -> 1 limit 2F.  Sparse
     (f' not in closed form): a boundary-refined grid, its best bracket
     polished by an array golden section with the grid's objective; raises
@@ -90,7 +91,7 @@ def lower_bound_lambda(prior: SpikePrior, d: int) -> LowerBoundResult:
         limit = 2.0 * math.sqrt(collision_entropy(prior))
         if h(hi) < 0.0:
             return LowerBoundResult(limit, 1.0, False, math.nan)
-        res = bisect_root(h, lo, hi)
+        res = itp_root(h, lo, hi)
         t_star, value = at_root(res.root)
         return LowerBoundResult(min(value, limit), t_star, False, res.residual)
 
@@ -196,7 +197,7 @@ def injective_norm_mu(d: int) -> float:
         raise ValueError(f"mu_d is computed for d >= 3, got {d}")
     lo = 2.0 * math.sqrt(d - 1.0) + 1e-12
     hi = math.sqrt(d * (2.0 * math.log(d) + 2.0 * math.log(math.log(d)) + 4.0))
-    res = bisect_root(lambda x: _mu_characteristic(d, x), lo, hi)
+    res = itp_root(lambda x: _mu_characteristic(d, x), lo, hi)
     return res.root * math.sqrt(2.0 / d)
 
 
@@ -222,7 +223,7 @@ def _spiked_norm_branch(d: int):
 def spiked_norm_lower_Ld(d: int, snr: float) -> SpikedNormLowerBound:
     """Lower bound L_d(snr) on the spiked injective norm, with its maximizer.
 
-    One bisection of snr(s) = snr on _spiked_norm_branch over s = -log m in
+    One ITP root of snr(s) = snr on _spiked_norm_branch over s = -log m in
     [1e-300, log1p(d/(d-1))/2]; at the right end M = d and snr(s) < 0 for
     d >= 3 (d^3 - 3d^2 + 1 > 0).  The objective falls steeply to snr at
     m = 1, so the maximum is interior and L_d(snr) > snr.  Also reports m*
@@ -237,7 +238,7 @@ def spiked_norm_lower_Ld(d: int, snr: float) -> SpikedNormLowerBound:
         _, h, dh = branch(s)
         return dh / d - h - snr
 
-    s = bisect_root(excess, 1e-300, 0.5 * math.log1p(d / (d - 1.0))).root
+    s = itp_root(excess, 1e-300, 0.5 * math.log1p(d / (d - 1.0))).root
     big_m, h, _ = branch(s)
     return SpikedNormLowerBound(math.exp(-d * s) * (snr + h), math.exp(-s),
                                 math.sqrt(1.0 + 1.0 / big_m))
@@ -247,16 +248,16 @@ def upper_bound_spherical(d: int) -> float:
     """Spherical detection upper bound: the unique snr with L_d(snr) = mu_d.
 
     L_d increases in snr, so the bound is snr(s) = h'/d - h at the point of
-    _spiked_norm_branch where L = e^(-ds) h'/d = mu_d: one bisection of
+    _spiked_norm_branch where L = e^(-ds) h'/d = mu_d: one ITP root of
     log h' - d s - log(d mu_d) on [1e-300, 1/d].  The root lies at
-    d s = 0.02 .. 0.36 for d = 3 .. 10^9; the bound is within 1.2e-15 of
+    d s = 0.02 .. 0.36 for d = 3 .. 10^9; the bound is within 1.7e-15 of
     60-digit values for d = 3 .. 10^6.
     """
     if d < 3:
         raise ValueError(f"d must be >= 3, got {d}")
     branch = _spiked_norm_branch(d)
     log_target = math.log(d * injective_norm_mu(d))
-    res = bisect_root(lambda s: math.log(branch(s)[2]) - d * s - log_target, 1e-300, 1.0 / d)
+    res = itp_root(lambda s: math.log(branch(s)[2]) - d * s - log_target, 1e-300, 1.0 / d)
     _, h, dh = branch(res.root)
     return dh / d - h
 

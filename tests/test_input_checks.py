@@ -64,3 +64,25 @@ def test_library_input_checks_raise_value_error(name):
 
 def test_spherical_replica_thresholds_at_d2_are_one():
     assert replica.replica_thresholds(SPHERE, 2) == (1.0, 1.0)
+
+
+# every replica entry refuses d < 2 with one message, before any mu or q scan
+REPLICA_D = {
+    "rademacher_thresholds_d0": lambda: replica.rademacher_replica_thresholds(0),
+    "rademacher_thresholds_d-3": lambda: replica.rademacher_replica_thresholds(-3),
+    "rademacher_thresholds_d1": lambda: replica.rademacher_replica_thresholds(1),
+    "replica_thresholds_rademacher_d0": lambda: replica.replica_thresholds(RADE, 0),
+    "replica_thresholds_spherical_d0": lambda: replica.replica_thresholds(SPHERE, 0),
+    "rademacher_fixed_points_d1": lambda: replica.rademacher_fixed_points(1, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", REPLICA_D)
+def test_replica_entries_refuse_d_below_2_before_any_scan(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan ran before the d check")
+
+    monkeypatch.setattr(replica, "_mu_scan", refuse)
+    monkeypatch.setattr(replica, "_spherical_solver", refuse)
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        REPLICA_D[name]()

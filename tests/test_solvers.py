@@ -6,7 +6,6 @@ import pytest
 from spiked_tensor.solvers import (
     BracketError,
     RootResult,
-    bisect_root,
     golden_min_vec,
     itp_root,
 )
@@ -35,24 +34,23 @@ def test_golden_min_vec_heterogeneous_intervals():
     assert np.max(np.abs(x - target)) < 1e-9
 
 
-def test_bisect_root_cosine():
-    # the bisection halves the bracket until the midpoint can no longer split it
-    res = bisect_root(math.cos, 1.0, 2.0)
-    assert abs(res.root - math.pi / 2) <= math.ulp(math.pi / 2)
-    assert res.iterations < 60
-
-
 def test_itp_root_cosine():
     res = itp_root(math.cos, 1.0, 2.0, xtol=1e-14)
     assert abs(res.root - math.pi / 2) < 1e-12
     assert res.residual < 1e-12
     # superlinear on a smooth f: bisection takes 47 steps to width 1e-14
     assert res.iterations < 15
+    # the default xtol runs on until lo and hi are adjacent floats, where
+    # bisection would take 52 halvings
+    res = itp_root(math.cos, 1.0, 2.0)
+    assert abs(res.root - math.pi / 2) <= math.ulp(math.pi / 2)
+    assert res.iterations < 20
 
 
 def test_itp_root_requires_bracket_and_positive_xtol():
-    with pytest.raises(BracketError):
-        itp_root(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+    for kwargs in ({"xtol": 1e-12}, {}):
+        with pytest.raises(BracketError):
+            itp_root(lambda x: x * x + 1.0, -1.0, 1.0, **kwargs)
     for xtol in (0.0, -1e-12, math.nan):
         with pytest.raises(ValueError):
             itp_root(math.cos, 1.0, 2.0, xtol=xtol)
@@ -60,15 +58,21 @@ def test_itp_root_requires_bracket_and_positive_xtol():
 
 def test_itp_root_reads_signs_of_tiny_values():
     # a product of two values below ~1e-162 underflows to 0 and loses the signs
-    with pytest.raises(BracketError):
-        itp_root(lambda x: 1e-200, 0.0, 1.0, xtol=1e-12)
+    for kwargs in ({"xtol": 1e-12}, {}):
+        with pytest.raises(BracketError):
+            itp_root(lambda x: 1e-200, 0.0, 1.0, **kwargs)
     res = itp_root(lambda x: x - 1e-300, 0.0, 1.0, xtol=1e-313)
     assert res.root == pytest.approx(1e-300, rel=1e-12)
+    res = itp_root(lambda x: x - 1e-300, 0.0, 1.0)
+    assert abs(res.root - 1e-300) <= math.ulp(1e-300)
+    # within the n_max = 1,075 steps of [0, 1] at the default xtol
+    assert res.iterations <= 1075
 
 
 def test_itp_root_endpoint_root():
-    assert itp_root(lambda x: x, 0.0, 1.0, xtol=1e-12) == RootResult(0.0, 0.0, 0)
-    assert itp_root(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-12) == RootResult(1.0, 0.0, 0)
+    for kwargs in ({"xtol": 1e-12}, {}):
+        assert itp_root(lambda x: x, 0.0, 1.0, **kwargs) == RootResult(0.0, 0.0, 0)
+        assert itp_root(lambda x: x - 1.0, 0.0, 1.0, **kwargs) == RootResult(1.0, 0.0, 0)
 
 
 @pytest.mark.parametrize("xtol", [1e-3, 1e-8, 1e-12, 1e-15])
@@ -81,43 +85,23 @@ def test_itp_root_keeps_the_bisection_bound_on_a_step(xtol):
         assert abs(res.root - root) <= 0.5 * xtol + math.ulp(root)
 
 
-def test_bisect_root_requires_bracket():
-    with pytest.raises(BracketError):
-        bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
-
-
-def test_bisect_root_reads_signs_of_tiny_values():
-    # a product of two values below ~1e-162 underflows to 0 and loses the signs
-    with pytest.raises(BracketError):
-        bisect_root(lambda x: 1e-200, 0.0, 1.0)
-    res = bisect_root(lambda x: x - 1e-300, 0.0, 1.0)
-    assert res.root == pytest.approx(1e-300, rel=1e-15)
-    assert res.iterations < 1100
-
-
 def test_spherical_tangency_bisection_steps(monkeypatch):
     from spiked_tensor import SpikePrior, lower_bound_lambda, thresholds
 
     steps = []
 
     def counted(*args, **kwargs):
-        res = bisect_root(*args, **kwargs)
+        res = itp_root(*args, **kwargs)
         steps.append(res.iterations)
         return res
 
-    # each root is bisected down to adjacent floats, about 50 steps
-    monkeypatch.setattr(thresholds, "bisect_root", counted)
+    # each root is solved down to adjacent floats, in at most about as many
+    # steps as bisection takes to get there (55 against 54 at most)
+    monkeypatch.setattr(thresholds, "itp_root", counted)
     for d in range(3, 201):
         lower_bound_lambda(SpikePrior.spherical(), d)
     assert len(steps) == 198
     assert max(steps) < 100
-
-
-def test_bisect_root_endpoint_root():
-    res = bisect_root(lambda x: x, 0.0, 1.0)
-    assert res.root == 0.0
-    res = bisect_root(lambda x: x - 1.0, 0.0, 1.0)
-    assert res.root == 1.0
 
 
 def test_geometric_grid_covers_boundary_layers():

@@ -14,6 +14,7 @@ from spiked_tensor import (
     upper_bound_cardinality,
     upper_bound_spherical,
 )
+from spiked_tensor.solvers import itp_root
 from spiked_tensor.thresholds import _mu_characteristic
 
 TWO_SQRT_LOG2 = 2.0 * math.sqrt(math.log(2.0))
@@ -90,7 +91,7 @@ def test_tangency_residual_and_large_d_location():
 
 def test_tangency_routes_agree_to_large_d():
     # 50-digit mpmath solves of the tangency equation t (1+t^d) f'(t) = d f(t)
-    # with f = -log(1-t^2)/2; the root is bisected in s = -log(1-t^2), so it
+    # with f = -log(1-t^2)/2; the root is solved in s = -log(1-t^2), so it
     # holds where 1 - t is far below double resolution
     for d, value in ((3, "1.5846547078782847321"), (10, "2.476510204153723516"),
                      (1000, "4.1660513622356976537")):
@@ -311,7 +312,7 @@ def test_threshold_report_one_route_per_bound(monkeypatch):
     with pytest.raises(AssertionError, match="refused solver"):
         threshold_report(SpikePrior.sparse(0.3), 3)
     # the exact d = 2 rows run no solver at all
-    for name in ("bisect_root", "golden_min_vec", "injective_norm_mu"):
+    for name in ("itp_root", "golden_min_vec", "injective_norm_mu"):
         monkeypatch.setattr(thresholds, name, _refuse)
     for prior in (SpikePrior.spherical(), SpikePrior.rademacher()):
         rep = threshold_report(prior, 2, include_replica=True)
@@ -392,3 +393,54 @@ def test_grid_vs_refined_brute_force_spot_checks():
         f_r = math.log(2.0) - (ent((1 + arg) / 2) + ent((1 - arg) / 2))
         brute = max(float(np.min(big_g + zs * f_r)), 0.0)
         assert abs(rate_function_for(SpikePrior.sparse(rho)).eval(t) - brute) < 1e-6
+
+
+def _record_roots(monkeypatch):
+    """Wrap thresholds.itp_root; each call appends (f, returned root)."""
+    from spiked_tensor import thresholds
+
+    calls = []
+
+    def recorded(f, lo, hi, **kwargs):
+        # every threshold root runs to adjacent floats, at the default xtol
+        assert not kwargs
+        res = itp_root(f, lo, hi)
+        calls.append((f, res.root))
+        return res
+
+    monkeypatch.setattr(thresholds, "itp_root", recorded)
+    return calls
+
+
+def _is_float_root(f, x: float) -> bool:
+    """f is 0 at x, or changes sign between x and one of its float neighbours."""
+    fx = f(x)
+    if fx == 0.0:
+        return True
+    neighbours = (f(math.nextafter(x, -math.inf)), f(math.nextafter(x, math.inf)))
+    return any(fn == 0.0 or (fn > 0.0) != (fx > 0.0) for fn in neighbours)
+
+
+# root -> (solve at d, its number of itp_root calls at d): the upper bound
+# solves mu_d again for its target, and the Rademacher tangency root is
+# solved for d < 73 only; L_d is solved at five snr
+LD_SNRS = (0.1, 1.0, 3.0, 50.0, 1e4)
+ROOT_CALLS = {
+    "lower_spherical": (lambda d: lower_bound_lambda(SpikePrior.spherical(), d), lambda d: 1),
+    "lower_rademacher": (lambda d: lower_bound_lambda(SpikePrior.rademacher(), d),
+                         lambda d: int(d < 73)),
+    "mu_d": (injective_norm_mu, lambda d: 1),
+    "L_d": (lambda d: [spiked_norm_lower_Ld(d, snr) for snr in LD_SNRS], lambda d: len(LD_SNRS)),
+    "upper_spherical": (upper_bound_spherical, lambda d: 2),
+}
+
+
+@pytest.mark.parametrize("d", [3, 10, 10**3, 10**6])
+@pytest.mark.parametrize("root", ROOT_CALLS)
+def test_every_threshold_root_is_a_float_root(root, d, monkeypatch):
+    solve, expected = ROOT_CALLS[root]
+    calls = _record_roots(monkeypatch)
+    solve(d)
+    assert len(calls) == expected(d)
+    for f, x in calls:
+        assert _is_float_root(f, x)
